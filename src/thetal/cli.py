@@ -13,7 +13,7 @@ import sys
 
 import mpmath as mp
 
-from .context import BudgetError, DomainError, PrecisionContext
+from .context import MIN_DIGITS, DomainError, NumericsError, PrecisionContext
 from .hyper import KDF_STRATEGIES, KdFSpec, PFQSpec, kdf_converges, kdf_full, pfq
 from .identities import (
     DEFAULT_GRID,
@@ -67,7 +67,8 @@ def _csv(s):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=None,
-                        help="decimal digits (default 20, or THETAL_DIGITS)")
+                        help=f"decimal digits, at least {MIN_DIGITS} "
+                             "(default 20, or THETAL_DIGITS)")
     common.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default="text")
     common.add_argument("--max-terms", type=int, default=None,
@@ -144,8 +145,6 @@ def _build_parser():
 
 def _ctx(args):
     digits = args.digits if args.digits is not None else _default_digits()
-    if digits < 1:
-        raise DomainError("digits must be positive")
     kw = {}
     if getattr(args, "max_terms", None) is not None:
         kw["max_terms"] = args.max_terms
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, BudgetError) as exc:
+    except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

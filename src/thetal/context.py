@@ -18,6 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 __all__ = [
+    "MIN_DIGITS",
     "PrecisionContext",
     "NumericsError",
     "DomainError",
@@ -27,6 +28,9 @@ __all__ = [
     "ensure_finite",
     "parse_rational",
 ]
+
+
+MIN_DIGITS = 10  # the floor of every requested precision: API, registry, CLI
 
 
 class NumericsError(Exception):
@@ -66,7 +70,8 @@ class PrecisionContext:
     Parameters
     ----------
     digits : int
-        Decimal significant digits the caller wants certified.  At least 10.
+        Decimal significant digits the caller wants certified.  At least
+        MIN_DIGITS.
     guard : int
         Extra working digits; internals run at ``digits + guard``.  At least 5.
     max_terms : int
@@ -83,8 +88,8 @@ class PrecisionContext:
     quad_level_cap: int = 12
 
     def __post_init__(self):
-        if self.digits < 10:
-            raise DomainError("digits must be at least 10")
+        if self.digits < MIN_DIGITS:
+            raise DomainError(f"digits must be at least {MIN_DIGITS}")
         if self.guard < 5:
             raise DomainError("guard must be at least 5")
         if self.max_terms < 1:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 
-from .context import DomainError, PrecisionContext
+from .context import MIN_DIGITS, DomainError, PrecisionContext
 from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, kdf_full, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
@@ -76,8 +76,8 @@ class RunConfig:
     max_terms: Optional[int] = None
 
     def __post_init__(self):
-        if self.digits < 5:
-            raise DomainError("verification needs at least 5 digits")
+        if self.digits < MIN_DIGITS:
+            raise DomainError(f"digits must be at least {MIN_DIGITS}")
         if self.fmt not in ("text", "json"):
             raise DomainError(f"unknown output format {self.fmt!r}")
         if self.jobs < 1:
@@ -647,7 +647,7 @@ _REGISTRY_ENTRIES = (
     _pw("I28", "euler-2f1", "Euler integral representation against the series, argument swept over the grid",
         "regularized Beta-kernel quadrature", "2F1(1/2,1;3/2;z) series", _ev_euler_2f1),
     Identity("I29", "coeff-oracle", "exact",
-             "convolution and character-sum coefficient oracles agree exactly",
+             "convolution and character-sum coefficient oracles agree exactly to n = 2000",
              "integer theta-product convolution", "divisor character sums",
              _exact_target, _ev_coeff_oracle),
     Identity("I30", "kdf-margins", "exact",

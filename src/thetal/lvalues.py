@@ -15,6 +15,7 @@ shared with the command line and the registry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -432,6 +433,21 @@ def _g_coeffs(n_terms: int):
     return coeffs_convolution("g", n_terms)
 
 
+@lru_cache(maxsize=4)
+def _divisor_counts(n_terms: int):
+    """d(m) for m = 0..n_terms as a read-only float64 array.
+
+    Divisors pair up as a * b = m with a <= sqrt(m): each a <= sqrt(N)
+    counts once at a^2 and twice at every a * b with b > a.
+    """
+    d = np.zeros(n_terms + 1)
+    for a in range(1, math.isqrt(n_terms) + 1):
+        d[a * a] += 1.0
+        d[a * (a + 1) :: a] += 2.0
+    d.flags.writeable = False
+    return d
+
+
 def _divisor_tail(n_terms: int, s1: float, ctx: PrecisionContext) -> float:
     """sum_{m > N} d(m) m^(-s1), essentially exactly, for s1 > 3/2.
 
@@ -440,9 +456,7 @@ def _divisor_tail(n_terms: int, s1: float, ctx: PrecisionContext) -> float:
     and the pairwise-summed dot product is good to ~1e-13 absolute, which the
     returned padding covers.
     """
-    d = np.zeros(n_terms + 1)
-    for a in range(1, n_terms + 1):
-        d[a::a] += 1.0
+    d = _divisor_counts(n_terms)
     powers = np.arange(0, n_terms + 1, dtype=np.float64)
     powers[0] = 1.0
     partial = float(np.dot(d[1:], powers[1:] ** (-s1)))

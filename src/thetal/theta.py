@@ -6,7 +6,8 @@ public evaluator reroutes through the half-period involution u -> 1/u so the
 truncation depth stays O(sqrt(digits)) uniformly on (0, 1).  The module also
 carries the weight-3 products f and g, the modular parameter alpha, the
 Eisenstein sum M, the Lambert-type reorganized double sums, and exact integer
-q-expansion coefficients for f and g.
+q-expansion coefficients for f and g: products of the lacunary theta series,
+multiplied one sparse factor at a time in int64 arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 
 from .context import (
     BudgetError,
     DomainError,
+    NumericsError,
     PrecisionContext,
     as_real,
     ensure_finite,
@@ -369,97 +372,63 @@ class CoeffStream:
         return self.coeffs[n - 1]
 
 
-def _poly_mul_trunc(a, b, n_max):
-    """Product of integer polynomials, truncated at degree n_max.
+def _int64_bound(dense, terms) -> int:
+    """A-priori bound on |dense * sparse| coefficients: max|dense| sum|c|."""
+    return int(np.abs(dense).max()) * sum(abs(c) for _, c in terms)
 
-    Nonnegative inputs are multiplied via Kronecker substitution: pack into
-    one big integer at 64-bit spacing, multiply, unpack.  The packing is
-    valid because every convolution coefficient is < 2^63, which is asserted
-    against the a-priori bound max|a| max|b| min(len).
+
+def _times_sparse(dense, terms):
+    """dense * sum c q^e truncated to len(dense), one shifted add per term
+    (every exponent e must be below len(dense)).
+
+    The int64 arithmetic cannot wrap because every output coefficient is
+    bounded by _int64_bound, which is checked before any add.
     """
-    a = a[: n_max + 1]
-    b = b[: n_max + 1]
-    if not a or not b:
-        return []
-    neg = any(c < 0 for c in a) or any(c < 0 for c in b)
-    if neg:
-        # fall back to schoolbook on the rare signed input
-        out = [0] * (n_max + 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            top = min(len(b), n_max + 1 - i)
-            for j in range(top):
-                out[i + j] += ca * b[j]
-        return out
-    bound = max(a) * max(b) * min(len(a), len(b))
-    assert bound < 1 << 63, "Kronecker packing width exceeded"
-    # pack and unpack through bytes; shifting limb by limb is quadratic
-    pa = int.from_bytes(b"".join(c.to_bytes(8, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(8, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes(8 * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[8 * i : 8 * i + 8], "little") for i in range(n_max + 1)
-    ]
+    if _int64_bound(dense, terms) >= 1 << 63:
+        raise NumericsError("int64 headroom exceeded in theta product")
+    n = len(dense)
+    out = np.zeros(n, dtype=np.int64)
+    scaled = {c: c * dense for c in {c for _, c in terms}}  # c is 1 or +-2
+    for e, c in terms:
+        out[e:] += scaled[c][: n - e]
+    return out
 
 
-def _theta2_quarter_poly(n_max):
-    # A(q) = sum q^{n(n+1)}: theta2^4/16 = q A^4
-    a = [0] * (n_max + 1)
-    n = 0
-    while n * (n + 1) <= n_max:
-        a[n * (n + 1)] = 1
-        n += 1
-    return a
-
-
-def _theta3_sq_coeffs(n_max):
-    # r2(k): number of (a,b) in Z^2 with a^2 + b^2 = k
-    r2 = [0] * (n_max + 1)
-    m = 0
-    while m * m <= n_max:
-        start = 1 if m == 0 else 2
-        mm = m * m
-        n = 0
-        while mm + n * n <= n_max:
-            r2[mm + n * n] += start * (1 if n == 0 else 2)
-            n += 1
-        m += 1
-    return r2
+def _theta_terms(n_max: int, step: int):
+    """theta4(q^step) = 1 + 2 sum (-1)^k q^{step k^2}, as (exponent, coeff)."""
+    terms = [(0, 1)]
+    k = 1
+    while step * k * k <= n_max:
+        terms.append((step * k * k, -2 if k % 2 else 2))
+        k += 1
+    return terms
 
 
 def coeffs_convolution(form: str, N: int) -> CoeffStream:
-    """a_1..a_N by exact integer power-series multiplication.
+    """a_1..a_N by exact products of lacunary theta series.
 
-    f = q A^4 theta4^2(q) with A = sum q^{n(n+1)}; since A has only even
-    exponents the theta4 signs factor out of the convolution, so f is a
-    single nonnegative product with a global (-1)^{n-1} twist.  g needs the
-    even/odd split of theta4^2(q^2) explicitly.
+    With A = sum q^{n(n+1)}, theta2^4/16 = q A^4, so f = q A^4 theta4(q)^2
+    and g = q A^4 theta4(q^2)^2.  Each factor has only O(sqrt N) nonzero
+    terms, so the product is built by multiplying a dense int64 series by one
+    sparse factor at a time: O(N sqrt N) adds in all, with the signs of
+    theta4 carried directly.
     """
     if N < 1:
         raise DomainError("need N >= 1")
     if form not in ("f", "g"):
         raise DomainError("form must be 'f' or 'g'")
     n_max = N - 1  # degree budget after the leading q is factored off
-    a1 = _theta2_quarter_poly(n_max)
-    a2 = _poly_mul_trunc(a1, a1, n_max)
-    a4 = _poly_mul_trunc(a2, a2, n_max)
-    if form == "f":
-        r2 = _theta3_sq_coeffs(n_max)
-        conv = _poly_mul_trunc(a4, r2, n_max)
-        coeffs = [(-1) ** n * conv[n] for n in range(N)]  # a_{n+1} sign
-        return CoeffStream("f", tuple(coeffs))
-    r2 = _theta3_sq_coeffs(n_max // 2 if n_max >= 0 else 0)
-    even = [0] * (n_max + 1)
-    odd = [0] * (n_max + 1)
-    for k, c in enumerate(r2):
-        if 2 * k > n_max:
-            break
-        (even if k % 2 == 0 else odd)[2 * k] = c
-    pe = _poly_mul_trunc(a4, even, n_max)
-    po = _poly_mul_trunc(a4, odd, n_max)
-    coeffs = [pe[n] - po[n] for n in range(N)]
-    return CoeffStream("g", tuple(coeffs))
+    a_terms = []
+    n = 0
+    while n * (n + 1) <= n_max:
+        a_terms.append((n * (n + 1), 1))
+        n += 1
+    theta_terms = _theta_terms(n_max, 1 if form == "f" else 2)
+    dense = np.zeros(N, dtype=np.int64)
+    dense[0] = 1
+    for terms in (a_terms,) * 4 + (theta_terms,) * 2:
+        dense = _times_sparse(dense, terms)
+    return CoeffStream(form, tuple(dense.tolist()))
 
 
 def coeffs_lambert(form: str, N: int) -> CoeffStream:

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 import mpmath as mp
 
@@ -21,3 +23,14 @@ def agrees(a, b, digits):
         if a == b:
             return True
         return abs(a - b) / max(abs(a), abs(b)) <= mp.mpf(10) ** (-digits)
+
+
+def g_binary_theta(N):
+    """a_1..a_N of g from its binary theta series, independent of the
+    package: a_n = 1/2 sum over x odd, y even, x^2 + y^2 = n of x^2 - y^2."""
+    a = [0] * (N + 1)
+    for x in range(1, isqrt(N) + 1, 2):
+        for y in range(0, isqrt(N - x * x) + 1, 2):
+            # +-x cancels the 1/2; +-y doubles every y > 0
+            a[x * x + y * y] += (x * x - y * y) * (2 if y else 1)
+    return tuple(a[1:])

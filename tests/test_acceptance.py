@@ -32,6 +32,8 @@ from thetal.lvalues import (
 )
 from thetal.theta import coeffs_convolution, coeffs_lambert
 
+from conftest import g_binary_theta
+
 DIGITS = 30
 
 
@@ -156,12 +158,13 @@ def test_criterion_07_pointwise_identity_suite():
 
 
 def test_criterion_08_coefficient_oracles():
-    n = 2000
+    n = 10**5
     conv = coeffs_convolution("f", n).coeffs
     lam = coeffs_lambert("f", n).coeffs
     assert conv == lam
     assert conv[:3] == (1, -4, 8)
     g = coeffs_convolution("g", n)
+    assert g.coeffs == g_binary_theta(n)
     assert (g.a(1), g.a(5)) == (1, -6)
     sieve = [True] * (n + 1)
     sieve[0] = sieve[1] = False
@@ -170,7 +173,8 @@ def test_criterion_08_coefficient_oracles():
             sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
     bad = [p for p in range(2, n + 1) if sieve[p] and p % 4 == 3 and g.a(p) != 0]
     assert not bad, f"nonzero at split-inert primes {bad[:5]}"
-    _report(8, True, "oracle equality to n=2000, inert primes vanish, spot values hit")
+    _report(8, True, "f and g oracle equality to n=1e5, inert primes vanish, "
+                     "spot values hit")
 
 
 def test_criterion_09_exact_margin_table():

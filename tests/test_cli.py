@@ -6,7 +6,9 @@ import mpmath as mp
 import pytest
 
 from conftest import agrees
+from thetal import cli
 from thetal.cli import main
+from thetal.context import MIN_DIGITS, QuadratureError
 
 
 def run(capsys, *argv):
@@ -216,6 +218,23 @@ class TestPlumbing:
         code, _, err = run(capsys, "theta", "--fn", "theta3", "--q", "0.1")
         assert code == 2
         assert "error:" in err
+
+    def test_numerics_error_is_exit_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise QuadratureError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "l_value", refuse)
+        code, out, err = run(capsys, "lvalue", "--form", "f", "--s", "3",
+                             "--method", "alpha_integral")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_digits_floor_is_one_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--all", "--digits", "7")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: digits must be at least {MIN_DIGITS}\n"
 
     def test_missing_required_flag_is_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

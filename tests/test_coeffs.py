@@ -1,10 +1,12 @@
 import pytest
 import mpmath as mp
+import numpy as np
 
-from thetal.context import DomainError, PrecisionContext
+from thetal import theta
+from thetal.context import DomainError, NumericsError, PrecisionContext
 from thetal.theta import CoeffStream, coeffs_convolution, coeffs_lambert, form_f, form_g
 
-from conftest import agrees
+from conftest import agrees, g_binary_theta
 
 
 def _is_prime(n):
@@ -29,8 +31,35 @@ def test_lambert_divisor_sum_small():
 
 
 def test_convolution_equals_lambert_exactly():
-    N = 2000
+    N = 10**5
     assert coeffs_convolution("f", N).coeffs == coeffs_lambert("f", N).coeffs
+
+
+def test_g_equals_binary_theta_series():
+    N = 10**5
+    assert coeffs_convolution("g", N).coeffs == g_binary_theta(N)
+
+
+def test_int64_bound_checked_at_1e5(monkeypatch):
+    bounds = []
+    real = theta._int64_bound
+
+    def spy(dense, terms):
+        bounds.append(real(dense, terms))
+        return bounds[-1]
+
+    monkeypatch.setattr(theta, "_int64_bound", spy)
+    coeffs_convolution("f", 10**5)
+    coeffs_convolution("g", 10**5)
+    # four factors of A and two of theta4 per form, each checked first
+    assert len(bounds) == 12
+    assert max(bounds) < 2**63
+
+
+def test_int64_overflow_refused():
+    dense = np.full(4, 2**61, dtype=np.int64)
+    with pytest.raises(NumericsError):
+        theta._times_sparse(dense, [(0, 1), (1, -2), (2, 2)])
 
 
 def test_g_cm_vanishing():

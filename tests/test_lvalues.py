@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees
+from thetal import lvalues
 from thetal.context import DomainError, PrecisionContext
 from thetal.hyper import kdf_converges
 from thetal.lvalues import (
@@ -228,7 +230,26 @@ def _divisor_counts(n):
     return d
 
 
+def _divisor_tail_loop(n_terms, s1, ctx):
+    # the one-slice-per-divisor sieve the pair sieve replaced, kept as the
+    # reference: same float64 partial sum, same zeta^2 complement
+    d = np.zeros(n_terms + 1)
+    for a in range(1, n_terms + 1):
+        d[a::a] += 1.0
+    powers = np.arange(0, n_terms + 1, dtype=np.float64)
+    powers[0] = 1.0
+    partial = float(np.dot(d[1:], powers[1:] ** (-s1)))
+    zv = lvalues.zeta(mp.mpf(s1), ctx)
+    return max(float(zv * zv) - partial, 0.0) + 1e-13
+
+
 class TestDirichletSum:
+    @pytest.mark.parametrize("n", [10, 11, 99, 100, 101, 2024, 5000])
+    def test_divisor_pair_sieve_matches_loop(self, ctx, n):
+        assert lvalues._divisor_counts(n).tolist() == _divisor_counts(n)
+        for s1 in (1.75, 2.0, 2.5, 3.0):
+            assert lvalues._divisor_tail(n, s1, ctx) == _divisor_tail_loop(n, s1, ctx)
+
     def test_coefficient_bound_holds_empirically(self):
         # |a_m| <= d(m) m justifies the tail bound; check it well past the
         # first thousand coefficients
