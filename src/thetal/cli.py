@@ -265,11 +265,9 @@ def _cmd_verify(args):
         digits=digits,
         ids=args.id,
         grid=args.grid if args.grid is not None else DEFAULT_GRID,
-        fmt=args.fmt,
         jobs=args.jobs,
         kdf_strategy=args.strategy,
         target_override=args.target,
-        timings=args.timings,
         max_terms=args.max_terms,
     )
     reports = verify_all(config)

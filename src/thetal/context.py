@@ -109,10 +109,6 @@ class PrecisionContext:
         """
         return mp.workdps(self.workdigits)
 
-    def tol(self):
-        """Relative tolerance an operation must certify: 10**-digits."""
-        return mp.mpf(10) ** (-self.digits)
-
     def worktol(self):
         """Internal stopping tolerance, below the certified one."""
         return mp.mpf(10) ** (-self.workdigits)

@@ -68,18 +68,14 @@ class RunConfig:
     digits: int = 20
     ids: Optional[tuple] = None
     grid: tuple = DEFAULT_GRID
-    fmt: str = "text"
     jobs: int = 1
     kdf_strategy: str = "integral_reduction"
     target_override: Optional[int] = None
-    timings: bool = False
     max_terms: Optional[int] = None
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise DomainError(f"digits must be at least {MIN_DIGITS}")
-        if self.fmt not in ("text", "json"):
-            raise DomainError(f"unknown output format {self.fmt!r}")
         if self.jobs < 1:
             raise DomainError("parallelism degree must be positive")
         if self.kdf_strategy not in KDF_STRATEGIES:
@@ -781,9 +777,10 @@ def verify_all(config: RunConfig):
     ids = config.ids if config.ids is not None else IDENTITY_IDS
     for id_ in ids:
         identity_info(id_)
-    if config.jobs == 1 or len(ids) == 1:
+    if config.jobs == 1 or len(ids) <= 1:
         return [verify(id_, config) for id_ in ids]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # the pool starts all of its workers at once: never more than there are ids
+    with ProcessPoolExecutor(max_workers=min(config.jobs, len(ids))) as pool:
         return list(pool.map(_verify_task, [(id_, config) for id_ in ids]))
 
 

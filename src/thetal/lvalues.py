@@ -26,7 +26,7 @@ import numpy as np
 from .context import DomainError, PrecisionContext, as_real, ensure_finite
 from .hyper import KdFSpec, PFQSpec, kdf_full, pfq, series_kernel
 from .quadrature import integrate01
-from .special import _CVZ_RATE, alternating_sum, gamma, zeta
+from .special import alternating_sum, cvz_terms, gamma, zeta
 from .theta import coeffs_convolution, lambert_series, theta_involution
 
 __all__ = [
@@ -80,11 +80,6 @@ class LValueResult(NamedTuple):
 def _roundoff(value, ctx: PrecisionContext):
     # generic few-ulp floor for exact formulas evaluated at working precision
     return abs(value) * mp.mpf(10) ** (3 - ctx.workdigits)
-
-
-def _cvz_terms(ctx: PrecisionContext) -> int:
-    # mirrors the alternating accelerator's internal term count
-    return int(ctx.workdigits * float(mp.log(10)) / _CVZ_RATE) + 5
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +503,6 @@ LF4_ALT = PFQSpec(("1/2", "1/2", "1/2", "1/2", 1), ("3/2", "3/2", "3/2", "3/2"))
 LF4_POS1 = PFQSpec(("1/4", "1/4", "1/4", "1/4", 1), ("5/4", "5/4", "5/4", "5/4"))
 LF4_POS3 = PFQSpec(("3/4", "3/4", "3/4", "3/4", 1), ("7/4", "7/4", "7/4", "7/4"))
 
-CLOSED_FORM_IDS = ("lf3", "lf4", "lg3")
-
 
 def closed_form(which: str, ctx: PrecisionContext):
     """One of the single-series closed forms, as (value, error_estimate).
@@ -571,7 +564,7 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
             raise DomainError("the Dirichlet factorization is an f-only route")
         with ctx.working():
             v = l_psi(n - 2, ctx) * l_chi4(n, ctx)
-            return LValueResult(v, _roundoff(v, ctx), method, 2 * _cvz_terms(ctx))
+            return LValueResult(v, _roundoff(v, ctx), method, 2 * cvz_terms(ctx))
     if method == "dirichlet_sum":
         v, e, used = dirichlet_sum(form, n, ctx)
         return LValueResult(v, e, method, used)

@@ -1,22 +1,19 @@
-"""Series summation with declared tail models, and two extrapolators.
+"""The two extrapolators behind the slowly convergent sums in ``hyper``.
 
-The user-facing modules never loop over terms themselves.  They hand a term
-generator plus a :class:`TailModel` to :func:`sum_series`, or partial sums to
-:func:`richardson_power` / :func:`extrapolate_powerlog` when the decay is too
-slow to sum through (boundary hypergeometric series, double-series margins of
-1/2).  Keeping the stopping logic in one place makes the error estimates
-auditable.
+Boundary hypergeometric series at z = 1 have a pure power tail, which
+:func:`richardson_power` removes from doubling partial sums.  The outer tail
+of the iterated Kampe de Feriet sum decays as a power dressed by a
+logarithm, which :func:`extrapolate_powerlog` fits by least squares.  Each
+returns its value with an error estimate read off the extrapolation itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
 from .context import (
-    BudgetError,
     DomainError,
     NumericsError,
     PrecisionContext,
@@ -25,198 +22,10 @@ from .context import (
 )
 
 __all__ = [
-    "TailModel",
-    "SumResult",
     "ExtrapolationResult",
-    "sum_series",
     "richardson_power",
     "extrapolate_powerlog",
 ]
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Declared asymptotic decay of a term sequence.
-
-    kind is one of 'geometric' (ratio in (0,1)), 'power' (terms ~ n^-exponent
-    with exponent > 1), 'power_log' (n^-exponent * log^log_power n), or
-    'alternating' (signs alternate, magnitudes decrease).  ``constant`` is a
-    scale hint used as the relative-error denominator floor when the partial
-    sum can pass through zero.
-    """
-
-    kind: str
-    ratio: float | None = None
-    exponent: float | None = None
-    log_power: int = 0
-    constant: float = 1.0
-
-    def __post_init__(self):
-        if self.kind == "geometric":
-            if self.ratio is None or not 0 < self.ratio < 1:
-                raise DomainError("geometric tail needs ratio in (0,1)")
-        elif self.kind in ("power", "power_log"):
-            if self.exponent is None or not self.exponent > 1:
-                raise DomainError("power tail needs exponent > 1 to be summable")
-        elif self.kind != "alternating":
-            raise DomainError(f"unknown tail model kind: {self.kind}")
-
-    @classmethod
-    def geometric(cls, ratio, constant=1.0):
-        return cls("geometric", ratio=float(ratio), constant=constant)
-
-    @classmethod
-    def power(cls, exponent, constant=1.0):
-        return cls("power", exponent=float(exponent), constant=constant)
-
-    @classmethod
-    def power_log(cls, exponent, log_power=1, constant=1.0):
-        return cls(
-            "power_log",
-            exponent=float(exponent),
-            log_power=int(log_power),
-            constant=constant,
-        )
-
-    @classmethod
-    def alternating(cls, constant=1.0):
-        return cls("alternating", constant=constant)
-
-
-class SumResult(NamedTuple):
-    value: mp.mpf
-    error_estimate: mp.mpf
-    terms_used: int
-
-
-def _tail_estimate(model: TailModel, t_abs, n: int):
-    """Remainder bound after the term of index n, per the declared model."""
-    if model.kind == "geometric":
-        r = mp.mpf(model.ratio)
-        return t_abs * r / (1 - r)
-    if model.kind == "alternating":
-        return t_abs
-    e = mp.mpf(model.exponent)
-    est = t_abs * max(n, 2) / (e - 1)
-    if model.kind == "power_log" and model.log_power:
-        # sum n^-e log^p n integrates to the same with a 1/((e-1) ln n) series
-        est *= 1 + model.log_power / ((e - 1) * mp.log(max(n, 3)))
-    return est
-
-
-def _power_tail_sum(e, p: int, n_from: int):
-    """Exact sum of n^-e log^p n over n >= n_from, via Hurwitz zeta.
-
-    The p-th s-derivative of zeta(s, a) is sum (-log n)^p n^-s, so the signed
-    derivative gives the log-dressed tail in closed form.
-    """
-    if p == 0:
-        return mp.zeta(e, n_from)
-    return (-1) ** p * mp.zeta(e, n_from, p)
-
-
-def _power_completion(model: TailModel, t_prev, n_prev, t_last, n_last):
-    """Closed-form tail after index n_last, fitted from the last two terms.
-
-    A raw power-law summation can never reach 30 digits, so the declared
-    model is put to work: terms are modeled as n^-e log^p(n) (C + D/n), the
-    two coefficients are read off the terms at the last two checkpoints, and
-    the remaining tail is summed exactly via Hurwitz zeta.  The residual is
-    then two dressing orders down from the bare tail.
-    """
-    e = mp.mpf(model.exponent)
-    p = model.log_power if model.kind == "power_log" else 0
-
-    def undress(t, n):
-        c = t * mp.mpf(n) ** e
-        if p:
-            c /= mp.log(n) ** p
-        return c
-
-    c_prev = undress(t_prev, n_prev)
-    c_last = undress(t_last, n_last)
-    d = (c_prev - c_last) / (mp.mpf(1) / n_prev - mp.mpf(1) / n_last)
-    c = c_last - d / n_last
-    return c * _power_tail_sum(e, p, n_last + 1) + d * _power_tail_sum(
-        e + 1, p, n_last + 1
-    )
-
-
-def sum_series(
-    term: Callable[[int], object],
-    tail: TailModel,
-    ctx: PrecisionContext,
-    start: int = 0,
-    block: int = 1,
-) -> SumResult:
-    """Sum term(n) from n = start until the modeled tail meets tolerance.
-
-    Geometric and alternating tails are bounded directly from the last term.
-    Power and power-log tails are *completed*: the partial sum is extended by
-    the closed-form tail of the model fitted at the last checkpoint, which is
-    what makes slowly convergent sums reachable at all.  This assumes the
-    terms behave like C * n^-e * log^p(n) * (1 + O(1/n)) for large n; the
-    reported error estimate tracks the O(1/n) dressing via the drift of the
-    fitted scale between checkpoints.
-
-    Stopping tests run at block boundaries (power checkpoints at doublings),
-    so results are invariant under the block size to within the estimate.
-    Raises :class:`BudgetError` with the best value so far when max_terms is
-    exhausted first.
-    """
-    if block < 1:
-        raise DomainError("block must be positive")
-    completing = tail.kind in ("power", "power_log")
-    with ctx.working():
-        goal = mp.mpf(10) ** (-(ctx.digits + 2))
-        scale_floor = mp.mpf(tail.constant)
-        s = mp.mpf(0)
-        n = start
-        used = 0
-        est = mp.inf
-        best = s
-        # power tails are completed in closed form at doubling checkpoints;
-        # geometric and alternating tails shrink fast enough to bound per block
-        next_check = 16
-        t_prev = None
-        n_prev = 0
-        prev_completed = None
-        while used < ctx.max_terms:
-            for _ in range(block):
-                t = mp.mpf(term(n))
-                s += t
-                n += 1
-                used += 1
-            if not completing:
-                est = _tail_estimate(tail, abs(t), n - 1)
-                if est <= goal * max(abs(s), scale_floor):
-                    return SumResult(ensure_finite(s, "series sum"), est, used)
-                best = s
-                continue
-            if used < next_check:
-                continue
-            next_check = used * 2
-            if t_prev is not None:
-                if t == 0 and t_prev == 0:
-                    return SumResult(ensure_finite(s, "series sum"), mp.mpf(0), used)
-                completed = s + _power_completion(tail, t_prev, n_prev, t, n - 1)
-                if prev_completed is not None:
-                    # successive completions converge two dressing orders
-                    # faster than the bare tail; their gap is the estimate
-                    est = 2 * abs(completed - prev_completed) + abs(
-                        completed
-                    ) * mp.mpf(10) ** (3 - mp.mp.dps)
-                    if est <= goal * max(abs(completed), scale_floor):
-                        return SumResult(
-                            ensure_finite(completed, "series sum"), est, used
-                        )
-                prev_completed = best = completed
-            t_prev, n_prev = t, n - 1
-        raise BudgetError(
-            f"series did not meet tolerance within {ctx.max_terms} terms",
-            best=best,
-            estimate=est,
-        )
 
 
 def richardson_power(

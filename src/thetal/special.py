@@ -1,10 +1,10 @@
-"""Gamma-family scalars, zeta, AGM, and alternating-series acceleration.
+"""Gamma-family scalars, zeta, exact Pochhammer symbols, and
+alternating-series acceleration.
 
 The transcendental kernels (gamma, log, exp) come from mpmath.  The summation
 machinery layered on top, which is what the rest of the package leans on, is
 local: a Cohen-Rodriguez Villegas-Zagier accelerator for alternating series,
-zeta through the eta function, and the AGM iteration used as the closed form
-of the square-of-theta3 hypergeometric kernel.
+and zeta through the eta function.
 """
 
 from __future__ import annotations
@@ -20,38 +20,25 @@ __all__ = [
     "gamma",
     "beta",
     "zeta",
-    "agm",
+    "cvz_terms",
     "alternating_sum",
 ]
 
 
-def pochhammer(a, n, ctx: PrecisionContext | None = None):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1).
+def pochhammer(a, n):
+    """Exact rising factorial (a)_n = a (a+1) ... (a+n-1) of a rational a.
 
-    Exact (Fraction) when ``a`` is an int or Fraction; mpf otherwise.  The
-    empty product (n = 0) is exactly 1 for any a.
+    The empty product (n = 0) is exactly 1 for any a.
     """
     if n < 0 or n != int(n):
         raise DomainError("pochhammer index must be a non-negative integer")
-    n = int(n)
-    if isinstance(a, (int, Fraction)):
-        acc = Fraction(1)
-        af = Fraction(a)
-        for k in range(n):
-            acc *= af + k
-        return acc
-    if ctx is None:
-        av = as_real(a)
-        acc = mp.mpf(1)
-        for k in range(n):
-            acc *= av + k
-        return acc
-    with ctx.working():
-        av = as_real(a)
-        acc = mp.mpf(1)
-        for k in range(n):
-            acc *= av + k
-        return ensure_finite(acc, "pochhammer")
+    if not isinstance(a, (int, Fraction)):
+        raise DomainError("pochhammer takes an int or Fraction argument")
+    acc = Fraction(1)
+    af = Fraction(a)
+    for k in range(int(n)):
+        acc *= af + k
+    return acc
 
 
 def gamma(x, ctx: PrecisionContext):
@@ -78,7 +65,13 @@ def beta(a, b, ctx: PrecisionContext):
 _CVZ_RATE = 1.7627471740390860505
 
 
-def alternating_sum(term, ctx: PrecisionContext, digits: int | None = None):
+def cvz_terms(ctx: PrecisionContext) -> int:
+    """Number of terms :func:`alternating_sum` takes at ctx's working digits."""
+    with mp.workdps(ctx.workdigits + 5):
+        return int(ctx.workdigits * mp.log(10) / _CVZ_RATE) + 5
+
+
+def alternating_sum(term, ctx: PrecisionContext):
     """Accelerated sum of (-1)^k term(k), k >= 0, for positive decreasing term.
 
     Chebyshev-polynomial acceleration: with n ~ digits/log10(3+sqrt 8) terms
@@ -86,9 +79,8 @@ def alternating_sum(term, ctx: PrecisionContext, digits: int | None = None):
     monotone sequence, true for every (ak+b)^-s series used here; callers with
     doubts should cross-check a value before relying on it.
     """
-    wanted = ctx.workdigits if digits is None else digits
-    with mp.workdps(wanted + 5):
-        n = int(wanted * mp.log(10) / _CVZ_RATE) + 5
+    n = cvz_terms(ctx)
+    with mp.workdps(ctx.workdigits + 5):
         d = (3 + 2 * mp.sqrt(2)) ** n
         d = (d + 1 / d) / 2
         b = mp.mpf(-1)
@@ -113,23 +105,3 @@ def zeta(s, ctx: PrecisionContext):
             raise DomainError("zeta implemented for s > 1 only")
         eta = alternating_sum(lambda k: mp.mpf(k + 1) ** (-sv), ctx)
         return ensure_finite(eta / (1 - mp.mpf(2) ** (1 - sv)), "zeta")
-
-
-def agm(a, b, ctx: PrecisionContext):
-    """Arithmetic-geometric mean of positive a, b.
-
-    Quadratic convergence; the iteration count is logarithmic even when one
-    argument is astronomically small, which happens at quadrature nodes
-    exponentially close to the right endpoint.
-    """
-    with ctx.working():
-        x, y = as_real(a), as_real(b)
-        if x <= 0 or y <= 0:
-            raise DomainError("agm requires positive arguments")
-        eps = ctx.worktol()
-        # 4 * prec iterations would already be absurd; this is a safety net
-        for _ in range(8 * (ctx.workdigits + 10)):
-            if abs(x - y) <= eps * x:
-                break
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-        return ensure_finite((x + y) / 2, "agm")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees
-from thetal.context import DomainError, PrecisionContext
+from thetal.context import BudgetError, DomainError, PrecisionContext
 from thetal.hyper import (
     PFQSpec,
     euler_2f1,
@@ -18,6 +18,7 @@ from thetal.hyper import (
     pfq_term,
     series_kernel,
 )
+from thetal.lvalues import SAMART_5F4
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,14 @@ class TestPfqBoundary:
         with mp.workdps(40):
             want = mp.hyper([mp.mpf(3) / 2] * 3 + [1, 1], [2] * 4, 1)
         assert agrees(got, want, 25)
+
+    def test_budget_error_carries_best(self):
+        # 600 terms give the ladder four rungs, far short of 30 digits
+        ctx = PrecisionContext(digits=30, max_terms=600)
+        with pytest.raises(BudgetError) as info:
+            pfq(SAMART_5F4, 1, ctx)
+        assert mp.isfinite(info.value.best)
+        assert info.value.estimate > 0
 
     def test_divergent_at_one_raises(self, ctx):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
+from thetal import identities
 from thetal.context import DomainError
 from thetal.identities import (
     DEFAULT_GRID,
@@ -60,7 +61,6 @@ class TestRegistryShape:
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(digits=3),
-        dict(fmt="xml"),
         dict(jobs=0),
         dict(grid=("1.5",)),
         dict(grid=("-0.1",)),
@@ -193,6 +193,31 @@ class TestDriver:
         assert reports_to_json(seq) == reports_to_json(par)
         for a, b in zip(seq, par):
             assert report_to_dict(a) == report_to_dict(b)
+
+    def test_pool_no_larger_than_id_list(self, config, monkeypatch):
+        # a stand-in pool records its size and runs the tasks in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+        ids = ("I27", "I29", "I30")
+        reports = verify_all(replace(config, ids=ids, jobs=64))
+        assert sizes == [3]
+        assert [r.id for r in reports] == list(ids)
+        verify_all(replace(config, ids=ids, jobs=2))
+        assert sizes == [3, 2]
 
     def test_reports_are_plain_data(self, config):
         r = verify("I27", config)

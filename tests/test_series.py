@@ -3,83 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath as mp
 
-from thetal.context import BudgetError, DomainError, PrecisionContext
-from thetal.series import (
-    TailModel,
-    extrapolate_powerlog,
-    richardson_power,
-    sum_series,
-)
+from thetal.context import DomainError, PrecisionContext
+from thetal.series import extrapolate_powerlog, richardson_power
 
 from conftest import agrees
-
-
-def test_geometric_sum(ctx30):
-    r = sum_series(lambda n: mp.mpf(2) ** -n, TailModel.geometric(0.5), ctx30)
-    assert agrees(r.value, 2, 29)
-    assert r.error_estimate < mp.mpf(10) ** -29
-
-
-def test_power_completion_basel(ctx30):
-    r = sum_series(lambda n: mp.mpf(n) ** -2, TailModel.power(2), ctx30, start=1)
-    with ctx30.working():
-        assert agrees(r.value, mp.pi**2 / 6, 29)
-    # completion means this never needs more than a few dozen terms
-    assert r.terms_used < 1000
-
-
-def test_power_log_completion(ctx30):
-    r = sum_series(
-        lambda n: mp.log(n) / mp.mpf(n) ** 2,
-        TailModel.power_log(2, 1),
-        ctx30,
-        start=1,
-    )
-    with ctx30.working():
-        # sum log(n)/n^2 = -zeta'(2)
-        assert agrees(r.value, -mp.zeta(2, 1, 1), 28)
-
-
-def test_dressed_power_honest(ctx20):
-    ctx = PrecisionContext(digits=12)
-    term = lambda n: mp.mpf(n) ** -2 * (1 + mp.mpf(1) / n + mp.mpf(2) / n**2)
-    r = sum_series(term, TailModel.power(2), ctx, start=1)
-    with ctx.working():
-        truth = mp.pi**2 / 6 + mp.zeta(3) + 2 * mp.zeta(4)
-        err = abs(r.value - truth)
-    assert err <= 3 * r.error_estimate
-
-
-@settings(max_examples=10, deadline=None)
-@given(block=st.sampled_from([1, 3, 7, 64]))
-def test_block_invariance(block):
-    ctx = PrecisionContext(digits=20)
-    base = sum_series(lambda n: mp.mpf(n) ** -2, TailModel.power(2), ctx, start=1)
-    other = sum_series(
-        lambda n: mp.mpf(n) ** -2, TailModel.power(2), ctx, start=1, block=block
-    )
-    with ctx.working():
-        gap = abs(base.value - other.value)
-        assert gap <= base.error_estimate + other.error_estimate + mp.mpf(10) ** -20
-
-
-def test_budget_error_carries_best():
-    ctx = PrecisionContext(digits=30, max_terms=50)
-    with pytest.raises(BudgetError) as info:
-        sum_series(
-            lambda n: mp.mpf(n) ** mp.mpf("-1.5"), TailModel.power(1.5), ctx, start=1
-        )
-    assert mp.isfinite(info.value.best)
-    assert info.value.estimate > 0
-
-
-def test_bad_inputs(ctx20):
-    with pytest.raises(DomainError):
-        TailModel.geometric(1.5)
-    with pytest.raises(DomainError):
-        TailModel.power(0.5)
-    with pytest.raises(DomainError):
-        sum_series(lambda n: mp.mpf(0), TailModel.power(2), ctx20, block=0)
 
 
 def test_extrapolate_partial_sums_zeta32(ctx30):

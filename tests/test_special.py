@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from thetal.context import DomainError, PrecisionContext, parse_rational
-from thetal.special import agm, alternating_sum, beta, gamma, pochhammer, zeta
+from thetal.hyper import _agm_ambient
+from thetal.special import alternating_sum, beta, gamma, pochhammer, zeta
 
 from conftest import agrees
 
@@ -16,6 +17,8 @@ def test_pochhammer_exact_small():
     assert pochhammer(Fraction(1, 2), 0) == 1
     assert pochhammer(3, 4) == 3 * 4 * 5 * 6
     assert pochhammer(Fraction(-2), 3) == 0  # hits zero at n = 2
+    with pytest.raises(DomainError):
+        pochhammer(mp.mpf("0.5"), 3)  # exact only: no mpf argument
 
 
 @given(
@@ -61,7 +64,8 @@ def test_zeta_against_closed_forms(ctx30):
 def test_agm_against_oracle(ctx30):
     with ctx30.working():
         for x in ("0.1", "0.5", "0.9", "1.0"):
-            assert agrees(agm(1, mp.mpf(x), ctx30), mp.agm(1, mp.mpf(x)), 28)
+            got = _agm_ambient(mp.mpf(1), mp.mpf(x))
+            assert agrees(got, mp.agm(1, mp.mpf(x)), 28)
 
 
 @settings(max_examples=25, deadline=None)
@@ -72,8 +76,8 @@ def test_agm_against_oracle(ctx30):
 def test_agm_scaling(x, c):
     ctx = PrecisionContext(digits=20)
     with ctx.working():
-        lhs = agm(mp.mpf(c), mp.mpf(c) * mp.mpf(x), ctx)
-        rhs = mp.mpf(c) * agm(1, mp.mpf(x), ctx)
+        lhs = _agm_ambient(mp.mpf(c), mp.mpf(c) * mp.mpf(x))
+        rhs = mp.mpf(c) * _agm_ambient(mp.mpf(1), mp.mpf(x))
         assert agrees(lhs, rhs, 18)
 
 
