@@ -127,8 +127,13 @@ def as_real(x):
         return x
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, (int, float)):
         return mp.mpf(x)
+    if isinstance(x, str):
+        try:
+            return mp.mpf(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a number: {x!r}") from None
     raise DomainError(f"cannot interpret {x!r} as a real scalar")
 
 

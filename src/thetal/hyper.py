@@ -12,6 +12,7 @@ which is the full-precision reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,7 +58,7 @@ def _coerce_params(values):
             out.append(parse_rational(v))
         elif isinstance(v, (int, Fraction)):
             out.append(Fraction(v))
-        elif isinstance(v, float):
+        elif isinstance(v, float) and math.isfinite(v):
             # binary-exact; 0.5 stays 1/2, and nobody should pass 0.1 anyway
             out.append(Fraction(v))
         else:
@@ -250,7 +251,7 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
     exponents feed the calibrated quadrature, so b and the effective c - b
     must not drop below 1/2.
     """
-    af, bf, cf = (Fraction(str(v)) if isinstance(v, str) else Fraction(v) for v in (a, b, c))
+    af, bf, cf = _coerce_params((a, b, c))
     if not cf > bf > 0:
         raise DomainError("euler_2f1 needs c > b > 0")
     with ctx.working():
@@ -314,65 +315,52 @@ def _kernel_agm(z, cz):
     return 1 / _agm_ambient(mp.mpf(1), mp.sqrt(cz))
 
 
-# interpolant cache for the moment integral inside the 3F2 kernel,
+# Taylor coefficients of the regular part of the 3F2 kernel about z = 1,
 # keyed by binary working precision
 _IB_CACHE: dict = {}
 
 
-def _ib_integral(eps):
-    """2 * int_0^1 asin(sqrt(y))/sqrt(y) dv / sqrt(1-v^2), y = eps+(1-eps)v^2.
-
-    The stable arcsine branch flips at y = 1/2; near v = 1 the exact
-    complement gives 1 - y = (1-eps)(1-v^2) without cancellation.
-    """
-    ctx = PrecisionContext(digits=max(10, mp.mp.dps - 15), guard=15)
-    half = mp.mpf(1) / 2
-
-    def f(v, cv):
-        one_minus_v2 = cv * (1 + v)
-        y = eps + (1 - eps) * v * v
-        if y <= half:
-            s = mp.asin(mp.sqrt(y)) / mp.sqrt(y)
-        else:
-            one_minus_y = (1 - eps) * one_minus_v2
-            s = (mp.pi / 2 - mp.asin(mp.sqrt(one_minus_y))) / mp.sqrt(y)
-        return 2 * s / mp.sqrt(one_minus_v2)
-
-    val, _ = integrate01(f, ctx, right_exponent=0.5)
-    return val
-
-
 def _ib_coeffs():
+    """a_0 .. a_{n-1} in 3F2(1,1,1;3/2,3/2;z) = A(e) + log(e) B(e), e = 1 - z.
+
+    B(e) = -pi/4 2F1(1/2,1/2;1;e)/sqrt(1-e) = sum b_m e^m and A = sum a_m e^m
+    solve the Frobenius recurrence of the 3F2 equation at z = 1 (Buhring,
+    Proc. AMS 114, 1992):
+        (m+2)^2 s_{m+2} = (8m^2+24m+19)/4 s_{m+1} - (m+1)^2 s_m - r_m/(m+1),
+    r_m = 0 for b, and for a
+        r_m = (m+2)(3m+4) b_{m+2} - (24m^2+64m+43)/4 b_{m+1} + 3(m+1)^2 b_m.
+    Seeds: b_0 = -pi/4, b_1 = -3pi/16, a_0 = pi log 2 - 2G (from the integral
+    of theta/sin(theta) over [0, pi/2], which is 2G), a_1 = 3a_0/4 + 1/4 - pi/8.
+    Both characteristic roots are 1, so forward recursion loses only
+    polynomially many bits; 20 guard bits absorb them.
+    """
     key = mp.mp.prec
     cached = _IB_CACHE.get(key)
     if cached is not None:
         return cached
-    # ~0.77 digits per Chebyshev term on eps in [0, 1/2]
-    n = int(mp.mp.dps / 0.7656) + 15
-    thetas = [mp.pi * (i + mp.mpf(1) / 2) / n for i in range(n)]
-    nodes = [(mp.cos(th) + 1) / 4 for th in thetas]
-    vals = [_ib_integral(eps) for eps in nodes]
-    coeffs = []
-    for k in range(n):
-        acc = mp.mpf(0)
-        for i in range(n):
-            acc += vals[i] * mp.cos(k * thetas[i])
-        coeffs.append(2 * acc / n)
-    _IB_CACHE[key] = coeffs
-    return coeffs
-
-
-def _cheb_eval(coeffs, xi):
-    b0 = mp.mpf(0)
-    b1 = mp.mpf(0)
-    for ck in reversed(coeffs[1:]):
-        b0, b1 = 2 * xi * b0 - b1 + ck, b0
-    return xi * b0 - b1 + coeffs[0] / 2
+    # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
+    n = int(mp.mp.dps / 0.34) + 10
+    with mp.workprec(key + 20):
+        pi = mp.pi
+        a0 = pi * mp.log(2) - 2 * mp.catalan
+        a = [a0, 3 * a0 / 4 + mp.mpf(1) / 4 - pi / 8]
+        b = [-pi / 4, -3 * pi / 16]
+        for m in range(n - 2):
+            p1 = mp.mpf(8 * m * m + 24 * m + 19) / 4
+            b.append((p1 * b[m + 1] - (m + 1) ** 2 * b[m]) / (m + 2) ** 2)
+            r = (
+                (m + 2) * (3 * m + 4) * b[m + 2]
+                - mp.mpf(24 * m * m + 64 * m + 43) / 4 * b[m + 1]
+                + 3 * (m + 1) ** 2 * b[m]
+            )
+            a.append((p1 * a[m + 1] - (m + 1) ** 2 * a[m] - r / (m + 1)) / (m + 2) ** 2)
+    _IB_CACHE[key] = a
+    return a
 
 
 def _kernel_treble(z, cz):
-    # 3F2(1,1,1;3/2,3/2;z): direct series up to 0.55, then the arcsine
-    # moment split, which trades the log-singular part for an AGM
+    # 3F2(1,1,1;3/2,3/2;z): direct series up to 0.55, then the expansion
+    # about z = 1, whose log-singular part is 2F1(1/2,1/2;1;cz), one AGM
     if z == 0:
         return mp.mpf(1)
     # trust cz on the right: z itself may round to 1 at extreme nodes
@@ -391,10 +379,11 @@ def _kernel_treble(z, cz):
             n += 1
             if abs(t) * az / (1 - az) < tol * abs(s):
                 return s
-    eps = cz
-    ia = mp.pi / _agm_ambient(mp.mpf(1), mp.sqrt(eps))
-    ib = _cheb_eval(_ib_coeffs(), 4 * eps - 1)
-    return (mp.pi / 2 * ia - ib) / (2 * mp.sqrt(z))
+    s = mp.mpf(0)
+    for a in reversed(_ib_coeffs()):
+        s = s * cz + a
+    rz = mp.sqrt(z)
+    return s - mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))
 
 
 _KERNELS = {
@@ -721,11 +710,7 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     """Double series F(x, y) with the requested strategy; see kdf()."""
     if strategy not in KDF_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
-    try:
-        xq, yq = Fraction(str(x)) if isinstance(x, str) else Fraction(x), \
-            Fraction(str(y)) if isinstance(y, str) else Fraction(y)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"kdf arguments must be rational: {x!r}, {y!r}") from exc
+    xq, yq = _coerce_params((x, y))
     if not (0 <= xq <= 1 and 0 <= yq <= 1):
         raise DomainError("kdf arguments must lie in [0, 1]")
     report = kdf_converges(spec)

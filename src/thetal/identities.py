@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 
-from .context import MIN_DIGITS, DomainError, PrecisionContext
+from .context import MIN_DIGITS, DomainError, PrecisionContext, as_real
 from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, kdf_full, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
@@ -82,15 +82,11 @@ class RunConfig:
             raise DomainError(f"unknown strategy {self.kdf_strategy!r}")
         if not self.grid:
             raise DomainError("sample grid is empty")
-        for s in self.grid:
-            if s == "e-pi":
-                continue
-            try:
-                v = float(s)
-            except ValueError:
-                raise DomainError(f"grid point {s!r} is not a number") from None
-            if not 0 < v < 1:
-                raise DomainError(f"grid point {s!r} outside (0,1)")
+        # the same parse, at the same precision, as the sweep will use
+        with _ctx_for(self).working():
+            for s in self.grid:
+                if not 0 < _grid_point(s) < 1:
+                    raise DomainError(f"grid point {s!r} outside (0,1)")
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,14 @@ def _ctx_for(config: RunConfig) -> PrecisionContext:
     return PrecisionContext(digits=config.digits)
 
 
+def _grid_point(s):
+    # a grid label's nome at the active precision
+    return mp.exp(-mp.pi) if s == "e-pi" else as_real(s)
+
+
 def _grid_values(config: RunConfig, ctx: PrecisionContext):
-    out = []
     with ctx.working():
-        for s in config.grid:
-            v = mp.exp(-mp.pi) if s == "e-pi" else mp.mpf(s)
-            if not 0 < v < 1:
-                raise DomainError(f"grid point {s!r} outside (0,1)")
-            out.append((s, v))
-    return out
+        return [(s, _grid_point(s)) for s in config.grid]
 
 
 def _promised_digits(value, err):

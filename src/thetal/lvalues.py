@@ -476,7 +476,7 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     if n_terms < 10:
         raise DomainError("need at least 10 terms")
     with ctx.working():
-        sv = as_real(s)
+        sv = ensure_finite(as_real(s), "exponent")
         if not 2 * sv > 5:
             raise DomainError("divisor tail closes only for s > 5/2")
         stream = _g_coeffs(int(n_terms))

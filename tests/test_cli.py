@@ -183,6 +183,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_rational_grid_point(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "I1", "--grid", "1/2",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)[0]
+        assert report["status"] == "pass"
+        assert report["sample_points"] == ["1/2"]
+
+    @pytest.mark.parametrize("point", ["1/0", "2"])
+    def test_unusable_grid_point_is_usage_error(self, capsys, point):
+        code, out, err = run(capsys, "verify", "--id", "I1", "--grid", point)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestListCommand:
     def test_census(self, capsys):
@@ -229,6 +244,23 @@ class TestPlumbing:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("pfq", "--upper", "1,1", "--lower", "2", "--z", "1/0"),
+        ("pfq", "--upper", "1,1", "--lower", "2", "--z", "abc"),
+        ("theta", "--fn", "theta3", "--q", "1/0"),
+        ("alpha", "--q", "abc"),
+        ("lvalue", "--form", "g", "--s", "1/0", "--method", "dirichlet_sum"),
+        ("lvalue", "--form", "g", "--s", "inf", "--method", "dirichlet_sum"),
+        ("kdf", "--a", "2", "--c", "5/2", "--b", "1,1", "--d", "2",
+         "--bp", "1/2,1/2", "--dp", "1", "--x", "1/0"),
+    ])
+    def test_malformed_number_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_digits_floor_is_one_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--all", "--digits", "7")

@@ -240,7 +240,31 @@ class TestKernels:
             for zs in ("0.1", "0.54", "0.56", "0.75", "0.95", "0.9999"):
                 z = mp.mpf(zs)
                 want = mp.hyp3f2(1, 1, 1, h, h, z)
-                assert agrees(x3(z, 1 - z), want, 28), zs
+                assert agrees(x3(z, 1 - z), want, 33), zs
+
+    def test_treble_kernel_100_digits(self):
+        # the expansion about z = 1 against mpmath taken 20 digits hotter
+        x3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
+        with mp.workdps(100):
+            for zs in ("0.56", "0.75", "0.95"):
+                z = mp.mpf(zs)
+                got = x3(z, 1 - z)
+                with mp.workdps(120):
+                    want = mp.hyp3f2(1, 1, 1, 1.5, 1.5, z)
+                assert agrees(got, want, 98), zs
+
+    def test_treble_kernel_across_precisions(self):
+        # too few expansion terms show first at the far end, cz = 0.44, and
+        # a lost log term at cz -> 0; 70 digits judges the 35-digit value
+        x3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
+        for czs in ("1e-30", "0.44"):
+            with mp.workdps(35):
+                cz = mp.mpf(czs)
+                lo = x3(1 - cz, cz)
+            with mp.workdps(70):
+                cz = mp.mpf(czs)
+                hi = x3(1 - cz, cz)
+                assert agrees(lo, hi, 34), czs
 
     def test_kernels_at_zero(self):
         for upper, lower in [((1, 1), (2,)), (("1/2", "1/2"), (1,))]:

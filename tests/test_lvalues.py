@@ -378,3 +378,24 @@ class TestLValueDispatch:
             "kdf_theorem",
             "closed_form",
         }
+
+
+@pytest.fixture(scope="module")
+def g4_hot():
+    # G4_REF's 40 digits cannot judge a 30-digit route; Mellin at 45 digits
+    # never evaluates the 3F2 kernel, so it is an independent reference
+    v, _, _ = mellin("g", 4, PrecisionContext(digits=45))
+    return v
+
+
+class TestTrebleKernelRoutes:
+    """The s = 4 routes that evaluate 3F2(1,1,1;3/2,3/2) keep their estimates."""
+
+    @pytest.mark.parametrize("digits", [20, 30])
+    @pytest.mark.parametrize("method", ["alpha_integral", "kdf_theorem"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_error_within_estimate(self, form, method, digits, g4_hot):
+        ref = TRUTH["f", 4] if form == "f" else g4_hot
+        res = l_value(form, 4, method, PrecisionContext(digits=digits))
+        with mp.workdps(60):
+            assert abs(res.value - ref) <= res.error_estimate
