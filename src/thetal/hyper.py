@@ -2,8 +2,9 @@
 two-variable (Kampe de Feriet type) double series.
 
 Single series p+1Fp are summed directly inside the unit interval; at z = 1
-a positive excess gives a pure power tail that a Richardson ladder removes,
-and at z = -1 the alternating structure feeds the Chebyshev accelerator.
+a positive excess gives a power tail whose exact asymptotic expansion is
+summed through Hurwitz zeta, and at z = -1 the alternating structure feeds
+the Chebyshev accelerator.
 The double series come in three independent flavors: a rigorous truncated
 square, an iterated sum with tail extrapolation (float64 vector engine), and
 a Beta-kernel reduction to a one-dimensional integral of closed-form kernels,
@@ -13,8 +14,10 @@ which is the full-precision reference.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
@@ -29,7 +32,7 @@ from .context import (
     parse_rational,
 )
 from .quadrature import integrate01
-from .series import extrapolate_powerlog, richardson_power
+from .series import extrapolate_powerlog
 from .special import beta as beta_fn
 from .special import alternating_sum, pochhammer
 
@@ -156,42 +159,82 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     return s
 
 
+def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    """B_n(x) exactly; the odd Bernoulli numbers past B_1 vanish."""
+    return sum(
+        math.comb(n, j) * Fraction(*mp.bernfrac(j)) * x ** (n - j)
+        for j in range(n + 1)
+        if j < 2 or j % 2 == 0
+    )
+
+
+@lru_cache(maxsize=32)
+def _tail_coeffs(spec: PFQSpec, count: int) -> tuple:
+    """c_0 .. c_{count-1} of t_n = C n^(-1-e) sum_k c_k n^-k, exactly.
+
+    t_n = C prod Gamma(n+a_i) / (prod Gamma(n+b_j) Gamma(n+1)), so Stirling's
+    series gives log(t_n / C) = -(1+e) log n + sum_k d_k n^-k with
+        d_k = (-1)^(k+1) [sum B_(k+1)(a_i) - sum B_(k+1)(b_j) - B_(k+1)(1)]
+              / (k (k+1)),
+    and the c_k exponentiate it: c_0 = 1, c_n = (1/n) sum_k k d_k c_(n-k).
+    Repeated parameters are weighted rather than evaluated again.
+    """
+    multiplicity = Counter(spec.upper)
+    multiplicity.subtract(spec.lower)
+    multiplicity[Fraction(1)] -= 1
+    weights = [(x, w) for x, w in multiplicity.items() if w]
+    d = [Fraction(0)]
+    for k in range(1, count):
+        b = sum(w * _bernoulli_poly(k + 1, x) for x, w in weights)
+        d.append((-1) ** (k + 1) * b / (k * (k + 1)))
+    c = [Fraction(1)]
+    for n in range(1, count):
+        c.append(sum(k * d[k] * c[n - k] for k in range(1, n + 1)) / n)
+    return tuple(c)
+
+
 def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
+    """p+1Fp at z = 1: N terms directly, the rest through Hurwitz zeta.
+
+    The tail sum_{n>=N} t_n = C sum_k c_k zeta(1+e+k, N) is asymptotic in N
+    (Buhring, Proc. AMS 114, 1992); its last kept term is the estimate, and
+    N doubles until that meets the goal or would pass max_terms.
+    """
     e = pfq_excess(spec)
     if not e > 0:
         raise DomainError("pFq at z = 1 needs positive excess")
     ups = [as_real(u) for u in spec.upper]
     lows = [as_real(l) for l in spec.lower]
     goal = mp.mpf(10) ** (-(ctx.digits + 2))
+    scale = mp.fprod(mp.gamma(l) for l in lows) / mp.fprod(mp.gamma(u) for u in ups)
+    exact = _tail_coeffs(spec, int(0.9 * ctx.digits) + 10)
+    coeffs = [scale * as_real(ck) for ck in exact]
+    power = 1 + as_real(e)
+    s = mp.mpf(0)
     t = mp.mpf(1)
-    s = t
     m = 0
-    samples = []
-    target = 64
-    best = None
-    est = mp.inf
-    while target <= ctx.max_terms:
-        while m < target:
+    n_head = ctx.digits + 20
+    while True:
+        n_head = min(n_head, ctx.max_terms)
+        while m < n_head:
+            s += t
             ratio = mp.mpf(1)
             for u in ups:
                 ratio *= u + m
             for l in lows:
                 ratio /= l + m
-            ratio /= m + 1
-            t *= ratio
-            s += t
+            t *= ratio / (m + 1)
             m += 1
-            if t == 0:
-                return s
-        samples.append((target, s))
-        if len(samples) >= 4:
-            best, est = richardson_power(samples, as_real(e), ctx)
-            if est <= goal * max(abs(best), mp.mpf(1)):
-                return best
-        target *= 2
-    raise BudgetError(
-        "pFq boundary ladder exhausted its budget", best=best, estimate=est
-    )
+        tail = [ck * mp.zeta(power + k, n_head) for k, ck in enumerate(coeffs)]
+        value = s + mp.fsum(tail)
+        est = abs(tail[-1])
+        if est <= goal * abs(value):
+            return value
+        if n_head >= ctx.max_terms:
+            raise BudgetError(
+                "pFq unit-argument tail exhausted its budget", best=value, estimate=est
+            )
+        n_head *= 2
 
 
 def _pfq_alternating(spec: PFQSpec, ctx: PrecisionContext):
@@ -226,8 +269,9 @@ def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
     """p+1Fp(upper; lower; z) on [-1, 1], boundary points accelerated.
 
     Interior arguments use plain summation with a geometric tail bound;
-    z = 1 runs partial sums through a Richardson ladder on the excess-driven
-    power tail; z = -1 uses the alternating-series accelerator.
+    z = 1 sums digits + 20 terms and adds the excess-driven power tail
+    through its exact expansion in Hurwitz zeta values; z = -1 uses the
+    alternating-series accelerator.
     """
     with ctx.working():
         zv = as_real(z)
@@ -283,6 +327,10 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
 
 
 def _agm_ambient(x, y):
+    # far apart, agm(x, y) = pi x / (2 log(4x/y)) to a relative O((y/x)^2),
+    # the complete elliptic integral's K(k) = log(4/k') + O(k'^2 log k')
+    if y < mp.ldexp(x, -(mp.mp.prec // 2 + 8)):
+        return mp.pi * x / (2 * mp.log(4 * x / y))
     eps = mp.mpf(2) ** (8 - mp.mp.prec)
     for _ in range(10000):
         if abs(x - y) <= eps * x:
@@ -291,8 +339,14 @@ def _agm_ambient(x, y):
     return (x + y) / 2
 
 
+def _require_inside(cz):
+    if not cz > 0:
+        raise DomainError("kernel wants z < 1, that is cz = 1 - z > 0")
+
+
 def _kernel_log(z, cz):
     # 2F1(1,1;2;z) = -log(1-z)/z
+    _require_inside(cz)
     if z == 0:
         return mp.mpf(1)
     return -mp.log(cz) / z
@@ -301,6 +355,7 @@ def _kernel_log(z, cz):
 def _kernel_atanh(z, cz):
     # 2F1(1/2,1;3/2;z) = atanh(sqrt z)/sqrt z, with the log written on the
     # exact complement so nothing cancels as z -> 1
+    _require_inside(cz)
     if z == 0:
         return mp.mpf(1)
     if z < 0:
@@ -312,12 +367,15 @@ def _kernel_atanh(z, cz):
 
 def _kernel_agm(z, cz):
     # 2F1(1/2,1/2;1;z) = 1/agm(1, sqrt(1-z))
+    _require_inside(cz)
     return 1 / _agm_ambient(mp.mpf(1), mp.sqrt(cz))
 
 
 # Taylor coefficients of the regular part of the 3F2 kernel about z = 1,
-# keyed by binary working precision
+# keyed by binary working precision, least recently used first; a registry
+# pass at one precision builds three
 _IB_CACHE: dict = {}
+_IB_PRECISIONS = 8
 
 
 def _ib_coeffs():
@@ -335,8 +393,9 @@ def _ib_coeffs():
     polynomially many bits; 20 guard bits absorb them.
     """
     key = mp.mp.prec
-    cached = _IB_CACHE.get(key)
+    cached = _IB_CACHE.pop(key, None)
     if cached is not None:
+        _IB_CACHE[key] = cached
         return cached
     # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
     n = int(mp.mp.dps / 0.34) + 10
@@ -354,6 +413,8 @@ def _ib_coeffs():
                 + 3 * (m + 1) ** 2 * b[m]
             )
             a.append((p1 * a[m + 1] - (m + 1) ** 2 * a[m] - r / (m + 1)) / (m + 2) ** 2)
+    if len(_IB_CACHE) >= _IB_PRECISIONS:
+        del _IB_CACHE[next(iter(_IB_CACHE))]
     _IB_CACHE[key] = a
     return a
 
@@ -379,8 +440,14 @@ def _kernel_treble(z, cz):
             n += 1
             if abs(t) * az / (1 - az) < tol * abs(s):
                 return s
+    # terms with cz^m below 2^-(prec+8) cannot move the sum; mag(cz) bounds
+    # log2(cz) from above, so the cut keeps every term that can
+    coeffs = _ib_coeffs()
+    mag = mp.mag(cz)
+    if mag < 0:
+        coeffs = coeffs[: -((mp.mp.prec + 8) // mag)]
     s = mp.mpf(0)
-    for a in reversed(_ib_coeffs()):
+    for a in reversed(coeffs):
         s = s * cz + a
     rz = mp.sqrt(z)
     return s - mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))

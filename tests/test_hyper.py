@@ -15,10 +15,11 @@ from thetal.hyper import (
     pfq,
     pfq_converges,
     pfq_excess,
+    _agm_ambient,
     pfq_term,
     series_kernel,
 )
-from thetal.lvalues import SAMART_5F4
+from thetal.lvalues import LF4_POS1, LF4_POS3, SAMART_5F4
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,16 @@ class TestPfqInterior:
             pfq(spec, -2, ctx)
 
 
+# p+1Fp at z = 1 with exact values; 2F1(-1/2,1;2) has a sign change early
+UNIT_VALUES = {
+    "3F2(1,1,1;2,2)": (PFQSpec((1, 1, 1), (2, 2)), lambda: mp.zeta(2)),
+    "2F1(1/2,1/2;3/2)": (PFQSpec(("1/2", "1/2"), ("3/2",)), lambda: mp.pi / 2),
+    "2F1(-1/2,1;2)": (PFQSpec(("-1/2", 1), (2,)), lambda: mp.mpf(2) / 3),
+    "LF4_POS1": (LF4_POS1, lambda: mp.zeta(4, mp.mpf(1) / 4) / 256),
+    "LF4_POS3": (LF4_POS3, lambda: 81 * mp.zeta(4, mp.mpf(3) / 4) / 256),
+}
+
+
 class TestPfqBoundary:
     def test_gauss_value_at_one(self, ctx):
         # 2F1(1/2,1/2;3/2;1) = Gamma(3/2)Gamma(1/2) / Gamma(1)^2 = pi/2
@@ -125,16 +136,32 @@ class TestPfqBoundary:
         with mp.workdps(35):
             assert agrees(got, mp.pi / 2, 25)
 
-    def test_samart_5f4_at_one(self, ctx):
-        s = PFQSpec(upper=("3/2", "3/2", "3/2", 1, 1), lower=(2, 2, 2, 2))
-        got = pfq(s, 1, ctx)
-        with mp.workdps(40):
+    @pytest.mark.parametrize("digits", (20, 50, 100))
+    @pytest.mark.parametrize(
+        "spec,exact",
+        UNIT_VALUES.values(),
+        ids=UNIT_VALUES.keys(),
+    )
+    def test_unit_tail_against_exact(self, spec, exact, digits):
+        got = pfq(spec, 1, PrecisionContext(digits=digits))
+        with mp.workdps(digits + 20):
+            want = exact()
+            assert abs(got - want) <= mp.mpf(10) ** -(digits + 2) * abs(want)
+
+    def test_samart_5f4_at_one(self):
+        # mpmath's own z = 1 summation costs seconds, so one hot value
+        # judges both precisions
+        with mp.workdps(55):
             want = mp.hyper([mp.mpf(3) / 2] * 3 + [1, 1], [2] * 4, 1)
-        assert agrees(got, want, 25)
+        for digits in (20, 50):
+            got = pfq(SAMART_5F4, 1, PrecisionContext(digits=digits))
+            with mp.workdps(55):
+                assert abs(got - want) <= mp.mpf(10) ** -(digits + 2) * want, digits
 
     def test_budget_error_carries_best(self):
-        # 600 terms give the ladder four rungs, far short of 30 digits
-        ctx = PrecisionContext(digits=30, max_terms=600)
+        # four terms leave the zeta tail far outside its asymptotic range,
+        # and the budget forbids the forty terms 20 digits would start from
+        ctx = PrecisionContext(digits=30, max_terms=4)
         with pytest.raises(BudgetError) as info:
             pfq(SAMART_5F4, 1, ctx)
         assert mp.isfinite(info.value.best)
@@ -278,3 +305,31 @@ class TestKernels:
     def test_unknown_parameters_raise(self):
         with pytest.raises(DomainError):
             series_kernel((1, 2), (3,))
+
+    @pytest.mark.parametrize("z,cz", [(1, 0), (2, -1)], ids=["z=1", "z=2"])
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [((1, 1), (2,)), (("1/2", 1), ("3/2",)), (("1/2", "1/2"), (1,)),
+         ((1, 1, 1), ("3/2", "3/2"))],
+        ids=["log", "atanh", "agm", "treble"],
+    )
+    def test_kernels_reject_z_at_or_past_one(self, upper, lower, z, cz):
+        k = series_kernel(upper, lower)
+        with mp.workdps(30):
+            with pytest.raises(DomainError):
+                k(mp.mpf(z), mp.mpf(cz))
+
+
+class TestAgmLimit:
+    @pytest.mark.parametrize("dps", (25, 35, 65, 115))
+    def test_within_two_ulps_of_mpmath(self, dps):
+        with mp.workdps(dps):
+            # on both sides of the switch to the limit, far below it, and
+            # far enough above it that switching there would show
+            cut = mp.ldexp(1, -(mp.mp.prec // 2 + 8))
+            for y in (cut * (1 + mp.eps * 2**20), cut * (1 - mp.eps * 2**20),
+                      cut**2, mp.ldexp(1, -10**6), mp.ldexp(cut, mp.mp.prec // 4)):
+                got = _agm_ambient(mp.mpf(1), y)
+                want = mp.agm(1, y)
+                ulp = mp.ldexp(1, mp.mag(want) - mp.mp.prec)
+                assert abs(got - want) <= 2 * ulp, y

@@ -157,6 +157,24 @@ class TestReportSemantics:
         assert r.rel_err == "0"
         assert r.digits_agreed == r.precision_digits
 
+    def test_exact_numeric_agreement_beats_near_agreement(self, config):
+        # both sides compare at digits + 15; an exact match must report that
+        # precision, never less than the best a near match can reach
+        with mp.workdps(config.digits + 15):
+            one = mp.mpf(1)
+            near = one + mp.mpf(10) ** -(config.digits + 14)
+        reports = [
+            identities._numeric_report(
+                REGISTRY["I1"], config,
+                identities.EvalOutcome((("x", one, rhs),), None), 0.0,
+            )
+            for rhs in (one, near)
+        ]
+        exact, close = reports
+        assert exact.rel_err == "0.0"
+        assert exact.digits_agreed == config.digits + 15
+        assert exact.digits_agreed > close.digits_agreed
+
     def test_wall_time_suppressed_by_default(self, config):
         r = verify("I1", config)
         assert r.wall_time_s > 0
