@@ -17,7 +17,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
@@ -168,7 +167,6 @@ def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
     )
 
 
-@lru_cache(maxsize=32)
 def _tail_coeffs(spec: PFQSpec, count: int) -> tuple:
     """c_0 .. c_{count-1} of t_n = C n^(-1-e) sum_k c_k n^-k, exactly.
 
@@ -372,7 +370,7 @@ def _kernel_agm(z, cz):
 
 
 # Taylor coefficients of the regular part of the 3F2 kernel about z = 1,
-# keyed by binary working precision, least recently used first; a registry
+# keyed by binary working precision, the oldest dropped first; a registry
 # pass at one precision builds three
 _IB_CACHE: dict = {}
 _IB_PRECISIONS = 8
@@ -393,9 +391,8 @@ def _ib_coeffs():
     polynomially many bits; 20 guard bits absorb them.
     """
     key = mp.mp.prec
-    cached = _IB_CACHE.pop(key, None)
+    cached = _IB_CACHE.get(key)
     if cached is not None:
-        _IB_CACHE[key] = cached
         return cached
     # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
     n = int(mp.mp.dps / 0.34) + 10

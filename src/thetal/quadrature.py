@@ -22,7 +22,7 @@ from .context import DomainError, PrecisionContext, QuadratureError, ensure_fini
 __all__ = ["integrate01"]
 
 # nodes per (workprec bits, level); grown lazily, shared across integrals,
-# and dropped a whole precision at a time, least recently used first
+# and dropped a whole precision at a time, the oldest first
 _NODE_CACHE: dict = {}
 _NODE_PRECISIONS = 8
 
@@ -52,9 +52,8 @@ def _nodes(level: int, prec_bits: int):
     The mirror node at -t is (cx, x) with the same weight.
     """
     key = (prec_bits, level)
-    cached = _NODE_CACHE.pop(key, None)
+    cached = _NODE_CACHE.get(key)
     if cached is not None:
-        _NODE_CACHE[key] = cached
         return cached
     with mp.workprec(prec_bits + 16):
         tmax = _t_max(prec_bits)
@@ -69,20 +68,13 @@ def _nodes(level: int, prec_bits: int):
             cx = E / (1 + E)
             w = mp.pi * mp.cosh(t) * x * cx
             out.append((x, cx, w))
-    _evict_precision(prec_bits)
+    held = {bits for bits, _ in _NODE_CACHE}
+    if prec_bits not in held and len(held) >= _NODE_PRECISIONS:
+        oldest = next(iter(_NODE_CACHE))[0]
+        for stale in [k for k in _NODE_CACHE if k[0] == oldest]:
+            del _NODE_CACHE[stale]
     _NODE_CACHE[key] = out
     return out
-
-
-def _evict_precision(prec_bits: int):
-    """Make room for prec_bits by dropping the least recently used precision."""
-    last_use = {}
-    for i, (bits, _) in enumerate(_NODE_CACHE):
-        last_use[bits] = i
-    if prec_bits not in last_use and len(last_use) >= _NODE_PRECISIONS:
-        stale = min(last_use, key=last_use.get)
-        for key in [k for k in _NODE_CACHE if k[0] == stale]:
-            del _NODE_CACHE[key]
 
 
 def integrate01(
