@@ -151,7 +151,12 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
         m += 1
         if t == 0:
             break  # terminating series
-        if m >= m_min and abs(t) * q / (1 - q) < tol * max(abs(s), mp.mpf(1)):
+        # a polynomial sums to its last term: no tail test, whatever |z|
+        if (
+            not spec.terminating
+            and m >= m_min
+            and abs(t) * q / (1 - q) < tol * max(abs(s), mp.mpf(1))
+        ):
             break
         if m > ctx.max_terms:
             raise BudgetError("pFq interior sum exhausted its budget", best=s)

@@ -82,6 +82,12 @@ def _roundoff(value, ctx: PrecisionContext):
     return abs(value) * mp.mpf(10) ** (3 - ctx.workdigits)
 
 
+def _kernel_noise(value, ctx: PrecisionContext):
+    # a quadrature route's floor: the integrand's evaluation noise at working
+    # precision, below which level deltas can collapse without meaning it
+    return abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet building blocks
 
@@ -249,11 +255,9 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
     )
     with ctx.working():
         factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
-        # never report better than the kernel-evaluation roundoff
-        noise = abs(val) * mp.mpf(10) ** (2 - ctx.workdigits)
         return (
             ensure_finite(val * factor, "alpha integral"),
-            max(est, noise) * factor,
+            max(est, _kernel_noise(val, ctx)) * factor,
             evals[0],
         )
 
@@ -321,38 +325,31 @@ _Q_INTEGRALS = {
     "prop31_2": (3, Fraction(1, 48), "wt4_g", "ram_lhs", 0.5),
 }
 
-_Q_DIGIT_CAP = 18  # consistency route; cost grows sharply past this
-
 
 def q_integral(q_id: str, ctx: PrecisionContext):
     """L-value as a nome integral of a theta weight against a Lambert sum.
 
-    Returns (value, error_estimate, integrand_evaluations).  Capped at
-    moderate precision by design: the route exists to certify the integral
-    representations, and eight digits of agreement already do that.
+    Returns (value, error_estimate, integrand_evaluations), at full working
+    precision like the other quadrature routes.
     """
     try:
         power, pref, tag, lam, left = _Q_INTEGRALS[q_id]
     except KeyError:
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
-    qctx = ctx if ctx.digits <= _Q_DIGIT_CAP else ctx.with_digits(_Q_DIGIT_CAP)
     evals = [0]
 
     def integrand(x, cx):
         evals[0] += 1
         u = _half_period(x, cx)
-        w = _q_weight(tag, u, qctx)
-        return w * _lambert_smart(lam, x, u, qctx) / x
+        w = _q_weight(tag, u, ctx)
+        return w * _lambert_smart(lam, x, u, ctx) / x
 
-    val, est = integrate01(integrand, qctx, left_exponent=left, right_exponent=1.0)
-    with qctx.working():
+    val, est = integrate01(integrand, ctx, left_exponent=left, right_exponent=1.0)
+    with ctx.working():
         factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
-        # the level deltas can collapse below the theta-evaluation noise, so
-        # floor the estimate at that scale instead of trusting the collapse
-        noise = abs(val) * mp.mpf(10) ** (2 - qctx.workdigits)
         return (
             ensure_finite(val * factor, "nome integral"),
-            max(est, noise) * factor,
+            max(est, _kernel_noise(val, ctx)) * factor,
             evals[0],
         )
 
@@ -415,8 +412,11 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         scale = split_v**sv
         value = (scale * lo_val + up_val) / gv
         est = (scale * lo_est + up_est) / gv
-        noise = abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
-        return ensure_finite(value, "mellin transform"), max(est, noise), evals[0]
+        return (
+            ensure_finite(value, "mellin transform"),
+            max(est, _kernel_noise(value, ctx)),
+            evals[0],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +595,8 @@ def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> LValueResu
     ``dirichlet_sum`` and lg3 are g only (and there is no closed form for
     L(g, 4) at all); the integral, Mellin and double-series routes cover all
     four (form, n) pairs.  The error estimate is an honest bound for the
-    route as run; the coarse routes (raw series at n = 3, nome integrals past
-    their cap) do not sharpen when the context asks for more digits.
+    route as run; the raw series, the one coarse route, does not sharpen when
+    the context asks for more digits.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")

@@ -13,6 +13,7 @@ multiplied one sparse factor at a time in int64 arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import mpmath as mp
 import numpy as np
@@ -283,49 +284,42 @@ def _lambert_terms(name: str, qv):
     if name == "lam1":
         # 4 sum chi_{-4}(n) q^{n/2} / (1 - q^n)
         sq = mp.sqrt(qv)
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             t = 4 * sq**m / (1 - qv**m)
             yield t if r % 2 == 1 else -t
     elif name == "lam2":
         # 16 sum (2r-1) q^{2r-1} / (1 - q^{2(2r-1)})
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             yield 16 * m * qv**m / (1 - qv ** (2 * m))
     elif name == "lemma22_1":
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             yield qv**m / (m * (1 - qv ** (2 * m)))
     elif name == "lemma22_2":
         sq = mp.sqrt(qv)
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             yield sq**m / (m * (1 - qv**m))
     elif name == "ram_lhs":
         sq = mp.sqrt(qv)
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             w = sq**m
             yield w / (m * m * (1 + w * w))
     elif name == "eis384":
         # sum chi_{-4}(n) n^2 q^n / (1 - q^{2n})
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             t = m * m * qv**m / (1 - qv ** (2 * m))
             yield t if r % 2 == 1 else -t
     elif name == "cube":
-        for r in _counter():
+        for r in count(1):
             m = 2 * r - 1
             yield m**3 * qv**m / (1 - qv ** (2 * m))
     else:
         raise DomainError(f"unknown Lambert series id {name!r}")
-
-
-def _counter():
-    r = 1
-    while True:
-        yield r
-        r += 1
 
 
 LAMBERT_IDS = ("lam1", "lam2", "lemma22_1", "lemma22_2", "ram_lhs", "eis384", "cube")

@@ -104,12 +104,22 @@ class TestPfqInterior:
                 assert agrees(pfq(spec, z, ctx), want, 25)
 
     def test_terminating_sum(self, ctx):
-        # 2F1(-2, 1; 3; 1) = 1 - 2/3 + 1/6 = 1/2... direct Pochhammer check
-        spec = PFQSpec(upper=(-2, 1), lower=(3,))
-        got = pfq(spec, 1, ctx)
-        with ctx.working():
-            want = sum(pfq_term(spec, n, mp.mpf(1), ctx) for n in range(3))
-        assert agrees(got, want, 25)
+        # direct Pochhammer sums; degree 12 reaches the tenth term, where the
+        # geometric tail test of a nonterminating series would start at |z| = 1
+        cases = (
+            ((-2, 1), (3,), 1),  # 1 - 2/3 + 1/6
+            ((-12, 1), (2,), 1),
+            ((-12, 1), (2,), -1),
+            ((-12, "1/2", 1), ("3/2", 2), 1),
+            ((-12, "1/2", 1), ("3/2", 2), -1),
+        )
+        for upper, lower, z in cases:
+            spec = PFQSpec(upper=upper, lower=lower)
+            degree = -int(min(spec.upper))
+            got = pfq(spec, z, ctx)
+            with ctx.working():
+                want = sum(pfq_term(spec, n, z, ctx) for n in range(degree + 1))
+            assert agrees(got, want, 25), (upper, lower, z)
 
     def test_argument_domain(self, ctx):
         spec = PFQSpec(upper=(1, 1), lower=(2,))

@@ -101,10 +101,18 @@ class TestValueIdentities:
         assert r.digits_agreed >= r.target
 
     def test_theorem_targets_default_strategy(self, config):
-        for id_ in ("I17", "I18", "I19", "I20"):
-            assert verify(id_, config).target == 10
-        for id_ in ("I21", "I22", "I23"):
-            assert verify(id_, config).target == 8
+        # every value identity is held to two digits short of the precision
+        for id_ in VALUE:
+            assert verify(id_, config).target == config.digits - 2
+
+    @pytest.mark.parametrize("id_", ("I26a", "I26b", "I26c", "I26d"))
+    def test_nome_integrals_follow_precision(self, id_):
+        # the nome integrals are certified to the requested precision
+        cfg = RunConfig(digits=50)
+        r = verify(id_, cfg)
+        assert r.target == 48
+        assert r.status == "pass", (r.lhs, r.rhs, r.rel_err)
+        assert r.digits_agreed >= 48
 
     def test_truncated_square_gets_bound_derived_target(self, config):
         # margin-1/2 specs promise under a digit at this budget; the entry
@@ -163,14 +171,9 @@ class TestReportSemantics:
         with mp.workdps(config.digits + 15):
             one = mp.mpf(1)
             near = one + mp.mpf(10) ** -(config.digits + 14)
-        reports = [
-            identities._numeric_report(
-                REGISTRY["I1"], config,
-                identities.EvalOutcome((("x", one, rhs),), None), 0.0,
-            )
-            for rhs in (one, near)
-        ]
-        exact, close = reports
+        exact, close = (
+            identities._compare(config, (("x", one, rhs),)) for rhs in (one, near)
+        )
         assert exact.rel_err == "0.0"
         assert exact.digits_agreed == config.digits + 15
         assert exact.digits_agreed > close.digits_agreed

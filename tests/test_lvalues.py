@@ -174,15 +174,15 @@ class TestQIntegrals:
         v, e, used = q_integral(q_id, ctx)
         truth = TRUTH[QID_TO_PAIR[q_id]]
         assert abs(v - truth) <= e + abs(truth) * mp.mpf("1e-20")
-        # the route promises eight digits; it routinely delivers far more
-        assert agrees(v, truth, 10)
+        # the route delivers the digits it was asked for
+        assert agrees(v, truth, 18)
         assert used > 100
 
-    def test_precision_cap(self):
-        # asking for 40 digits must not change the route's character
+    def test_full_precision_at_40_digits(self):
+        # the route runs at the requested precision and says so
         v, e, _ = q_integral("prop21_1", PrecisionContext(digits=40))
-        assert agrees(v, TRUTH["f", 3], 10)
-        assert e < mp.mpf("1e-12")
+        assert agrees(v, TRUTH["f", 3], 38)
+        assert e <= abs(TRUTH["f", 3]) * mp.mpf("1e-38")
 
     def test_unknown_id(self, ctx):
         with pytest.raises(DomainError):
