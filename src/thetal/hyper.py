@@ -47,7 +47,6 @@ __all__ = [
     "euler_2f1",
     "series_kernel",
     "kdf_converges",
-    "kdf",
     "kdf_full",
     "KDF_STRATEGIES",
 ]
@@ -776,7 +775,10 @@ def _kdf_double(spec: KdFSpec, x, y, ctx: PrecisionContext):
 
 
 def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
-    """Double series F(x, y) with the requested strategy; see kdf()."""
+    """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy.
+
+    Returns a :class:`KdFResult` with the value and its error estimate.
+    """
     if strategy not in KDF_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
     xq, yq = _coerce_params((x, y))
@@ -802,7 +804,3 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
         val, est = _kdf_double(spec, xq, yq, ctx)
     return KdFResult(val, est, strategy)
 
-
-def kdf(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext):
-    """Value of the double hypergeometric series at (x, y) in [0,1]^2."""
-    return kdf_full(spec, x, y, strategy, ctx).value

@@ -30,13 +30,11 @@ from .hyper import PFQSpec, series_kernel
 from .lvalues import (
     KDF_SPECS,
     LF4_ALT,
-    LF4_POS1,
-    LF4_POS3,
     SAMART_5F4,
     alpha_integral,
     kdf_theorem_rhs,
-    l_chi4,
     l_value,
+    lf4_triple,
     q_integral,
 )
 from .theta import (
@@ -329,12 +327,8 @@ def _ev_factorization(config, ctx):
 
 
 def _ev_lf4_triple(config, ctx):
-    with ctx.working():
-        variants = (
-            ("alternating", pfq(LF4_ALT, -1, ctx)),
-            ("split", pfq(LF4_POS1, 1, ctx) - pfq(LF4_POS3, 1, ctx) / 81),
-            ("character-sum", l_chi4(4, ctx)),
-        )
+    labels = ("alternating", "split", "character-sum")
+    variants = tuple(zip(labels, lf4_triple(ctx)))
     pairs = []
     for i, (la, va) in enumerate(variants):
         for lb, vb in variants[i + 1 :]:

@@ -41,6 +41,7 @@ __all__ = [
     "LF4_POS3",
     "l_chi4",
     "l_psi",
+    "lf4_triple",
     "kdf_theorem_rhs",
     "alpha_integral",
     "q_integral",
@@ -273,15 +274,16 @@ def _half_period(x, cx):
     return -mp.log1p(-cx) / mp.pi
 
 
-def _q_weight(tag: str, u, ctx: PrecisionContext):
+# the theta indices each weight reads at u itself; the rest sit at 2u and 4u
+_WEIGHT_AT_U = {"wt3": (2, 4), "wt4_f": (4,), "wt4_g": ()}
+
+
+def _q_weight(tag: str, u, t, ctx: PrecisionContext):
+    # t maps a theta index to its value at u, for the indices fetched there
     if tag == "wt3":
-        t2 = theta_involution(u, 2, ctx)
-        t4 = theta_involution(u, 4, ctx)
-        return t2**4 * t4**2
+        return t[2] ** 4 * t[4] ** 2
     if tag == "wt4_f":
-        return 2 * theta_involution(2 * u, 4, ctx) ** 8 - theta_involution(
-            u, 4, ctx
-        ) ** 8
+        return 2 * theta_involution(2 * u, 4, ctx) ** 8 - t[4] ** 8
     # wt4_g: one level down
     return 2 * theta_involution(4 * u, 4, ctx) ** 8 - theta_involution(
         2 * u, 4, ctx
@@ -291,21 +293,17 @@ def _q_weight(tag: str, u, ctx: PrecisionContext):
 _Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
 
 
-def _lambert_smart(name: str, q, u, ctx: PrecisionContext):
-    """One of the reorganized Lambert sums, at any q in (0, 1).
+def _lambert_near(name: str, t):
+    """One of the reorganized Lambert sums above the cut, from theta2..4 at q.
 
-    Below the cut the sum itself is a handful of geometric terms.  Above it
-    the sum is evaluated through its modular closed form (log, atanh, or the
-    treble-kernel quotient), all of which the identity registry checks
-    against the raw series on the sample grid, so nothing here is assumed.
+    There the sum is evaluated through its modular closed form (log, atanh,
+    or the treble-kernel quotient), all of which the identity registry
+    checks against the raw series on the sample grid, so nothing here is
+    assumed.
     """
-    if q < _Q_SERIES_CUT:
-        return lambert_series(name, q, ctx)
-    t3 = theta_involution(u, 3, ctx)
-    t4 = theta_involution(u, 4, ctx)
+    t2, t3, t4 = t[2], t[3], t[4]
     if name == "lemma22_1":
         return mp.log(t3 / t4) / 4
-    t2 = theta_involution(u, 2, ctx)
     a = (t2 / t3) ** 4
     ca = (t4 / t3) ** 4
     sa = mp.sqrt(a)
@@ -341,8 +339,12 @@ def q_integral(q_id: str, ctx: PrecisionContext):
     def integrand(x, cx):
         evals[0] += 1
         u = _half_period(x, cx)
-        w = _q_weight(tag, u, ctx)
-        return w * _lambert_smart(lam, x, u, ctx) / x
+        near = x >= _Q_SERIES_CUT
+        # one joint call for every theta this node needs at u
+        which = (2, 3, 4) if near else _WEIGHT_AT_U[tag]
+        t = dict(zip(which, theta_involution(u, which, ctx))) if which else {}
+        lam_v = _lambert_near(lam, t) if near else lambert_series(lam, x, ctx)
+        return _q_weight(tag, u, t, ctx) * lam_v / x
 
     val, est = integrate01(integrand, ctx, left_exponent=left, right_exponent=1.0)
     with ctx.working():
@@ -360,10 +362,10 @@ def q_integral(q_id: str, ctx: PrecisionContext):
 
 def _theta_product_at(form: str, u, ctx: PrecisionContext):
     # h(e^{-pi u}) for h = f, g; the involuted evaluators keep both ends cheap
-    t2 = theta_involution(u, 2, ctx)
     if form == "f":
-        t4 = theta_involution(u, 4, ctx)
+        t2, t4 = theta_involution(u, (2, 4), ctx)
     else:
+        t2 = theta_involution(u, 2, ctx)
         t4 = theta_involution(2 * u, 4, ctx)
     return t2**4 * t4**2 / 16
 
@@ -504,12 +506,23 @@ LF4_POS1 = PFQSpec(("1/4", "1/4", "1/4", "1/4", 1), ("5/4", "5/4", "5/4", "5/4")
 LF4_POS3 = PFQSpec(("3/4", "3/4", "3/4", "3/4", 1), ("7/4", "7/4", "7/4", "7/4"))
 
 
+def lf4_triple(ctx: PrecisionContext):
+    """Three evaluations of L(chi_-4, 4), the sum behind L(f, 4)'s closed form.
+
+    The central alternating 5F4 at z = -1, its even/odd split into two
+    unit-argument 5F4s, and the plain (2j+1)^-4 character sum, in that order.
+    """
+    with ctx.working():
+        central = pfq(LF4_ALT, -1, ctx)
+        split = pfq(LF4_POS1, 1, ctx) - pfq(LF4_POS3, 1, ctx) / 81
+        return central, split, l_chi4(4, ctx)
+
+
 def closed_form(which: str, ctx: PrecisionContext):
     """One of the single-series closed forms, as (value, error_estimate).
 
-    lf3 is elementary.  lf4 evaluates the central alternating 5F4 and its
-    even/odd split into two unit-argument 5F4s and the plain (2j+1)^-4 sum,
-    then reports the spread of the three as the error: the closed form is
+    lf3 is elementary.  lf4 scales the central value of :func:`lf4_triple`
+    and reports the spread of the three as the error: the closed form is
     only as good as its internal agreement.  lg3 combines log 2 with a
     unit-argument 5F4.
     """
@@ -523,9 +536,7 @@ def closed_form(which: str, ctx: PrecisionContext):
             est = abs(v) * mp.mpf(10) ** (-(ctx.digits + 1)) + _roundoff(v, ctx)
             return ensure_finite(v, "closed form"), est
         if which == "lf4":
-            central = pfq(LF4_ALT, -1, ctx)
-            split = pfq(LF4_POS1, 1, ctx) - pfq(LF4_POS3, 1, ctx) / 81
-            plain = l_chi4(4, ctx)
+            central, split, plain = lf4_triple(ctx)
             spread = max(
                 abs(central - split), abs(central - plain), abs(split - plain)
             )

@@ -66,15 +66,14 @@ def richardson_power(
 class ExtrapolationResult(NamedTuple):
     value: mp.mpf
     error_estimate: mp.mpf
-    residual: mp.mpf
 
 
-def _powerlog_fit(Ms, Ss, exponent, log_power, levels, step=1):
+def _powerlog_fit(Ms, Ss, exponent, log_power, levels):
     """Solve the linear model S(M) = S_inf - M^-e (a log^p M + b) + deeper."""
     cols = []
     cols.append([mp.mpf(1)] * len(Ms))
     for j in range(levels):
-        e = exponent + j * step
+        e = exponent + j
         if log_power:
             cols.append([M ** (-e) * mp.log(M) ** log_power for M in Ms])
         cols.append([M ** (-e) for M in Ms])
@@ -105,17 +104,14 @@ def extrapolate_powerlog(
     exponent,
     log_power: int,
     ctx: PrecisionContext,
-    step=1,
 ) -> ExtrapolationResult:
     """Fit S(M) = S_inf - M^-exponent (a log^log_power M + b)(1 + o(1)).
 
     samples are (M, S(M)) at geometrically spaced M, at least 4 of them.  The
-    o(1) is resolved by deeper power-log pairs as sample count allows, whose
-    exponents climb by `step` (a double series with both margins at 1/2 sheds
-    corrections on the half-integer grid, hence step=1/2 there).  The error
-    estimate is the movement when the deepest correction pair is dropped,
-    plus the fit residual; an exactly-modeled input therefore reports a tiny
-    estimate.
+    o(1) is resolved by deeper power-log pairs, their exponents climbing by 1,
+    as sample count allows.  The error estimate is the movement when the
+    deepest correction pair is dropped, plus the fit residual; an
+    exactly-modeled input therefore reports a tiny estimate.
     """
     if len(samples) < 4:
         raise DomainError("need at least 4 extrapolation samples")
@@ -123,18 +119,13 @@ def extrapolate_powerlog(
         Ms = [mp.mpf(M) for M, _ in samples]
         Ss = [mp.mpf(S) for _, S in samples]
         e = as_real(exponent)
-        st = as_real(step)
-        if not st > 0:
-            raise DomainError("step must be positive")
         per_level = 2 if log_power else 1
         levels = max(1, (len(samples) - 2) // per_level)
-        value, residual = _powerlog_fit(Ms, Ss, e, log_power, levels, st)
+        value, residual = _powerlog_fit(Ms, Ss, e, log_power, levels)
         if levels > 1:
-            shallower, _ = _powerlog_fit(Ms, Ss, e, log_power, levels - 1, st)
+            shallower, _ = _powerlog_fit(Ms, Ss, e, log_power, levels - 1)
             movement = abs(value - shallower)
         else:
             movement = residual
         est = movement + residual
-        return ExtrapolationResult(
-            ensure_finite(value, "extrapolation"), est, residual
-        )
+        return ExtrapolationResult(ensure_finite(value, "extrapolation"), est)

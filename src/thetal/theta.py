@@ -28,7 +28,6 @@ from .context import (
 )
 
 __all__ = [
-    "Nome",
     "CoeffStream",
     "theta2",
     "theta3",
@@ -48,38 +47,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Nome:
-    """A real nome q in (0,1), or its half-period u with q = exp(-pi u).
-
-    Exactly one of q, u is given.  value() must run under an active working
-    precision (all operations here establish one).
-    """
-
-    q: object = None
-    u: object = None
-
-    def __post_init__(self):
-        if (self.q is None) == (self.u is None):
-            raise DomainError("Nome takes exactly one of q or u")
-
-    def value(self):
-        if self.q is not None:
-            qv = as_real(self.q)
-        else:
-            uv = as_real(self.u)
-            if not uv > 0:
-                raise DomainError("half-period u must be positive")
-            qv = mp.exp(-mp.pi * uv)
-        if not (0 < qv < 1):
-            raise DomainError(f"nome must lie in (0,1), got {mp.nstr(qv, 8)}")
-        return qv
-
-
 def _nome_value(q):
-    if isinstance(q, Nome):
-        return q.value()
-    return Nome(q=q).value()
+    qv = as_real(q)
+    if not (0 < qv < 1):
+        raise DomainError(f"nome must lie in (0,1), got {mp.nstr(qv, 8)}")
+    return qv
 
 
 def _theta_series(which: int, qv, max_terms: int):
@@ -132,66 +104,73 @@ def theta_direct(which: int, q, ctx: PrecisionContext):
 _INVOLUTION_PARTNER = {2: 4, 3: 3, 4: 2}
 
 
-def theta_involution(u, which: int, ctx: PrecisionContext):
-    """theta_which(e^{-pi u}) computed on whichever side of u = 1 is cheap.
+def _thetas(u, which, max_terms: int, qv=None):
+    """theta_w(e^{-pi u}) for w in ``which``, on the cheap side of u = 1.
 
     sqrt(u) theta4(e^{-pi u}) = theta2(e^{-pi/u}) and its u -> 1/u mirror;
-    theta3 maps to itself.
+    theta3 maps to itself.  One exp and one sqrt serve every requested
+    value, and each distinct index is summed once.  A caller that holds the
+    nome passes it as ``qv``, and the direct side sums on that very q.
     """
-    if which not in _INVOLUTION_PARTNER:
+    if u >= 1:
+        qd = mp.exp(-mp.pi * u) if qv is None else qv
+        vals = {w: _theta_series(w, qd, max_terms) for w in set(which)}
+    else:
+        qt = mp.exp(-mp.pi / u)
+        su = mp.sqrt(u)
+        vals = {
+            w: _theta_series(_INVOLUTION_PARTNER[w], qt, max_terms) / su
+            for w in set(which)
+        }
+    return tuple(vals[w] for w in which)
+
+
+def _thetas_at_q(q, which, max_terms: int):
+    qv = _nome_value(q)
+    return _thetas(-mp.log(qv) / mp.pi, which, max_terms, qv)
+
+
+def theta_involution(u, which, ctx: PrecisionContext):
+    """theta_which(e^{-pi u}) computed on whichever side of u = 1 is cheap.
+
+    ``which`` is one index in (2, 3, 4), or a sequence of them for the joint
+    values at one half-period, returned as a tuple in the order asked.
+    """
+    single = isinstance(which, int)
+    ws = (which,) if single else tuple(which)
+    if not all(w in _INVOLUTION_PARTNER for w in ws):
         raise DomainError("theta index must be one of 2, 3, 4")
     with ctx.working():
         uv = as_real(u)
         if not uv > 0:
             raise DomainError("half-period u must be positive")
-        if uv >= 1:
-            qv = mp.exp(-mp.pi * uv)
-            return ensure_finite(
-                _theta_series(which, qv, ctx.max_terms), "theta series"
-            )
-        qt = mp.exp(-mp.pi / uv)
-        partner = _INVOLUTION_PARTNER[which]
-        val = _theta_series(partner, qt, ctx.max_terms) / mp.sqrt(uv)
-        return ensure_finite(val, "theta involution")
-
-
-def _theta_routed(which: int, qv, max_terms: int):
-    u = -mp.log(qv) / mp.pi
-    if u >= 1:
-        return _theta_series(which, qv, max_terms)
-    qt = mp.exp(-mp.pi / u)
-    return _theta_series(_INVOLUTION_PARTNER[which], qt, max_terms) / mp.sqrt(u)
+        vals = tuple(
+            ensure_finite(v, "theta involution")
+            for v in _thetas(uv, ws, ctx.max_terms)
+        )
+        return vals[0] if single else vals
 
 
 def theta2(q, ctx: PrecisionContext):
     with ctx.working():
-        return ensure_finite(
-            _theta_routed(2, _nome_value(q), ctx.max_terms), "theta2"
-        )
+        return ensure_finite(_thetas_at_q(q, (2,), ctx.max_terms)[0], "theta2")
 
 
 def theta3(q, ctx: PrecisionContext):
     with ctx.working():
-        return ensure_finite(
-            _theta_routed(3, _nome_value(q), ctx.max_terms), "theta3"
-        )
+        return ensure_finite(_thetas_at_q(q, (3,), ctx.max_terms)[0], "theta3")
 
 
 def theta4(q, ctx: PrecisionContext):
     with ctx.working():
-        return ensure_finite(
-            _theta_routed(4, _nome_value(q), ctx.max_terms), "theta4"
-        )
+        return ensure_finite(_thetas_at_q(q, (4,), ctx.max_terms)[0], "theta4")
 
 
 def alpha_pair(q, ctx: PrecisionContext):
     """(alpha, 1 - alpha) with the complement formed from theta4, not by
     subtraction, so both stay fully accurate at either end of (0,1)."""
     with ctx.working():
-        qv = _nome_value(q)
-        t2 = _theta_routed(2, qv, ctx.max_terms)
-        t3 = _theta_routed(3, qv, ctx.max_terms)
-        t4 = _theta_routed(4, qv, ctx.max_terms)
+        t2, t3, t4 = _thetas_at_q(q, (2, 3, 4), ctx.max_terms)
         a = (t2 / t3) ** 4
         ca = (t4 / t3) ** 4
         return ensure_finite(a, "alpha"), ensure_finite(ca, "1-alpha")
@@ -243,9 +222,7 @@ def alpha_qderiv(q, ctx: PrecisionContext):
 def form_f(q, ctx: PrecisionContext):
     """f(q) = theta2^4(q) theta4^2(q) / 16, the weight-3 newform factor."""
     with ctx.working():
-        qv = _nome_value(q)
-        t2 = _theta_routed(2, qv, ctx.max_terms)
-        t4 = _theta_routed(4, qv, ctx.max_terms)
+        t2, t4 = _thetas_at_q(q, (2, 4), ctx.max_terms)
         return ensure_finite(t2**4 * t4**2 / 16, "form f")
 
 
@@ -254,8 +231,8 @@ def form_g(q, ctx: PrecisionContext):
     squaring at working precision."""
     with ctx.working():
         qv = _nome_value(q)
-        t2 = _theta_routed(2, qv, ctx.max_terms)
-        t4 = _theta_routed(4, qv * qv, ctx.max_terms)
+        (t2,) = _thetas_at_q(qv, (2,), ctx.max_terms)
+        (t4,) = _thetas_at_q(qv * qv, (4,), ctx.max_terms)
         return ensure_finite(t2**4 * t4**2 / 16, "form g")
 
 

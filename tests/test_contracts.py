@@ -1,7 +1,8 @@
 """Names that other code reaches by string: the benchmark tracer's spans and
 each module's ``__all__``.  A deletion that leaves either one stale fails
-here rather than in a traced benchmark pass.  The module caches the tracer
-reads by name must also stay bounded in a process that sweeps precisions."""
+here rather than in a traced benchmark pass.  Every theta evaluator the
+routes call must be one the tracer times, and the module caches the tracer
+reads by name must stay bounded in a process that sweeps precisions."""
 
 import importlib
 import pkgutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 
 import thetal
-from thetal import hyper, lvalues, quadrature
+from thetal import hyper, identities, lvalues, quadrature, theta
 from thetal.context import PrecisionContext
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,6 +45,16 @@ def test_traced_functions_and_exports_resolve():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_theta_imports_are_traced():
+    # a private theta helper imported by a route would move its time out of
+    # the tracer's theta spans without any span failing to resolve
+    traced = {fn for mod, fn, _ in _tracer_spans() if mod == "theta"}
+    for mod in (lvalues, identities):
+        for name, val in vars(mod).items():
+            if callable(val) and getattr(val, "__module__", None) == theta.__name__:
+                assert val.__name__ in traced, f"{mod.__name__}.{name}"
 
 
 def test_module_caches_stay_bounded_across_precisions():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import agrees
 from thetal.context import DomainError, PrecisionContext
-from thetal.hyper import KdFSpec, PFQSpec, kdf, kdf_converges, kdf_full, pfq
+from thetal.hyper import KdFSpec, PFQSpec, kdf_converges, kdf_full, pfq
 
 # the six parameter sets the weight-3/weight-4 reductions produce, with
 # values frozen from the integral route (thm11_1 independently = 3 pi log 2)
@@ -103,7 +103,7 @@ class TestSpecAndMargins:
         assert rep.margins[0] == -1
         assert not rep.convergent_at_unit
         with pytest.raises(DomainError):
-            kdf(bad, 1, 1, "double_truncate", PrecisionContext(digits=10))
+            kdf_full(bad, 1, 1, "double_truncate", PrecisionContext(digits=10))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -160,7 +160,7 @@ class TestStrategies:
         spec = THEOREM_SPECS["thm11_1"][0]
         with ctx.working():
             want = brute_double_sum(spec, "1/3", "1/4")
-            got = kdf(spec, "1/3", "1/4", "integral_reduction", ctx)
+            got = kdf_full(spec, "1/3", "1/4", "integral_reduction", ctx).value
             assert agrees(got, want, 20)
 
     def test_result_shape(self, ctx):
@@ -168,52 +168,51 @@ class TestStrategies:
                      PrecisionContext(digits=15))
         assert r.strategy == "iterated"
         assert r.error_estimate >= 0
-        assert kdf(THEOREM_SPECS["thm11_1"][0], "1/2", "1/2", "iterated",
-                   PrecisionContext(digits=15)) == r.value
 
 
 class TestSymmetryAndDegeneration:
     def test_swap_symmetry(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
         for x, y in [("3/4", 1), ("2/5", "1/2"), (1, 1)]:
-            v1 = kdf(spec, x, y, "integral_reduction", ctx)
-            v2 = kdf(spec.swapped(), y, x, "integral_reduction", ctx)
+            v1 = kdf_full(spec, x, y, "integral_reduction", ctx).value
+            v2 = kdf_full(spec.swapped(), y, x, "integral_reduction", ctx).value
             assert agrees(v1, v2, 22), (x, y)
 
     def test_y_zero_reduces_to_single_series(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
-        got = kdf(spec, "1/2", 0, "iterated", ctx)
+        got = kdf_full(spec, "1/2", 0, "iterated", ctx).value
         want = pfq(PFQSpec(upper=(2, 1, 1), lower=("5/2", 2)), "1/2", ctx)
         assert agrees(got, want, 24)
 
     def test_x_zero_reduces_to_single_series(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
-        got = kdf(spec, 0, "1/2", "integral_reduction", ctx)
+        got = kdf_full(spec, 0, "1/2", "integral_reduction", ctx).value
         want = pfq(PFQSpec(upper=(2, "1/2", "1/2"), lower=("5/2", 1)), "1/2", ctx)
         assert agrees(got, want, 24)
 
     def test_origin_is_one(self, ctx):
-        assert kdf(THEOREM_SPECS["thm11_2"][0], 0, 0, "double_truncate", ctx) == 1
+        r = kdf_full(THEOREM_SPECS["thm11_2"][0], 0, 0, "double_truncate", ctx)
+        assert r.value == 1
 
 
 class TestDomain:
     def test_arguments_outside_square(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
         with pytest.raises(DomainError):
-            kdf(spec, "3/2", 1, "iterated", ctx)
+            kdf_full(spec, "3/2", 1, "iterated", ctx)
         with pytest.raises(DomainError):
-            kdf(spec, 1, "-1/10", "iterated", ctx)
+            kdf_full(spec, 1, "-1/10", "iterated", ctx)
 
     def test_unknown_strategy(self, ctx):
         with pytest.raises(DomainError):
-            kdf(THEOREM_SPECS["thm11_1"][0], 1, 1, "magic", ctx)
+            kdf_full(THEOREM_SPECS["thm11_1"][0], 1, 1, "magic", ctx)
 
     def test_coupled_pair_requirement(self, ctx):
         wide = KdFSpec(a=(1, 1), c=(2, "3/2"), b=(1,), d=("3/2",), bp=(1,), dp=("3/2",))
         with pytest.raises(DomainError):
-            kdf(wide, "1/2", "1/2", "integral_reduction", ctx)
+            kdf_full(wide, "1/2", "1/2", "integral_reduction", ctx)
         with pytest.raises(DomainError):
-            kdf(wide, "1/2", "1/2", "iterated", ctx)
+            kdf_full(wide, "1/2", "1/2", "iterated", ctx)
 
     def test_double_truncate_takes_wide_groups(self, ctx):
         # the truncation strategy has no coupled-pair restriction

@@ -5,7 +5,7 @@ import mpmath as mp
 
 from thetal.context import BudgetError, DomainError, PrecisionContext
 from thetal.theta import (
-    Nome,
+    _thetas,
     alpha,
     alpha_pair,
     alpha_qderiv,
@@ -26,15 +26,50 @@ GRID = ("0.02", "0.05", "0.1", "0.2", "0.3")
 
 
 def test_nome_validation():
-    with pytest.raises(DomainError):
-        Nome(q="0.5", u=1)
-    with pytest.raises(DomainError):
-        Nome()
     ctx = PrecisionContext(digits=15)
+    for q in ("1.5", "1", "0", "-0.5", "nan"):
+        with pytest.raises(DomainError):
+            theta3(q, ctx)
+        with pytest.raises(DomainError):
+            alpha_pair(q, ctx)
+    for u in (-1, 0, "nan"):
+        with pytest.raises(DomainError):
+            theta_involution(u, 4, ctx)
+        with pytest.raises(DomainError):
+            theta_involution(u, (2, 3, 4), ctx)
     with pytest.raises(DomainError):
-        theta3("1.5", ctx)
-    with pytest.raises(DomainError):
-        theta_involution(-1, 4, ctx)
+        theta_involution(1, (2, 5), ctx)
+
+
+@pytest.mark.parametrize("u", ["0.25", "0.999", "1", "4"])
+def test_joint_thetas_match_single(ctx30, u):
+    # a value must not depend on which others are asked for with it, or in
+    # what order, on either side of the involution cut at u = 1
+    with ctx30.working():
+        uv = mp.mpf(u)
+        alone = {w: theta_involution(uv, w, ctx30) for w in (2, 3, 4)}
+        for which in [(2, 3, 4), (4, 3, 2), (3, 2), (4, 2), (4, 4, 2)]:
+            joint = theta_involution(uv, which, ctx30)
+            assert [v._mpf_ for v in joint] == [alone[w]._mpf_ for w in which]
+            inner = _thetas(uv, which, ctx30.max_terms)
+            assert [v._mpf_ for v in inner] == [alone[w]._mpf_ for w in which]
+
+
+@pytest.mark.parametrize("q", ["0.02", "0.3"])
+def test_joint_thetas_match_single_q_form(ctx30, q):
+    singles = (theta2, theta3, theta4)
+    with ctx30.working():
+        qv = mp.mpf(q)
+        alone = {w: fn(qv, ctx30) for w, fn in zip((2, 3, 4), singles)}
+        u = -mp.log(qv) / mp.pi
+        for which in [(2, 3, 4), (4, 3, 2), (2, 4), (3,)]:
+            joint = _thetas(u, which, ctx30.max_terms, qv)
+            assert [v._mpf_ for v in joint] == [alone[w]._mpf_ for w in which]
+        t2, t3, t4 = (alone[w] for w in (2, 3, 4))
+        a, ca = alpha_pair(qv, ctx30)
+        assert a._mpf_ == ((t2 / t3) ** 4)._mpf_
+        assert ca._mpf_ == ((t4 / t3) ** 4)._mpf_
+        assert form_f(qv, ctx30)._mpf_ == (t2**4 * t4**2 / 16)._mpf_
 
 
 def test_leading_behavior(ctx20):
@@ -65,8 +100,11 @@ def test_involution_fixed_point(ctx30):
 def test_involution_relation(ctx30, u):
     with ctx30.working():
         uv = mp.mpf(u)
-        lhs = mp.sqrt(uv) * theta4(Nome(u=uv), ctx30)
-        rhs = theta2(Nome(u=1 / uv), ctx30)
+        lhs = mp.sqrt(uv) * theta4(mp.exp(-mp.pi * uv), ctx30)
+        rhs = theta2(mp.exp(-mp.pi / uv), ctx30)
+        assert agrees(lhs, rhs, 28)
+        lhs = mp.sqrt(uv) * theta_involution(uv, 4, ctx30)
+        rhs = theta_involution(1 / uv, 2, ctx30)
         assert agrees(lhs, rhs, 28)
 
 
