@@ -1,10 +1,11 @@
 """Generalized hypergeometric series, their boundary values, and the
 two-variable (Kampe de Feriet type) double series.
 
-Single series p+1Fp are summed directly inside the unit interval; at z = 1
-a positive excess gives a power tail whose exact asymptotic expansion is
-summed through Hurwitz zeta, and at z = -1 the alternating structure feeds
-the Chebyshev accelerator.
+Single series p+1Fp draw every term from one ratio recurrence and are
+summed directly inside the unit interval; at z = 1 a positive excess gives
+a power tail whose exact asymptotic expansion is summed through Hurwitz
+zeta, and at z = -1 the alternating structure feeds the Chebyshev
+accelerator.
 The double series come in three independent flavors: a rigorous truncated
 square, an iterated sum with tail extrapolation (float64 vector engine), and
 a Beta-kernel reduction to a one-dimensional integral of closed-form kernels,
@@ -17,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -30,8 +32,8 @@ from .context import (
     ensure_finite,
     parse_rational,
 )
-from .quadrature import integrate01
-from .series import extrapolate_powerlog
+from .quadrature import integrate01, noise_floor
+from .series import extrapolate_powerlog, richardson_power
 from .special import beta as beta_fn
 from .special import alternating_sum, pochhammer
 
@@ -125,9 +127,34 @@ def pfq_term(spec: PFQSpec, n: int, z, ctx: PrecisionContext):
         return ensure_finite(t, "pfq term")
 
 
-def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
+def _pfq_terms(spec: PFQSpec, zv):
+    """t_0, t_1, ... of p+1Fp(spec; zv), each the last times the term ratio
+    zv prod(a+m) / (prod(b+m) (m+1)).
+
+    The parameters are converted here, at the caller's precision; each term
+    is stepped when drawn, at the precision in force then.
+    """
     ups = [as_real(u) for u in spec.upper]
     lows = [as_real(l) for l in spec.lower]
+
+    def stream():
+        t = mp.mpf(1)
+        m = 0
+        while True:
+            yield t
+            ratio = zv
+            for u in ups:
+                ratio *= u + m
+            for l in lows:
+                ratio /= l + m
+            ratio /= m + 1
+            t *= ratio
+            m += 1
+
+    return stream()
+
+
+def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     az = abs(zv)
     tol = mp.mpf(10) ** (-(ctx.digits + 2))
     # past m_min the term ratio stays below (1+|z|)/2, so the geometric tail
@@ -135,19 +162,10 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     ksum = float(sum(abs(u) for u in spec.upper) + sum(abs(l) for l in spec.lower) + 1)
     m_min = 10 + int(4 * ksum / float(1 - az)) if az < 1 else 10
     q = (1 + az) / 2
-    t = mp.mpf(1)
-    s = t
-    m = 0
-    while True:
-        ratio = zv
-        for u in ups:
-            ratio *= u + m
-        for l in lows:
-            ratio /= l + m
-        ratio /= m + 1
-        t *= ratio
+    terms = _pfq_terms(spec, zv)
+    s = next(terms)
+    for m, t in enumerate(terms, 1):
         s += t
-        m += 1
         if t == 0:
             break  # terminating series
         # a polynomial sums to its last term: no tail test, whatever |z|
@@ -205,28 +223,21 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     e = pfq_excess(spec)
     if not e > 0:
         raise DomainError("pFq at z = 1 needs positive excess")
-    ups = [as_real(u) for u in spec.upper]
-    lows = [as_real(l) for l in spec.lower]
     goal = mp.mpf(10) ** (-(ctx.digits + 2))
-    scale = mp.fprod(mp.gamma(l) for l in lows) / mp.fprod(mp.gamma(u) for u in ups)
+    scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
+        mp.gamma(as_real(u)) for u in spec.upper
+    )
     exact = _tail_coeffs(spec, int(0.9 * ctx.digits) + 10)
     coeffs = [scale * as_real(ck) for ck in exact]
     power = 1 + as_real(e)
+    terms = _pfq_terms(spec, mp.mpf(1))
     s = mp.mpf(0)
-    t = mp.mpf(1)
     m = 0
     n_head = ctx.digits + 20
     while True:
         n_head = min(n_head, ctx.max_terms)
-        while m < n_head:
-            s += t
-            ratio = mp.mpf(1)
-            for u in ups:
-                ratio *= u + m
-            for l in lows:
-                ratio /= l + m
-            t *= ratio / (m + 1)
-            m += 1
+        s = sum(islice(terms, n_head - m), s)
+        m = n_head
         tail = [ck * mp.zeta(power + k, n_head) for k, ck in enumerate(coeffs)]
         value = s + mp.fsum(tail)
         est = abs(tail[-1])
@@ -240,31 +251,12 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
 
 
 def _pfq_alternating(spec: PFQSpec, ctx: PrecisionContext):
-    e = pfq_excess(spec)
-    if not e > -1:
+    if not pfq_excess(spec) > -1:
         raise DomainError("pFq at z = -1 needs excess above -1")
     if any(p <= 0 for p in spec.upper) or any(p <= 0 for p in spec.lower):
         raise DomainError("alternating acceleration needs positive parameters")
-    state = {"k": -1, "t": mp.mpf(1)}
-    ups = [as_real(u) for u in spec.upper]
-    lows = [as_real(l) for l in spec.lower]
-
-    def magnitude(k):
-        if k != state["k"] + 1:
-            raise RuntimeError("alternating terms must be consumed in order")
-        if k > 0:
-            m = k - 1
-            r = mp.mpf(1)
-            for u in ups:
-                r *= u + m
-            for l in lows:
-                r /= l + m
-            state["t"] *= r / k
-        state["k"] = k
-        return state["t"]
-
-    with ctx.working():
-        return alternating_sum(magnitude, ctx)
+    # the z = 1 stream holds the magnitudes of the z = -1 terms
+    return alternating_sum(_pfq_terms(spec, mp.mpf(1)), ctx)
 
 
 def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
@@ -585,17 +577,28 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
         )
         norm = beta_fn(a1, c1 - a1, ctx)
         value = ensure_finite(val / norm, "kdf integral")
-        # level deltas can collapse below kernel-evaluation roundoff; the
-        # returned value is only representable to working precision anyway
-        noise = abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
-        return value, max(est / norm, noise)
+        return value, max(est / norm, noise_floor(value, ctx))
 
 
 def _float_params(fractions):
     return np.array([float(p) for p in fractions], dtype=np.float64)
 
 
-def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float):
+def _float_ratios(ratios, upper, lower, ns, z):
+    """Finish float64 term ratios in place: ratios enters as the coupled
+    factor (a+m+n)/(c+m+n) and leaves multiplied by z prod(upper+ns) and
+    divided by prod(lower+ns) (ns+1)."""
+    for b in upper:
+        ratios *= b + ns
+    for d in lower:
+        ratios /= d + ns
+    ratios /= ns + 1.0
+    if z != 1.0:
+        ratios *= z
+    return ratios
+
+
+def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float, ctx):
     """inner(m) for m in [m_lo, m_hi) as float64, via a Richardson ladder.
 
     inner(m) = sum_n (a+m)_n prod(bp)_n y^n / ((c+m)_n prod(dp)_n n!).  The
@@ -606,14 +609,11 @@ def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float):
     af, cf = float(spec.a[0]), float(spec.c[0])
     bp = _float_params(spec.bp)
     dp = _float_params(spec.dp)
-    ms = np.arange(m_lo, m_hi, dtype=np.float64)
-    count = len(ms)
-    j_top = 0
-    while 64 * 2**j_top < 128 * m_hi:
-        j_top += 1
+    ms = np.arange(m_lo, m_hi, dtype=np.float64)[:, None]
+    j_top = (2 * m_hi - 1).bit_length()  # the least j with 64 * 2**j >= 128 * m_hi
     j0 = max(0, j_top - 4)
-    carry_t = np.ones(count)
-    sums = np.ones(count)
+    carry_t = np.ones(len(ms))
+    sums = np.ones(len(ms))
     checkpoints = []
     n_done = 0
     seg = 8192
@@ -621,15 +621,8 @@ def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float):
         target = 64 * 2**j
         while n_done < target:
             hi = min(target, n_done + seg)
-            ns = np.arange(n_done, hi, dtype=np.float64)
-            ratios = (af + ms[:, None] + ns[None, :]) / (cf + ms[:, None] + ns[None, :])
-            for b in bp:
-                ratios *= b + ns[None, :]
-            for d in dp:
-                ratios /= d + ns[None, :]
-            ratios /= ns[None, :] + 1.0
-            if yf != 1.0:
-                ratios *= yf
+            ns = np.arange(n_done, hi, dtype=np.float64)[None, :]
+            ratios = _float_ratios((af + ms + ns) / (cf + ms + ns), bp, dp, ns, yf)
             terms = np.cumprod(ratios, axis=1) * carry_t[:, None]
             sums += terms.sum(axis=1)
             carry_t = terms[:, -1].copy()
@@ -640,17 +633,10 @@ def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float):
                 return sums
             continue
         if j >= j0:
-            checkpoints.append(sums.copy())
+            checkpoints.append((target, sums.copy()))
     if yf != 1.0:
         return sums
-    ladder = checkpoints
-    for k in range(len(ladder) - 1):
-        w = 2.0 ** (m2 + k)
-        ladder = [
-            (w * ladder[i + 1] - ladder[i]) / (w - 1.0)
-            for i in range(len(ladder) - 1)
-        ]
-    return ladder[0]
+    return richardson_power(checkpoints, m2, ctx)[0]
 
 
 def _kdf_iterated(spec: KdFSpec, x, y, ctx: PrecisionContext):
@@ -669,19 +655,12 @@ def _kdf_iterated(spec: KdFSpec, x, y, ctx: PrecisionContext):
     inner = np.empty(m_top, dtype=np.float64)
     lo = 0
     for hi in (64, 128, 256, 512, 1024):
-        inner[lo:hi] = _inner_block(spec, yf, lo, hi, m2)
+        inner[lo:hi] = _inner_block(spec, yf, lo, hi, m2, ctx)
         lo = hi
     af, cf = float(spec.a[0]), float(spec.c[0])
-    b = _float_params(spec.b)
-    d = _float_params(spec.d)
     ms = np.arange(m_top, dtype=np.float64)
-    ratios = (af + ms) / (cf + ms)
-    for bb in b:
-        ratios *= bb + ms
-    for dd in d:
-        ratios /= dd + ms
-    ratios /= ms + 1.0
-    ratios *= xf
+    b, d = _float_params(spec.b), _float_params(spec.d)
+    ratios = _float_ratios((af + ms) / (cf + ms), b, d, ms, xf)
     w = np.ones(m_top)
     w[1:] = np.cumprod(ratios[:-1])
     contrib = w * inner

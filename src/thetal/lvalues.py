@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 import mpmath as mp
@@ -25,8 +26,8 @@ import numpy as np
 
 from .context import DomainError, PrecisionContext, as_real, ensure_finite
 from .hyper import KdFSpec, PFQSpec, kdf_full, pfq, series_kernel
-from .quadrature import integrate01
-from .special import alternating_sum, cvz_terms, gamma, zeta
+from .quadrature import integrate01, noise_floor
+from .special import alternating_sum, cvz_terms, eta, gamma, zeta
 from .theta import coeffs_convolution, lambert_series, theta_involution
 
 __all__ = [
@@ -83,12 +84,6 @@ def _roundoff(value, ctx: PrecisionContext):
     return abs(value) * mp.mpf(10) ** (3 - ctx.workdigits)
 
 
-def _kernel_noise(value, ctx: PrecisionContext):
-    # a quadrature route's floor: the integrand's evaluation noise at working
-    # precision, below which level deltas can collapse without meaning it
-    return abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet building blocks
 
@@ -104,7 +99,7 @@ def l_chi4(s, ctx: PrecisionContext):
         sv = as_real(s)
         if not sv > 0:
             raise DomainError("l_chi4 wants s > 0")
-        return alternating_sum(lambda k: (2 * mp.mpf(k) + 1) ** (-sv), ctx)
+        return alternating_sum(((2 * mp.mpf(k) + 1) ** (-sv) for k in count()), ctx)
 
 
 def l_psi(s, ctx: PrecisionContext):
@@ -120,7 +115,7 @@ def l_psi(s, ctx: PrecisionContext):
             raise DomainError("l_psi wants s >= 1")
         if sv == 1:
             return mp.log(2)
-        return alternating_sum(lambda k: mp.mpf(k + 1) ** (-sv), ctx)
+        return eta(sv, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
         factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
         return (
             ensure_finite(val * factor, "alpha integral"),
-            max(est, _kernel_noise(val, ctx)) * factor,
+            max(est, noise_floor(val, ctx)) * factor,
             evals[0],
         )
 
@@ -351,7 +346,7 @@ def q_integral(q_id: str, ctx: PrecisionContext):
         factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
         return (
             ensure_finite(val * factor, "nome integral"),
-            max(est, _kernel_noise(val, ctx)) * factor,
+            max(est, noise_floor(val, ctx)) * factor,
             evals[0],
         )
 
@@ -377,7 +372,8 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
     (0, 1): the lower one by scaling, the upper one by t = split - log v.
     Since a_0 = 0 the integrand dies double-exponentially at t -> 0 and
     exponentially at t -> inf, so the result must not depend on the cut;
-    the registry moves it by a factor of two in both directions and checks.
+    the split-invariance gate in tests/test_acceptance.py moves it by a
+    factor of two in both directions and checks that.
 
     Returns (value, error_estimate, integrand_evaluations).
     """
@@ -416,7 +412,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         est = (scale * lo_est + up_est) / gv
         return (
             ensure_finite(value, "mellin transform"),
-            max(est, _kernel_noise(value, ctx)),
+            max(est, noise_floor(value, ctx)),
             evals[0],
         )
 

@@ -1,11 +1,10 @@
 """Extrapolators for slowly convergent sums.
 
-The outer tail of the iterated Kampe de Feriet sum in ``hyper`` decays as a
-power dressed by a logarithm, which :func:`extrapolate_powerlog` fits by
-least squares.  :func:`richardson_power` removes a pure power tail from
-doubling partial sums; ``hyper`` now sums such tails at z = 1 exactly
-through Hurwitz zeta, and the ladder stays only because the benchmark's
-tracer wraps it by name.  Each returns its value with an error estimate
+The iterated Kampe de Feriet sum in ``hyper`` leans on both.  Its outer tail
+decays as a power dressed by a logarithm, which :func:`extrapolate_powerlog`
+fits by least squares.  Each inner sum has a pure power tail, which
+:func:`richardson_power` removes from doubling partial sums, elementwise over
+a float64 array of them.  Each returns its value with an error estimate
 read off the extrapolation itself.
 """
 
@@ -14,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .context import (
     DomainError,
@@ -38,29 +38,35 @@ def richardson_power(
     samples are (N, S_N) with N doubling; the remainder is modeled as
     S - S_N = N^-e (c0 + c1/N + c2/N^2 + ...), e = first_exponent, which is
     exactly the shape of a convergent hypergeometric tail at the unit
-    argument.  Level j removes the N^-(e+j) term.  Returns (value, estimate)
-    where the estimate is the last diagonal movement.
+    argument.  Level j removes the N^-(e+j) term.  The ladder runs in the
+    arithmetic of the samples: mpf at ctx's working precision, or float64
+    arrays elementwise.  Returns (value, estimate) where the estimate is the
+    last diagonal movement.
     """
     if len(samples) < 2:
         raise DomainError("need at least two partial sums")
     for (n0, _), (n1, _) in zip(samples, samples[1:]):
         if n1 != 2 * n0:
             raise DomainError("partial sums must be at doubling indices")
+    arrays = isinstance(samples[0][1], np.ndarray)
+    num = float if arrays else mp.mpf
     with ctx.working():
-        e = mp.mpf(first_exponent)
-        rows = [mp.mpf(s) for _, s in samples]
+        e, two = num(first_exponent), num(2)
+        rows = [s if arrays else num(s) for _, s in samples]
         prev_diag = rows[-1]
         diag_move = mp.inf
         level = 0
         while len(rows) > 1:
-            w = mp.mpf(2) ** (e + level)
+            w = two ** (e + level)
             rows = [
                 (w * rows[i + 1] - rows[i]) / (w - 1) for i in range(len(rows) - 1)
             ]
             diag_move = abs(rows[-1] - prev_diag)
             prev_diag = rows[-1]
             level += 1
-        return ensure_finite(rows[0], "richardson"), diag_move
+        if not (np.isfinite(rows[0]).all() if arrays else mp.isfinite(rows[0])):
+            raise NumericsError(f"richardson is not finite: {rows[0]}")
+        return rows[0], diag_move
 
 
 class ExtrapolationResult(NamedTuple):

@@ -10,6 +10,7 @@ and zeta through the eta function.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import mpmath as mp
 
@@ -20,6 +21,7 @@ __all__ = [
     "gamma",
     "beta",
     "zeta",
+    "eta",
     "cvz_terms",
     "alternating_sum",
 ]
@@ -71,13 +73,15 @@ def cvz_terms(ctx: PrecisionContext) -> int:
         return int(ctx.workdigits * mp.log(10) / _CVZ_RATE) + 5
 
 
-def alternating_sum(term, ctx: PrecisionContext):
-    """Accelerated sum of (-1)^k term(k), k >= 0, for positive decreasing term.
+def alternating_sum(terms, ctx: PrecisionContext):
+    """Accelerated sum of (-1)^k t_k, k >= 0, for positive decreasing t_k.
 
-    Chebyshev-polynomial acceleration: with n ~ digits/log10(3+sqrt 8) terms
-    the error is ~(3+sqrt 8)^-n.  The scheme assumes term(k) is a totally
-    monotone sequence, true for every (ak+b)^-s series used here; callers with
-    doubts should cross-check a value before relying on it.
+    terms is an endless iterable of t_0, t_1, ...; the first n are drawn in
+    order, at ctx's working digits plus 5.  Chebyshev-polynomial
+    acceleration: with n ~ digits/log10(3+sqrt 8) terms the error is
+    ~(3+sqrt 8)^-n.  The scheme assumes the t_k form a totally monotone
+    sequence, true for every (ak+b)^-s series used here; callers with doubts
+    should cross-check a value before relying on it.
     """
     n = cvz_terms(ctx)
     with mp.workdps(ctx.workdigits + 5):
@@ -86,11 +90,16 @@ def alternating_sum(term, ctx: PrecisionContext):
         b = mp.mpf(-1)
         c = -d
         s = mp.mpf(0)
-        for k in range(n):
+        for k, t in zip(range(n), terms):
             c = b - c
-            s += c * term(k)
+            s += c * t
             b = (k + n) * (k - n) * b / ((k + mp.mpf(1) / 2) * (k + 1))
         return ensure_finite(s / d, "alternating_sum")
+
+
+def eta(s, ctx: PrecisionContext):
+    """Dirichlet eta(s) = sum_{k>=0} (-1)^k (k+1)^-s for an mpf s > 0."""
+    return alternating_sum((mp.mpf(k) ** (-s) for k in count(1)), ctx)
 
 
 def zeta(s, ctx: PrecisionContext):
@@ -103,5 +112,4 @@ def zeta(s, ctx: PrecisionContext):
         sv = as_real(s)
         if not sv > 1:
             raise DomainError("zeta implemented for s > 1 only")
-        eta = alternating_sum(lambda k: mp.mpf(k + 1) ** (-sv), ctx)
-        return ensure_finite(eta / (1 - mp.mpf(2) ** (1 - sv)), "zeta")
+        return ensure_finite(eta(sv, ctx) / (1 - mp.mpf(2) ** (1 - sv)), "zeta")

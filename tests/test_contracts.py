@@ -1,11 +1,14 @@
 """Names that other code reaches by string: the benchmark tracer's spans and
 each module's ``__all__``.  A deletion that leaves either one stale fails
 here rather than in a traced benchmark pass.  Every theta evaluator the
-routes call must be one the tracer times, and the module caches the tracer
-reads by name must stay bounded in a process that sweeps precisions."""
+routes call must be one the tracer times, the module caches the tracer
+reads by name must stay bounded in a process that sweeps precisions, and
+the scripts must still import what they name."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +79,18 @@ def test_module_caches_stay_bounded_across_precisions():
         assert mp.mp.prec not in node_precisions
     info = lvalues._l_value_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_scripts_start(tmp_path):
+    # the scripts import the package by name; a refactor that breaks one of
+    # those imports fails here instead of at the next manual run
+    repo = PERFBENCH.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    for script in ("lvalue_table.py", "convergence_scan.py"):
+        done = subprocess.run(
+            [sys.executable, str(repo / "scripts" / script), "--help"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+        )
+        assert done.returncode == 0, (script, done.stderr)

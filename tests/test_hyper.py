@@ -1,6 +1,7 @@
 """Single-series hypergeometrics: summation routes, kernels, classification."""
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees
-from thetal.context import BudgetError, DomainError, PrecisionContext
+from thetal.context import BudgetError, DomainError, PrecisionContext, as_real
 from thetal.hyper import (
     PFQSpec,
     euler_2f1,
@@ -16,6 +17,7 @@ from thetal.hyper import (
     pfq_converges,
     pfq_excess,
     _agm_ambient,
+    _pfq_terms,
     pfq_term,
     series_kernel,
 )
@@ -205,21 +207,17 @@ class TestPfqBoundary:
 )
 @settings(max_examples=25, deadline=None)
 def test_term_recurrence_matches_pochhammer_quotient(n, num, den):
-    """t_{n+1}/t_n must equal the running ratio the summers multiply by."""
+    """The term stream every summer draws from must match the Pochhammer
+    reference term by term, inside the disk and at both boundary points."""
     a = Fraction(num, den)
     spec = PFQSpec(upper=(a, 1), lower=(a + 2,))
     ctx = PrecisionContext(digits=20)
-    z = Fraction(1, 3)
-    with ctx.working():
-        t0 = pfq_term(spec, n, z, ctx)
-        t1 = pfq_term(spec, n + 1, z, ctx)
-        ratio = mp.mpf(1)
-        for u in spec.upper:
-            ratio *= mp.mpf(u.numerator) / u.denominator + n
-        for l in spec.lower:
-            ratio /= mp.mpf(l.numerator) / l.denominator + n
-        ratio *= mp.mpf(z.numerator) / z.denominator / (n + 1)
-        assert abs(t1 - t0 * ratio) <= abs(t0) * mp.mpf(10) ** -25
+    for z in (Fraction(1, 3), 1, -1):
+        with ctx.working():
+            stream = _pfq_terms(spec, as_real(z))
+            for k, t in enumerate(islice(stream, n + 1)):
+                ref = pfq_term(spec, k, z, ctx)
+                assert abs(t - ref) <= abs(ref) * mp.mpf(10) ** -25
 
 
 class TestEuler2F1:

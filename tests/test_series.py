@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath as mp
+import numpy as np
 
-from thetal.context import DomainError, PrecisionContext
+from thetal.context import DomainError, NumericsError, PrecisionContext
 from thetal.series import extrapolate_powerlog, richardson_power
 
 from conftest import agrees
@@ -41,6 +42,34 @@ def test_richardson_power_ladder(ctx30):
         assert agrees(val, mp.zeta(1.5), 20)
     with pytest.raises(DomainError):
         richardson_power([(64, mp.mpf(1)), (100, mp.mpf(1))], 0.5, ctx30)
+
+
+def test_richardson_power_float64_arrays_match_mpf(ctx30):
+    # the ladder of the iterated inner sums: float64 arrays, elementwise
+    limits = np.array([1.0, -2.5, 0.125])
+    slopes = np.array([3.0, 0.5, -1.0])
+    samples = [
+        (N, limits + N**-1.5 * (1.0 + slopes / N)) for N in (32 * 2**j for j in range(6))
+    ]
+    val, est = richardson_power(samples, 1.5, ctx30)
+    assert val.dtype == np.float64 and val.shape == limits.shape
+    for i in range(len(limits)):
+        column = [(N, float(s[i])) for N, s in samples]
+        ref, ref_est = richardson_power(column, 1.5, ctx30)
+        assert abs(val[i] - float(ref)) <= 1e-14 * abs(float(ref))
+        assert abs(est[i] - float(ref_est)) <= 1e-14
+        assert abs(val[i] - limits[i]) <= 1e-14
+
+
+def test_richardson_power_rejects_nan_in_either_arithmetic(ctx30):
+    arrays = [(N, np.array([1.0, 2.0])) for N in (64, 128, 256)]
+    arrays[1] = (128, np.array([1.0, np.nan]))
+    with pytest.raises(NumericsError):
+        richardson_power(arrays, 0.5, ctx30)
+    scalars = [(N, mp.mpf(1)) for N in (64, 128, 256)]
+    scalars[1] = (128, mp.nan)
+    with pytest.raises(NumericsError):
+        richardson_power(scalars, 0.5, ctx30)
 
 
 def test_extrapolate_exact_model(ctx30):

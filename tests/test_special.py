@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ def test_beta_halves(ctx30):
 
 def test_alternating_sum_catalan(ctx30):
     # beta(2) = Catalan, an alternating series with terms (2k+1)^-2
-    val = alternating_sum(lambda k: mp.mpf(2 * k + 1) ** -2, ctx30)
+    val = alternating_sum((mp.mpf(2 * k + 1) ** -2 for k in count()), ctx30)
     with ctx30.working():
         assert agrees(val, mp.catalan, 29)
 
