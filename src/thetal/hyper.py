@@ -576,7 +576,7 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
             right_log=x_unit or y_unit,
         )
         norm = beta_fn(a1, c1 - a1, ctx)
-        value = ensure_finite(val / norm, "kdf integral")
+        value = val / norm
         return value, max(est / norm, noise_floor(value, ctx))
 
 
@@ -639,7 +639,7 @@ def _inner_block(spec: KdFSpec, yf: float, m_lo: int, m_hi: int, m2: float, ctx)
     return richardson_power(checkpoints, m2, ctx)[0]
 
 
-def _kdf_iterated(spec: KdFSpec, x, y, ctx: PrecisionContext):
+def _kdf_iterated(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     """Iterated summation: exact inner series per outer index, vectorized in
     float64, outer tail removed by power-log extrapolation on margin m1.
 
@@ -647,10 +647,6 @@ def _kdf_iterated(spec: KdFSpec, x, y, ctx: PrecisionContext):
     digits, which is what the cross-checks ask of it.
     """
     _require_coupled_pair(spec)
-    report = kdf_converges(spec)
-    m1 = float(report.margins[0])
-    m2 = float(report.margins[1])
-    xf, yf = float(Fraction(x)), float(Fraction(y))
     m_top = 1024
     inner = np.empty(m_top, dtype=np.float64)
     lo = 0
@@ -670,25 +666,17 @@ def _kdf_iterated(spec: KdFSpec, x, y, ctx: PrecisionContext):
         # inner float noise, floored at 2e-11 relative
         tail = abs(contrib[-1]) * xf / (1.0 - xf)
         noise = 2e-11 * abs(float(prefix[-1])) + 1e-15
-        with ctx.working():
-            return mp.mpf(float(prefix[-1])), mp.mpf(float(tail + noise))
+        return float(prefix[-1]), float(tail + noise)
     # half-doubling checkpoints; corrections step down by integer powers
     # because the inner sums are taken to convergence first
     anchors = (64, 96, 128, 192, 256, 384, 512, 768, 1024)
     samples = [(M, prefix[M - 1]) for M in anchors]
     fit_ctx = ctx if ctx.digits >= 25 else ctx.with_digits(25)
-    res = extrapolate_powerlog(
-        [(M, mp.mpf(float(S))) for M, S in samples],
-        m1,
-        log_power=1,
-        ctx=fit_ctx,
-    )
-    with ctx.working():
-        noise = abs(res.value) * mp.mpf("5e-12")
-        return ensure_finite(res.value, "kdf iterated"), res.error_estimate + noise
+    res = extrapolate_powerlog([(M, mp.mpf(float(S))) for M, S in samples], m1, fit_ctx)
+    return res.value, res.error_estimate + abs(res.value) * mp.mpf("5e-12")
 
 
-def _kdf_double(spec: KdFSpec, x, y, ctx: PrecisionContext):
+def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     """Truncated M x M square with a comparison-series tail bound.
 
     The bound integrates the power decay of the last row and column (margin
@@ -697,65 +685,43 @@ def _kdf_double(spec: KdFSpec, x, y, ctx: PrecisionContext):
     constants.  Deliberately precision-limited; honesty of the bound is what
     the tests check.
     """
-    report = kdf_converges(spec)
-    m1 = float(report.margins[0])
-    m2 = float(report.margins[1])
-    xf, yf = float(Fraction(x)), float(Fraction(y))
-    if (xf == 1 or yf == 1) and not report.convergent_at_unit:
-        raise DomainError("double series diverges on the boundary")
     M = min(2000, max(64, int(ctx.max_terms**0.5)))
-    a = _float_params(spec.a)
-    c = _float_params(spec.c)
-    b = _float_params(spec.b)
-    d = _float_params(spec.d)
-    bp = _float_params(spec.bp)
-    dp = _float_params(spec.dp)
-    ns = np.arange(M - 1, dtype=np.float64)
-    inner_ratio_base = np.ones(M - 1)
-    for v in bp:
-        inner_ratio_base *= v + ns
-    for v in dp:
-        inner_ratio_base /= v + ns
-    inner_ratio_base *= yf / (ns + 1.0)
+    a, c = _float_params(spec.a), _float_params(spec.c)
+    b, d = _float_params(spec.b), _float_params(spec.d)
+    bp, dp = _float_params(spec.bp), _float_params(spec.dp)
+    ks = np.arange(2 * M - 2, dtype=np.float64)
+    # prod(a+k)/prod(c+k): row m's coupled factor is the slice from k = m
+    coupled = np.prod(a[:, None] + ks, axis=0) / np.prod(c[:, None] + ks, axis=0)
+    ns = ks[: M - 1]
+    inner = _float_ratios(np.ones(M - 1), bp, dp, ns, yf)  # the factor free of m
+    weights = np.ones(M)
+    weights[1:] = np.cumprod(_float_ratios(coupled[: M - 1].copy(), b, d, ns, xf))
     total = 0.0
-    w_m = 1.0
     last_col = np.empty(M)
-    row_sum = 0.0
+    terms = np.empty(M)
     for m in range(M):
-        ratios = inner_ratio_base.copy()
-        num = den = 1.0
-        for v in a:
-            ratios *= v + m + ns
-            num *= v + m
-        for v in c:
-            ratios /= v + m + ns
-            den *= v + m
-        terms = np.empty(M)
-        terms[0] = w_m
-        terms[1:] = w_m * np.cumprod(ratios)
+        terms[0] = weights[m]
+        terms[1:] = weights[m] * np.cumprod(coupled[m : m + M - 1] * inner)
         row_sum = float(terms.sum())
         total += row_sum
         last_col[m] = abs(terms[-1])
-        outer_ratio = xf * num / den / (m + 1.0)
-        for v in b:
-            outer_ratio *= v + m
-        for v in d:
-            outer_ratio /= v + m
-        w_m *= outer_ratio
     col_tail_factor = M / m2 if yf == 1 else yf / (1.0 - yf)
     row_tail_factor = M / m1 if xf == 1 else xf / (1.0 - xf)
     col_tail = float(last_col.sum()) * col_tail_factor
     last_row_full = abs(row_sum) + last_col[-1] * col_tail_factor
     row_tail = last_row_full * row_tail_factor
     # the 1e-12 floor covers float64 roundoff across the M^2 accumulation
-    bound = 3.0 * (col_tail + row_tail) + abs(total) * 1e-12
-    with ctx.working():
-        return mp.mpf(total), mp.mpf(bound)
+    return total, 3.0 * (col_tail + row_tail) + abs(total) * 1e-12
 
 
 def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
     """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy.
 
+    The margins (m1, m2, m3) of :func:`kdf_converges` decide the domain here
+    and nowhere else: x = 1 needs m1 > 0, y = 1 needs m2 > 0, and the corner
+    (1, 1) needs m3 > 0 as well; anything else raises DomainError.  Every
+    strategy's value and error estimate must be finite, so a float64 sum that
+    overflows (a series divergent inside the square) raises NumericsError.
     Returns a :class:`KdFResult` with the value and its error estimate.
     """
     if strategy not in KDF_STRATEGIES:
@@ -763,9 +729,11 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     xq, yq = _coerce_params((x, y))
     if not (0 <= xq <= 1 and 0 <= yq <= 1):
         raise DomainError("kdf arguments must lie in [0, 1]")
-    report = kdf_converges(spec)
-    if xq == 1 and yq == 1 and not report.convergent_at_unit:
-        raise DomainError("double series diverges at (1, 1)")
+    m1, m2, m3 = kdf_converges(spec).margins
+    if (xq == 1 and m1 <= 0) or (yq == 1 and m2 <= 0) or (xq == yq == 1 and m3 <= 0):
+        raise DomainError(
+            f"double series diverges at ({xq}, {yq}): margins {m1}, {m2}, {m3}"
+        )
     with ctx.working():
         if xq == 0 and yq == 0:
             return KdFResult(mp.mpf(1), mp.mpf(0), strategy)
@@ -775,11 +743,15 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
         if xq == 0:
             val = pfq(_merged_pfq(spec, "y"), yq, ctx)
             return KdFResult(val, abs(val) * ctx.worktol(), strategy)
-    if strategy == "integral_reduction":
-        val, est = _kdf_integral(spec, xq, yq, ctx)
-    elif strategy == "iterated":
-        val, est = _kdf_iterated(spec, xq, yq, ctx)
-    else:
-        val, est = _kdf_double(spec, xq, yq, ctx)
-    return KdFResult(val, est, strategy)
-
+        if strategy == "integral_reduction":
+            val, est = _kdf_integral(spec, xq, yq, ctx)
+        else:
+            run = _kdf_iterated if strategy == "iterated" else _kdf_double
+            # overflow surfaces below as a non-finite value, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                val, est = run(spec, float(xq), float(yq), float(m1), float(m2), ctx)
+        val, est = (mp.mpf(v) if isinstance(v, float) else v for v in (val, est))
+        what = f"kdf {strategy}"
+        return KdFResult(
+            ensure_finite(val, what), ensure_finite(est, f"{what} estimate"), strategy
+        )

@@ -74,14 +74,12 @@ class ExtrapolationResult(NamedTuple):
     error_estimate: mp.mpf
 
 
-def _powerlog_fit(Ms, Ss, exponent, log_power, levels):
-    """Solve the linear model S(M) = S_inf - M^-e (a log^p M + b) + deeper."""
-    cols = []
-    cols.append([mp.mpf(1)] * len(Ms))
+def _powerlog_fit(Ms, Ss, exponent, levels):
+    """Solve the linear model S(M) = S_inf - M^-e (a log M + b) + deeper."""
+    cols = [[mp.mpf(1)] * len(Ms)]
     for j in range(levels):
         e = exponent + j
-        if log_power:
-            cols.append([M ** (-e) * mp.log(M) ** log_power for M in Ms])
+        cols.append([M ** (-e) * mp.log(M) for M in Ms])
         cols.append([M ** (-e) for M in Ms])
     # column scaling keeps the solve honest at margin 1/2 and M ~ 10^3
     scales = [max(abs(v) for v in col) for col in cols]
@@ -108,10 +106,9 @@ def _powerlog_fit(Ms, Ss, exponent, log_power, levels):
 def extrapolate_powerlog(
     samples: Sequence[tuple[int, object]],
     exponent,
-    log_power: int,
     ctx: PrecisionContext,
 ) -> ExtrapolationResult:
-    """Fit S(M) = S_inf - M^-exponent (a log^log_power M + b)(1 + o(1)).
+    """Fit S(M) = S_inf - M^-exponent (a log M + b)(1 + o(1)).
 
     samples are (M, S(M)) at geometrically spaced M, at least 4 of them.  The
     o(1) is resolved by deeper power-log pairs, their exponents climbing by 1,
@@ -125,11 +122,10 @@ def extrapolate_powerlog(
         Ms = [mp.mpf(M) for M, _ in samples]
         Ss = [mp.mpf(S) for _, S in samples]
         e = as_real(exponent)
-        per_level = 2 if log_power else 1
-        levels = max(1, (len(samples) - 2) // per_level)
-        value, residual = _powerlog_fit(Ms, Ss, e, log_power, levels)
+        levels = max(1, (len(samples) - 2) // 2)
+        value, residual = _powerlog_fit(Ms, Ss, e, levels)
         if levels > 1:
-            shallower, _ = _powerlog_fit(Ms, Ss, e, log_power, levels - 1)
+            shallower, _ = _powerlog_fit(Ms, Ss, e, levels - 1)
             movement = abs(value - shallower)
         else:
             movement = residual

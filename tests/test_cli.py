@@ -1,6 +1,7 @@
 """Command line surface: parsing, output formats, exit codes."""
 
 import json
+import warnings
 
 import mpmath as mp
 import pytest
@@ -93,6 +94,19 @@ class TestKdfCommand:
                            "--x", "1", "--y", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_overflow_is_one_error_line(self, capsys):
+        # 1/(1 - x - y) at x + y = 1: the float64 square overflows to nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "kdf", "--a", "1,1", "--c", "1",
+                                 "--b", "1", "--d", "1", "--bp", "1",
+                                 "--dp", "1", "--x", "1/2", "--y", "1/2",
+                                 "--strategy", "double_truncate")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 class TestLvalueCommand:

@@ -1,13 +1,14 @@
 """Double hypergeometric series: margins, the three strategies, honesty."""
 
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from conftest import agrees
-from thetal.context import DomainError, PrecisionContext
-from thetal.hyper import KdFSpec, PFQSpec, kdf_converges, kdf_full, pfq
+from thetal.context import DomainError, NumericsError, PrecisionContext
+from thetal.hyper import KDF_STRATEGIES, KdFSpec, PFQSpec, kdf_converges, kdf_full, pfq
 
 # the six parameter sets the weight-3/weight-4 reductions produce, with
 # values frozen from the integral route (thm11_1 independently = 3 pi log 2)
@@ -102,8 +103,9 @@ class TestSpecAndMargins:
         rep = kdf_converges(bad)
         assert rep.margins[0] == -1
         assert not rep.convergent_at_unit
-        with pytest.raises(DomainError):
-            kdf_full(bad, 1, 1, "double_truncate", PrecisionContext(digits=10))
+        for strategy in KDF_STRATEGIES:
+            with pytest.raises(DomainError):
+                kdf_full(bad, 1, 1, strategy, PrecisionContext(digits=10))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -221,3 +223,45 @@ class TestDomain:
         with ctx.working():
             want = brute_double_sum(wide, "1/3", "1/4", terms=200)
         assert abs(r.value - want) <= r.error_estimate + mp.mpf("1e-12")
+
+
+# margins (1/2, 0, 0): x = 1 converges, y = 1 does not
+EDGE = KdFSpec(a=(2,), c=("5/2",), b=(1, 1), d=(2,), bp=("1/2", "1/2"), dp=("1/2",))
+# thm11_1 with d = (1,): margins (-1/2, 1/2, -1/2), so x = 1 diverges
+X_DIVERGENT = KdFSpec(a=(2,), c=("5/2",), b=(1, 1), d=(1,), bp=("1/2", "1/2"), dp=(1,))
+
+
+class TestBoundaryRule:
+    """kdf_full alone decides the domain: x = 1 needs m1 > 0, y = 1 needs
+    m2 > 0, whatever the other argument, and every strategy obeys it."""
+
+    @pytest.mark.parametrize("strategy", KDF_STRATEGIES)
+    def test_each_edge_needs_its_margin(self, strategy):
+        ctx = PrecisionContext(digits=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                kdf_full(EDGE, "1/2", 1, strategy, ctx)
+            with pytest.raises(DomainError):
+                kdf_full(X_DIVERGENT, 1, "1/2", strategy, ctx)
+
+    def test_convergent_edge_with_a_zero_margin_elsewhere(self):
+        # m1 = 1/2 carries x = 1; m2 = 0 does not matter while y < 1
+        ctx = PrecisionContext(digits=20)
+        it = kdf_full(EDGE, 1, "1/2", "iterated", ctx)
+        dt = kdf_full(EDGE, 1, "1/2", "double_truncate", ctx)
+        assert abs(it.value - dt.value) <= it.error_estimate + dt.error_estimate
+
+    @pytest.mark.parametrize("spec", [
+        # sums to 1/(1 - x - y), divergent on x + y = 1
+        KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,)),
+        KdFSpec(a=(1, 1), c=(2,), b=(1, 1), d=(2,), bp=(1,), dp=(2,)),
+    ])
+    def test_overflow_inside_the_square_is_an_error(self, spec):
+        # more upper than lower coupled parameters: the margins say nothing
+        # about (1/2, 1/2), and the finiteness check catches the overflow
+        ctx = PrecisionContext(digits=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                kdf_full(spec, "1/2", "1/2", "double_truncate", ctx)
