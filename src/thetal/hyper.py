@@ -100,8 +100,11 @@ def pfq_excess(spec: PFQSpec) -> Fraction:
 
 
 def pfq_converges(spec: PFQSpec, z) -> str:
-    """'interior', 'boundary-convergent', or 'divergent' at real z."""
-    zf = Fraction(z) if isinstance(z, (int, str, Fraction)) else float(z)
+    """'interior', 'boundary-convergent', or 'divergent' at real z.
+
+    z is compared exactly: an mpf a hair below 1 is interior, not 1.
+    """
+    zf = Fraction(z) if isinstance(z, (int, str, Fraction)) else z
     if spec.terminating:
         return "interior"  # a polynomial, fine anywhere
     if abs(zf) < 1:
@@ -161,6 +164,8 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     # bound |t| q/(1-q) is safe; 4K/(1-|z|) over-covers the parameter drift
     ksum = float(sum(abs(u) for u in spec.upper) + sum(abs(l) for l in spec.lower) + 1)
     m_min = 10 + int(4 * ksum / float(1 - az)) if az < 1 else 10
+    if not spec.terminating and m_min > ctx.max_terms:
+        raise BudgetError(f"pFq interior tail bound needs at least {m_min} terms")
     q = (1 + az) / 2
     terms = _pfq_terms(spec, zv)
     s = next(terms)
@@ -220,16 +225,13 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     (Buhring, Proc. AMS 114, 1992); its last kept term is the estimate, and
     N doubles until that meets the goal or would pass max_terms.
     """
-    e = pfq_excess(spec)
-    if not e > 0:
-        raise DomainError("pFq at z = 1 needs positive excess")
     goal = mp.mpf(10) ** (-(ctx.digits + 2))
     scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
         mp.gamma(as_real(u)) for u in spec.upper
     )
     exact = _tail_coeffs(spec, int(0.9 * ctx.digits) + 10)
     coeffs = [scale * as_real(ck) for ck in exact]
-    power = 1 + as_real(e)
+    power = 1 + as_real(pfq_excess(spec))
     terms = _pfq_terms(spec, mp.mpf(1))
     s = mp.mpf(0)
     m = 0
@@ -251,8 +253,6 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
 
 
 def _pfq_alternating(spec: PFQSpec, ctx: PrecisionContext):
-    if not pfq_excess(spec) > -1:
-        raise DomainError("pFq at z = -1 needs excess above -1")
     if any(p <= 0 for p in spec.upper) or any(p <= 0 for p in spec.lower):
         raise DomainError("alternating acceleration needs positive parameters")
     # the z = 1 stream holds the magnitudes of the z = -1 terms
@@ -262,7 +262,9 @@ def _pfq_alternating(spec: PFQSpec, ctx: PrecisionContext):
 def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
     """p+1Fp(upper; lower; z) on [-1, 1], boundary points accelerated.
 
-    Interior arguments use plain summation with a geometric tail bound;
+    :func:`pfq_converges` decides the domain here and nowhere else: a
+    boundary point the excess does not carry raises DomainError.  Interior
+    arguments use plain summation with a geometric tail bound;
     z = 1 sums digits + 20 terms and adds the excess-driven power tail
     through its exact expansion in Hurwitz zeta values; z = -1 uses the
     alternating-series accelerator.
@@ -273,7 +275,10 @@ def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
             raise DomainError("pFq argument must lie in [-1, 1]")
         if zv == 0:
             return mp.mpf(1)
-        if spec.terminating or abs(zv) < 1:
+        kind = pfq_converges(spec, zv)
+        if kind == "divergent":
+            raise DomainError(f"pFq diverges at z = {zv}: excess {pfq_excess(spec)}")
+        if kind == "interior":
             return ensure_finite(_pfq_interior(spec, zv, ctx), "pFq")
         if zv == 1:
             return ensure_finite(_pfq_unit(spec, ctx), "pFq")
@@ -535,9 +540,7 @@ def _merged_pfq(spec: KdFSpec, which: str) -> PFQSpec:
         upper, lower = spec.a + spec.b, spec.c + spec.d
     else:
         upper, lower = spec.a + spec.bp, spec.c + spec.dp
-    if len(upper) != len(lower) + 1:
-        raise DomainError("degenerate reduction needs one more upper parameter")
-    return PFQSpec(upper=upper, lower=lower)
+    return PFQSpec(upper=upper, lower=lower)  # which checks the counts
 
 
 def _require_coupled_pair(spec: KdFSpec):
@@ -700,8 +703,11 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     last_col = np.empty(M)
     terms = np.empty(M)
     for m in range(M):
+        # the weight leads the running product, so a weight that underflowed
+        # to 0 zeroes its row instead of meeting an overflowed ratio product
         terms[0] = weights[m]
-        terms[1:] = weights[m] * np.cumprod(coupled[m : m + M - 1] * inner)
+        terms[1:] = coupled[m : m + M - 1] * inner
+        np.cumprod(terms, out=terms)
         row_sum = float(terms.sum())
         total += row_sum
         last_col[m] = abs(terms[-1])
@@ -717,11 +723,14 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
 def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
     """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy.
 
-    The margins (m1, m2, m3) of :func:`kdf_converges` decide the domain here
-    and nowhere else: x = 1 needs m1 > 0, y = 1 needs m2 > 0, and the corner
-    (1, 1) needs m3 > 0 as well; anything else raises DomainError.  Every
-    strategy's value and error estimate must be finite, so a float64 sum that
-    overflows (a series divergent inside the square) raises NumericsError.
+    The domain is decided here and nowhere else.  On the boundary the
+    margins (m1, m2, m3) of :func:`kdf_converges` rule: x = 1 needs m1 > 0,
+    y = 1 needs m2 > 0, and the corner (1, 1) needs m3 > 0 as well.  Off the
+    axes Horn's rule on the parameter counts does: e1 = #a + #b - #c - #d - 1
+    and its primed twin e2 must not pass 0, and when both are 0 and
+    k = #a - #c > 0, x^(1/k) + y^(1/k) < 1.  Anything else raises DomainError.
+    Every strategy's value and error estimate must be finite, so a float64
+    sum that overflows raises NumericsError.
     Returns a :class:`KdFResult` with the value and its error estimate.
     """
     if strategy not in KDF_STRATEGIES:
@@ -730,9 +739,17 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     if not (0 <= xq <= 1 and 0 <= yq <= 1):
         raise DomainError("kdf arguments must lie in [0, 1]")
     m1, m2, m3 = kdf_converges(spec).margins
-    if (xq == 1 and m1 <= 0) or (yq == 1 and m2 <= 0) or (xq == yq == 1 and m3 <= 0):
+    k = len(spec.a) - len(spec.c)
+    e1 = k + len(spec.b) - len(spec.d) - 1
+    e2 = k + len(spec.bp) - len(spec.dp) - 1
+    horn = max(e1, e2) > 0 or (
+        k > 0 and e1 == e2 == 0 and xq ** Fraction(1, k) + yq ** Fraction(1, k) >= 1
+    )
+    edge = (xq == 1 and m1 <= 0) or (yq == 1 and m2 <= 0) or xq == yq == 1 and m3 <= 0
+    if edge or (xq and yq and horn):
         raise DomainError(
-            f"double series diverges at ({xq}, {yq}): margins {m1}, {m2}, {m3}"
+            f"double series diverges at ({xq}, {yq}): margins {m1}, {m2}, {m3}; "
+            f"count excesses {e1}, {e2}, {k}"
         )
     with ctx.working():
         if xq == 0 and yq == 0:

@@ -25,17 +25,16 @@ from typing import Callable, NamedTuple, Optional
 import mpmath as mp
 
 from .context import MIN_DIGITS, DomainError, PrecisionContext, as_real
-from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, kdf_full, pfq
+from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
     KDF_SPECS,
     LF4_ALT,
     SAMART_5F4,
-    alpha_integral,
     kdf_theorem_rhs,
+    kdf_weighted_sum,
     l_value,
     lf4_triple,
-    q_integral,
 )
 from .theta import (
     alpha_pair,
@@ -288,33 +287,26 @@ def _ev_theorem(rhs_id):
     return ev
 
 
-def _ev_cor1(config, ctx):
-    r = kdf_full(KDF_SPECS["thm11_1"], 1, 1, config.kdf_strategy, ctx)
-    with ctx.working():
-        rhs = 3 * mp.pi * mp.log(2)
-    return EvalOutcome(
-        (("F(1,1)", r.value, rhs),), _promised_digits(r.value, r.error_estimate)
-    )
+# each corollary scales its theorem's weighted double series and replaces
+# the L-value by a closed form: label, then (scale, closed form) at ctx
+_COROLLARY = {
+    "thm11_1": ("F(1,1)", lambda ctx: (1, 3 * mp.pi * mp.log(2))),
+    "thm11_2": ("8 F(1,1)", lambda ctx: (8, 48 * mp.log(2) - pfq(SAMART_5F4, 1, ctx))),
+    "thm12_1": ("pi/24 weighted", lambda ctx: (mp.pi / 24, pfq(LF4_ALT, -1, ctx))),
+}
 
 
-def _ev_cor2(config, ctx):
-    r = kdf_full(KDF_SPECS["thm11_2"], 1, 1, config.kdf_strategy, ctx)
-    with ctx.working():
-        lhs = 8 * r.value
-        rhs = 48 * mp.log(2) - pfq(SAMART_5F4, 1, ctx)
-    return EvalOutcome(
-        (("8 F(1,1)", lhs, rhs),), _promised_digits(lhs, 8 * r.error_estimate)
-    )
+def _ev_corollary(rhs_id):
+    label, sides = _COROLLARY[rhs_id]
 
+    def ev(config, ctx):
+        acc, err = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
+        with ctx.working():
+            scale, closed = sides(ctx)
+            lhs = scale * acc
+        return EvalOutcome(((label, lhs, closed),), _promised_digits(lhs, scale * err))
 
-def _ev_cor3(config, ctx):
-    ra = kdf_full(KDF_SPECS["thm12_1a"], 1, 1, config.kdf_strategy, ctx)
-    rb = kdf_full(KDF_SPECS["thm12_1b"], 1, 1, config.kdf_strategy, ctx)
-    with ctx.working():
-        lhs = mp.pi / 24 * (3 * ra.value + rb.value)
-        err = mp.pi / 24 * (3 * ra.error_estimate + rb.error_estimate)
-        rhs = pfq(LF4_ALT, -1, ctx)
-    return EvalOutcome((("pi/24 weighted", lhs, rhs),), _promised_digits(lhs, err))
+    return ev
 
 
 def _ev_factorization(config, ctx):
@@ -337,19 +329,20 @@ def _ev_lf4_triple(config, ctx):
 
 
 _Q_PAIR = {
-    "prop21_1": ("q:prop21_1", lambda ctx: l_value("f", 3, "factorized", ctx).value),
-    "prop21_2": ("q:prop21_2", lambda ctx: alpha_integral("thm11_2", ctx)[0]),
-    "prop31_1": ("q:prop31_1", lambda ctx: l_value("f", 4, "factorized", ctx).value),
-    "prop31_2": ("q:prop31_2", lambda ctx: alpha_integral("thm12_2", ctx)[0]),
+    "prop21_1": ("f", 3, "factorized"),
+    "prop21_2": ("g", 3, "alpha_integral"),
+    "prop31_1": ("f", 4, "factorized"),
+    "prop31_2": ("g", 4, "alpha_integral"),
 }
 
 
 def _ev_q_route(q_id):
-    label, ref_fn = _Q_PAIR[q_id]
+    form, n, method = _Q_PAIR[q_id]
 
     def ev(config, ctx):
-        v = q_integral(q_id, ctx)[0]
-        return EvalOutcome(((label, v, ref_fn(ctx)),))
+        v = l_value(form, n, "q_integral", ctx).value
+        ref = l_value(form, n, method, ctx).value
+        return EvalOutcome(((f"q:{q_id}", v, ref),))
 
     return ev
 
@@ -520,14 +513,15 @@ _REGISTRY_ENTRIES = (
              _ev_theorem("thm12_2")),
     Identity("I21", "cor-1", "value",
              "first reduction corollary: the double series collapses to 3 pi log 2",
-             "KdF at (1,1)", "3 pi log 2", _ev_cor1),
+             "KdF at (1,1)", "3 pi log 2", _ev_corollary("thm11_1")),
     Identity("I22", "cor-2", "value",
              "second reduction corollary against the quadruple-2 5F4",
              "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)",
-             _ev_cor2),
+             _ev_corollary("thm11_2")),
     Identity("I23", "cor-3", "value",
              "third reduction corollary against the alternating 5F4",
-             "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)", _ev_cor3),
+             "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)",
+             _ev_corollary("thm12_1")),
     Identity("I24", "factorization", "value",
              "Dirichlet factorization of L(f,s) against the Mellin route, s in {3,4}",
              "l_psi(s-2) * l_chi4(s)", "Mellin transform of f", _ev_factorization),

@@ -43,6 +43,7 @@ __all__ = [
     "l_chi4",
     "l_psi",
     "lf4_triple",
+    "kdf_weighted_sum",
     "kdf_theorem_rhs",
     "alpha_integral",
     "q_integral",
@@ -173,14 +174,18 @@ _KDF_RHS = {
 KDF_RHS_IDS = tuple(_KDF_RHS)
 
 
-def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction"):
-    """The double-series side of one L-value reduction, as (value, error).
+def _pi_factor(power: int, pref: Fraction):
+    # pi^power times an exact rational, at the working precision in force
+    return mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
 
-    The s = 4 sides are weighted pairs of boundary values; the weights and
-    the pi-power prefactor are kept exact and applied once at the end.
-    """
+
+@lru_cache(maxsize=32)  # a registry pass at one precision fills four
+def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
+    """(sum of w F(1, 1), sum of w error) over one reduction's weighted specs:
+    its theorem's side before the pi-power prefactor, and its corollary's
+    before that one's scale, so the two share one evaluation."""
     try:
-        power, pref, pieces = _KDF_RHS[rhs_id]
+        pieces = _KDF_RHS[rhs_id][2]
     except KeyError:
         raise DomainError(f"unknown double-series id {rhs_id!r}") from None
     with ctx.working():
@@ -190,7 +195,19 @@ def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduc
             res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
             acc += weight * res.value
             err += weight * res.error_estimate
-        factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
+        return acc, err
+
+
+def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction"):
+    """The double-series side of one L-value reduction, as (value, error).
+
+    The s = 4 sides are weighted pairs of boundary values; the weights and
+    the pi-power prefactor are kept exact and applied once at the end.
+    """
+    acc, err = kdf_weighted_sum(rhs_id, strategy, ctx)
+    power, pref, _ = _KDF_RHS[rhs_id]
+    with ctx.working():
+        factor = _pi_factor(power, pref)
         return ensure_finite(acc * factor, "kdf rhs"), err * factor
 
 
@@ -250,7 +267,7 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
         counted, ctx, left_exponent=left, right_exponent=right, right_log=True
     )
     with ctx.working():
-        factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
+        factor = _pi_factor(power, pref)
         return (
             ensure_finite(val * factor, "alpha integral"),
             max(est, noise_floor(val, ctx)) * factor,
@@ -343,7 +360,7 @@ def q_integral(q_id: str, ctx: PrecisionContext):
 
     val, est = integrate01(integrand, ctx, left_exponent=left, right_exponent=1.0)
     with ctx.working():
-        factor = mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
+        factor = _pi_factor(power, pref)
         return (
             ensure_finite(val * factor, "nome integral"),
             max(est, noise_floor(val, ctx)) * factor,

@@ -306,7 +306,8 @@ def lambert_series(name: str, q, ctx: PrecisionContext):
     """One of the reorganized Lambert sums, summed with geometric control.
 
     Cost grows like digits / -log(q) as q -> 1; the identity grid and the
-    Mellin integrands stay well inside that.
+    nome integrals, which switch to theta closed forms above q = 0.3, stay
+    well inside that.
     """
     if name not in LAMBERT_IDS:
         raise DomainError(f"unknown Lambert series id {name!r}")

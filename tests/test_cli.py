@@ -72,6 +72,13 @@ class TestPfqCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_tail_guard_past_budget_is_exit_2(self, capsys):
+        # 1 - z = 1e-25: the guard alone would need ~1e26 terms
+        code, _, err = run(capsys, "pfq", "--upper", "1,1,1", "--lower",
+                           "3/2,3/2", "--z", "0.9999999999999999999999999")
+        assert code == 2
+        assert "needs at least" in err
+
 
 class TestKdfCommand:
     def test_spec_example_hits_3_pi_log2(self, capsys):
@@ -96,7 +103,7 @@ class TestKdfCommand:
         assert "error:" in err
 
     def test_overflow_is_one_error_line(self, capsys):
-        # 1/(1 - x - y) at x + y = 1: the float64 square overflows to nan
+        # 1/(1 - x - y) at x + y = 1, outside its domain: one error line
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "kdf", "--a", "1,1", "--c", "1",

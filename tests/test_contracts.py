@@ -3,7 +3,8 @@ each module's ``__all__``.  A deletion that leaves either one stale fails
 here rather than in a traced benchmark pass.  Every theta evaluator the
 routes call must be one the tracer times, the module caches the tracer
 reads by name must stay bounded in a process that sweeps precisions, and
-the scripts must still import what they name."""
+the scripts must still import what they name.  The registry reaches the
+double series and the integral routes only through ``lvalues``."""
 
 import importlib
 import os
@@ -79,6 +80,21 @@ def test_module_caches_stay_bounded_across_precisions():
         assert mp.mp.prec not in node_precisions
     info = lvalues._l_value_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the weighted double-series memo: one more context than it holds, each
+    # a cheap 64 x 64 truncated square
+    weighted = lvalues.kdf_weighted_sum
+    for extra in range(weighted.cache_info().maxsize + 1):
+        ctx = PrecisionContext(digits=15, max_terms=4096 + extra)
+        weighted("thm11_1", "double_truncate", ctx)
+    info = weighted.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_registry_reads_l_values_through_lvalues():
+    # every L-value the registry compares comes through l_value or the
+    # shared weighted sum; a direct route call would bypass both memos
+    for name in ("kdf_full", "alpha_integral", "q_integral"):
+        assert not hasattr(identities, name), name
 
 
 def test_scripts_start(tmp_path):

@@ -74,6 +74,11 @@ class TestExcessAndClassification:
         assert pfq_converges(s, "1/3") == "interior"
         assert pfq_converges(s, -0.99) == "interior"
         assert pfq_converges(s, "3/2") == "divergent"
+        # compared exactly: a float would round this mpf to 1
+        k3 = PFQSpec(upper=("1/2", "1/2"), lower=(1,))
+        with mp.workdps(40):
+            assert pfq_converges(k3, 1 - mp.mpf(10) ** -30) == "interior"
+            assert pfq_converges(k3, mp.mpf(1)) == "divergent"
 
     def test_terminating_is_polynomial_anywhere(self):
         s = PFQSpec(upper=(-3, 1), lower=(2,))
@@ -122,6 +127,15 @@ class TestPfqInterior:
             with ctx.working():
                 want = sum(pfq_term(spec, n, z, ctx) for n in range(degree + 1))
             assert agrees(got, want, 25), (upper, lower, z)
+
+    def test_tail_guard_past_budget_raises_before_summing(self):
+        # the guard wants 10 + 4 * 7 / 0.001 terms; the budget allows 1000
+        ctx = PrecisionContext(digits=20, max_terms=1000)
+        spec = PFQSpec(upper=(1, 1, 1), lower=("3/2", "3/2"))
+        with pytest.raises(BudgetError) as info:
+            pfq(spec, "0.999", ctx)
+        assert "needs at least 280" in str(info.value)
+        assert info.value.best is None  # nothing was summed
 
     def test_argument_domain(self, ctx):
         spec = PFQSpec(upper=(1, 1), lower=(2,))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
-from thetal import identities
+from thetal import identities, lvalues
 from thetal.context import DomainError
 from thetal.identities import (
     DEFAULT_GRID,
@@ -128,6 +128,39 @@ class TestValueIdentities:
         assert r.status == "pass"
         assert r.target == 5
         assert r.digits_agreed >= 5
+
+
+THEOREMS = ("I17", "I18", "I19", "I20")
+COROLLARIES = ("I21", "I22", "I23")
+
+
+class TestSharedDoubleSeries:
+    """A corollary is its theorem's weighted double series under another
+    scale, so the registry evaluates each of the six specs once."""
+
+    def test_corollaries_same_cold_and_after_theorems(self, config):
+        lvalues.kdf_weighted_sum.cache_clear()
+        cold = reports_to_json([verify(i, config) for i in COROLLARIES])
+        lvalues.kdf_weighted_sum.cache_clear()
+        for id_ in THEOREMS[:3]:
+            verify(id_, config)
+        warm = reports_to_json([verify(i, config) for i in COROLLARIES])
+        assert cold == warm
+
+    def test_one_kdf_full_call_per_spec(self, config, monkeypatch):
+        calls = []
+        real = lvalues.kdf_full
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return real(spec, *args)
+
+        lvalues.kdf_weighted_sum.cache_clear()
+        monkeypatch.setattr(lvalues, "kdf_full", counting)
+        reports = verify_all(replace(config, ids=THEOREMS + COROLLARIES))
+        assert [r.status for r in reports] == ["pass"] * 7
+        assert len(calls) == 6
+        assert set(calls) == set(lvalues.KDF_SPECS.values())
 
 
 class TestExactIdentities:

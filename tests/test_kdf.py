@@ -252,6 +252,13 @@ class TestBoundaryRule:
         dt = kdf_full(EDGE, 1, "1/2", "double_truncate", ctx)
         assert abs(it.value - dt.value) <= it.error_estimate + dt.error_estimate
 
+    def test_underflowed_row_weight_is_not_nan(self):
+        # 1/(1 - x - y) at (1/2, 2/5): rows past m ~ 1075 have weight 2^-m = 0
+        # in float64 while their ratio products overflow
+        spec = KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,))
+        r = kdf_full(spec, "1/2", "2/5", "double_truncate", PrecisionContext(digits=20))
+        assert abs(r.value - 10) <= r.error_estimate
+
     @pytest.mark.parametrize("spec", [
         # sums to 1/(1 - x - y), divergent on x + y = 1
         KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,)),
@@ -259,7 +266,7 @@ class TestBoundaryRule:
     ])
     def test_overflow_inside_the_square_is_an_error(self, spec):
         # more upper than lower coupled parameters: the margins say nothing
-        # about (1/2, 1/2), and the finiteness check catches the overflow
+        # about (1/2, 1/2), and the rule on the parameter counts rejects it
         ctx = PrecisionContext(digits=15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
