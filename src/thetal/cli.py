@@ -124,10 +124,11 @@ def _build_parser():
 
     v = sub.add_parser("verify", parents=[common],
                        help="run the identity registry")
-    v.add_argument("--id", type=_csv, default=None,
-                   help="comma list of registry ids")
-    v.add_argument("--all", action="store_true",
-                   help="run every identity (the default)")
+    pick = v.add_mutually_exclusive_group()
+    pick.add_argument("--id", type=_csv, default=None,
+                      help="comma list of registry ids")
+    pick.add_argument("--all", action="store_true",
+                      help="run every identity (the default)")
     v.add_argument("--grid", type=_csv, default=None,
                    help="q sample grid for pointwise identities")
     v.add_argument("--target", type=int, default=None,

@@ -113,8 +113,8 @@ class PrecisionContext:
         """Internal stopping tolerance, below the certified one."""
         return mp.mpf(10) ** (-self.workdigits)
 
-    def with_digits(self, digits: int, **kw) -> "PrecisionContext":
-        return replace(self, digits=digits, **kw)
+    def with_digits(self, digits: int) -> "PrecisionContext":
+        return replace(self, digits=digits)
 
 
 def as_real(x):

@@ -527,9 +527,13 @@ def kdf_converges(spec: KdFSpec) -> ConvergenceReport:
 
 
 class KdFResult(NamedTuple):
+    """``calls`` counts the integrand evaluations of the integral reduction;
+    the float64 strategies and the axis cases report 0."""
+
     value: mp.mpf
     error_estimate: mp.mpf
     strategy: str
+    calls: int = 0
 
 
 KDF_STRATEGIES = ("integral_reduction", "iterated", "double_truncate")
@@ -554,6 +558,7 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
     (a)_{m+n}/(c)_{m+n} = int t^{a+m+n-1} (1-t)^{c-a-1} dt / B(a, c-a)
     collapses the double sum into the product of the two group kernels under
     one integral; precision is then quadrature-limited, not tail-limited.
+    Returns (value, error_estimate, integrand_calls).
     """
     _require_coupled_pair(spec)
     a1, c1 = spec.a[0], spec.c[0]
@@ -561,12 +566,14 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
         raise DomainError("integral reduction needs c > a > 0")
     kernel_x = series_kernel(spec.b, spec.d)
     kernel_y = series_kernel(spec.bp, spec.dp)
+    calls = [0]
     with ctx.working():
         xv, yv = as_real(x), as_real(y)
         av, cv = as_real(a1), as_real(c1)
         x_unit, y_unit = xv == 1, yv == 1
 
         def f(t, ct):
+            calls[0] += 1
             kx = kernel_x(xv * t, ct if x_unit else 1 - xv * t)
             ky = kernel_y(yv * t, ct if y_unit else 1 - yv * t)
             return t ** (av - 1) * ct ** (cv - av - 1) * kx * ky
@@ -580,7 +587,7 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
         )
         norm = beta_fn(a1, c1 - a1, ctx)
         value = val / norm
-        return value, max(est / norm, noise_floor(value, ctx))
+        return value, max(est / norm, noise_floor(value, ctx)), calls[0]
 
 
 def _float_params(fractions):
@@ -679,14 +686,23 @@ def _kdf_iterated(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx
     return res.value, res.error_estimate + abs(res.value) * mp.mpf("5e-12")
 
 
+def _ratio_tail(last, prev, floor):
+    """r/(1-r) for r the larger of floor and last/prev, elementwise: the tail
+    factor of terms whose ratios fall toward floor; infinite once r >= 1."""
+    seen = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
+    r = np.maximum(floor, seen)
+    return np.where(r < 1, r / (1 - r), np.inf)
+
+
 def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     """Truncated M x M square with a comparison-series tail bound.
 
-    The bound integrates the power decay of the last row and column (margin
-    exponents m1, m2) when the corresponding argument sits at 1, geometric
-    ratios otherwise, with a flat safety factor of 3 for the preasymptotic
-    constants.  Deliberately precision-limited; honesty of the bound is what
-    the tests check.
+    Each tail is geometric in the larger of Horn's limit (y along a row, x
+    down the rows) and the last ratio seen (of a row's last two terms, of
+    the last two full rows), so a slower decay shows; a ratio of 1 or more
+    gives an infinite estimate.  An argument at 1 takes the power decay of
+    margin m1 or m2 instead.  A flat safety factor of 3 covers the
+    preasymptotic constants; honesty of the bound is what the tests check.
     """
     M = min(2000, max(64, int(ctx.max_terms**0.5)))
     a, c = _float_params(spec.a), _float_params(spec.c)
@@ -700,7 +716,8 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     weights = np.ones(M)
     weights[1:] = np.cumprod(_float_ratios(coupled[: M - 1].copy(), b, d, ns, xf))
     total = 0.0
-    last_col = np.empty(M)
+    row_sums = np.empty(M)
+    last_two = np.empty((M, 2))
     terms = np.empty(M)
     for m in range(M):
         # the weight leads the running product, so a weight that underflowed
@@ -708,16 +725,17 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
         terms[0] = weights[m]
         terms[1:] = coupled[m : m + M - 1] * inner
         np.cumprod(terms, out=terms)
-        row_sum = float(terms.sum())
-        total += row_sum
-        last_col[m] = abs(terms[-1])
-    col_tail_factor = M / m2 if yf == 1 else yf / (1.0 - yf)
-    row_tail_factor = M / m1 if xf == 1 else xf / (1.0 - xf)
-    col_tail = float(last_col.sum()) * col_tail_factor
-    last_row_full = abs(row_sum) + last_col[-1] * col_tail_factor
-    row_tail = last_row_full * row_tail_factor
+        row_sums[m] = terms.sum()
+        total += float(row_sums[m])
+        last_two[m] = terms[-2:]
+    prev_col, last_col = np.abs(last_two).T
+    col_factor = M / m2 if yf == 1 else _ratio_tail(last_col, prev_col, yf)
+    col_tails = last_col * col_factor
+    full = np.abs(row_sums[-2:]) + col_tails[-2:]
+    row_factor = M / m1 if xf == 1 else _ratio_tail(full[1:], full[:1], xf)[0]
+    row_tail = full[1] * row_factor
     # the 1e-12 floor covers float64 roundoff across the M^2 accumulation
-    return total, 3.0 * (col_tail + row_tail) + abs(total) * 1e-12
+    return total, 3.0 * (float(col_tails.sum()) + row_tail) + abs(total) * 1e-12
 
 
 def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
@@ -731,7 +749,8 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     k = #a - #c > 0, x^(1/k) + y^(1/k) < 1.  Anything else raises DomainError.
     Every strategy's value and error estimate must be finite, so a float64
     sum that overflows raises NumericsError.
-    Returns a :class:`KdFResult` with the value and its error estimate.
+    Returns a :class:`KdFResult` with the value, its error estimate and
+    the integrand calls spent.
     """
     if strategy not in KDF_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -760,15 +779,19 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
         if xq == 0:
             val = pfq(_merged_pfq(spec, "y"), yq, ctx)
             return KdFResult(val, abs(val) * ctx.worktol(), strategy)
+        calls = 0
         if strategy == "integral_reduction":
-            val, est = _kdf_integral(spec, xq, yq, ctx)
+            val, est, calls = _kdf_integral(spec, xq, yq, ctx)
         else:
             run = _kdf_iterated if strategy == "iterated" else _kdf_double
             # overflow surfaces below as a non-finite value, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 val, est = run(spec, float(xq), float(yq), float(m1), float(m2), ctx)
         val, est = (mp.mpf(v) if isinstance(v, float) else v for v in (val, est))
         what = f"kdf {strategy}"
         return KdFResult(
-            ensure_finite(val, what), ensure_finite(est, f"{what} estimate"), strategy
+            ensure_finite(val, what),
+            ensure_finite(est, f"{what} estimate"),
+            strategy,
+            calls,
         )

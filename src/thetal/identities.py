@@ -300,7 +300,7 @@ def _ev_corollary(rhs_id):
     label, sides = _COROLLARY[rhs_id]
 
     def ev(config, ctx):
-        acc, err = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
+        acc, err, _ = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
         with ctx.working():
             scale, closed = sides(ctx)
             lhs = scale * acc

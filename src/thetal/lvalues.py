@@ -4,10 +4,12 @@ The weight-3 form f and its companion g (built in :mod:`.theta`) have
 L-series whose values at s = 3 and s = 4 admit several genuinely different
 evaluations: a raw coefficient sum, an Euler-style factorization into
 Dirichlet L-values (f only), the Mellin transform of the q-expansion, nome
-and modular-parameter integral representations, reductions to two-variable
-hypergeometric double series at the corner (1, 1), and single 5F4 closed
-forms.  Every route reports an honest error estimate, so any pair of routes
-cross-certifies a digit count; the identity registry leans on that.
+integral representations, reductions to two-variable hypergeometric double
+series at the corner (1, 1), and single 5F4 closed forms.  The
+modular-parameter integral is that reduction before its termwise Beta
+integration, so the two names read one evaluation.  Every route reports an
+honest error estimate, so any pair of distinct routes cross-certifies a
+digit count; the identity registry leans on that.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
 shared with the command line and the registry.
@@ -71,7 +73,8 @@ class LValueResult(NamedTuple):
 
     ``terms_or_levels_used`` is whatever effort figure the route naturally
     reports: series terms for the sums, integrand evaluations for the
-    quadrature routes, and 0 for engines that keep their own counsel.
+    quadrature routes (``alpha_integral`` and ``kdf_theorem`` report the
+    same count, being one evaluation), and 0 for the closed forms.
     """
 
     value: mp.mpf
@@ -181,9 +184,10 @@ def _pi_factor(power: int, pref: Fraction):
 
 @lru_cache(maxsize=32)  # a registry pass at one precision fills four
 def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
-    """(sum of w F(1, 1), sum of w error) over one reduction's weighted specs:
-    its theorem's side before the pi-power prefactor, and its corollary's
-    before that one's scale, so the two share one evaluation."""
+    """(sum of w F(1, 1), sum of w error, integrand calls) over one
+    reduction's weighted specs: its theorem's side before the pi-power
+    prefactor, and its corollary's before that one's scale, so the two share
+    one evaluation.  The calls are 0 for the float64 strategies."""
     try:
         pieces = _KDF_RHS[rhs_id][2]
     except KeyError:
@@ -191,11 +195,13 @@ def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
     with ctx.working():
         acc = mp.mpf(0)
         err = mp.mpf(0)
+        calls = 0
         for weight, name in pieces:
             res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
             acc += weight * res.value
             err += weight * res.error_estimate
-        return acc, err
+            calls += res.calls
+        return acc, err, calls
 
 
 def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction"):
@@ -204,79 +210,32 @@ def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduc
     The s = 4 sides are weighted pairs of boundary values; the weights and
     the pi-power prefactor are kept exact and applied once at the end.
     """
-    acc, err = kdf_weighted_sum(rhs_id, strategy, ctx)
+    acc, err, _ = kdf_weighted_sum(rhs_id, strategy, ctx)
     power, pref, _ = _KDF_RHS[rhs_id]
     with ctx.working():
         factor = _pi_factor(power, pref)
         return ensure_finite(acc * factor, "kdf rhs"), err * factor
 
 
-# ---------------------------------------------------------------------------
-# integrals over the modular parameter
-
-_K1 = series_kernel((1, 1), (2,))
-_K2 = series_kernel(("1/2", 1), ("3/2",))
-_K3 = series_kernel(("1/2", "1/2"), (1,))
-_X3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
-
-
-def _alpha_thm11_1(x, cx):
-    return x / mp.sqrt(cx) * _K1(x, cx) * _K3(x, cx)
-
-
-def _alpha_thm11_2(x, cx):
-    return mp.sqrt(x / cx) * _K2(x, cx) * _K3(x, cx)
-
-
-def _alpha_thm12_1(x, cx):
-    return (1 + x) / mp.sqrt(x) * _X3(x, cx) * _K3(x, cx)
-
-
-def _alpha_thm12_2(x, cx):
-    return (1 + cx) / mp.sqrt(x * cx) * _X3(x, cx) * _K3(x, cx)
-
-
-# id: pi power, exact factor, weight-stripped integrand, endpoint exponents.
-# The integrands absorb the dx/(x(1-x)) measure; every one carries log(1-x)
-# factors through its kernels, hence the padded right endpoint.
-_ALPHA_INTEGRALS = {
-    "thm11_1": (2, Fraction(1, 128), _alpha_thm11_1, 2.0, 0.5),
-    "thm11_2": (2, Fraction(1, 64), _alpha_thm11_2, 1.5, 0.5),
-    "thm12_1": (3, Fraction(1, 192), _alpha_thm12_1, 0.5, 1.0),
-    "thm12_2": (3, Fraction(1, 384), _alpha_thm12_2, 0.5, 0.5),
-}
-
-
 def alpha_integral(rhs_id: str, ctx: PrecisionContext):
-    """L-value as an integral of closed-form kernels over alpha in (0, 1).
+    """L-value as an integral of hypergeometric kernels over alpha in (0, 1).
 
-    Returns (value, error_estimate, integrand_evaluations).  Full working
-    precision; this is the reference route for the g form.
+    The paper integrates this alpha-space form termwise through the Beta
+    integral to reach the double series at (1, 1); the integral reduction
+    of :func:`kdf_full` undoes exactly that step.  So this is the same
+    evaluation as :func:`kdf_theorem_rhs`, read through the same memo.
+
+    Returns (value, error_estimate, integrand_evaluations).
     """
-    try:
-        power, pref, integrand, left, right = _ALPHA_INTEGRALS[rhs_id]
-    except KeyError:
-        raise DomainError(f"unknown alpha integral id {rhs_id!r}") from None
-    evals = [0]
-
-    def counted(x, cx):
-        evals[0] += 1
-        return integrand(x, cx)
-
-    val, est = integrate01(
-        counted, ctx, left_exponent=left, right_exponent=right, right_log=True
-    )
-    with ctx.working():
-        factor = _pi_factor(power, pref)
-        return (
-            ensure_finite(val * factor, "alpha integral"),
-            max(est, noise_floor(val, ctx)) * factor,
-            evals[0],
-        )
+    value, err = kdf_theorem_rhs(rhs_id, ctx)
+    return value, err, kdf_weighted_sum(rhs_id, "integral_reduction", ctx)[2]
 
 
 # ---------------------------------------------------------------------------
 # integrals over the nome
+
+_K3 = series_kernel(("1/2", "1/2"), (1,))
+_X3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
 
 
 def _half_period(x, cx):
@@ -595,15 +554,12 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
     if method == "mellin":
         v, e, used = mellin(form, n, ctx)
         return LValueResult(v, e, method, used)
-    if method == "alpha_integral":
+    if method in ("alpha_integral", "kdf_theorem"):
         v, e, used = alpha_integral(_RHS_BY_FORM[form, n], ctx)
         return LValueResult(v, e, method, used)
     if method == "q_integral":
         v, e, used = q_integral(_QINT_BY_FORM[form, n], ctx)
         return LValueResult(v, e, method, used)
-    if method == "kdf_theorem":
-        v, e = kdf_theorem_rhs(_RHS_BY_FORM[form, n], ctx)
-        return LValueResult(v, e, method, 0)
     # closed_form
     key = (form, n)
     if key not in _CLOSED_BY_FORM:

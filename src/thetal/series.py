@@ -89,10 +89,7 @@ def _powerlog_fit(Ms, Ss, exponent, levels):
             A[i, j] = col[i] / scales[j]
     rhs = mp.matrix(Ss)
     try:
-        if len(cols) == len(Ms):
-            x = mp.lu_solve(A, rhs)
-        else:
-            x, _ = mp.qr_solve(A, rhs)
+        x, _ = mp.qr_solve(A, rhs)
     except (ZeroDivisionError, ValueError) as exc:
         raise NumericsError("power-log fit is singular") from exc
     fitted = x[0] / scales[0]

@@ -294,6 +294,14 @@ class TestPlumbing:
             main(["theta", "--fn", "theta3"])
         assert exc.value.code == 2
 
+    def test_all_and_id_are_exclusive(self, capsys):
+        # --all used to be ignored silently next to --id
+        assert cli._build_parser().parse_args(["verify", "--all"]).all
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--id", "I27"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --all" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

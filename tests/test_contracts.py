@@ -110,3 +110,14 @@ def test_scripts_start(tmp_path):
             capture_output=True,
         )
         assert done.returncode == 0, (script, done.stderr)
+    # one table end to end: its effort column reads every route's result
+    done = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "lvalue_table.py"),
+         "--forms", "f", "--s", "3", "--digits", "10"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "routes agree" in done.stdout, done.stdout

@@ -259,6 +259,21 @@ class TestBoundaryRule:
         r = kdf_full(spec, "1/2", "2/5", "double_truncate", PrecisionContext(digits=20))
         assert abs(r.value - 10) <= r.error_estimate
 
+    @pytest.mark.parametrize("y,max_terms,want", [
+        ("9/20", 4096, 20),
+        ("49/100", PrecisionContext().max_terms, 100),
+    ])
+    def test_tail_follows_the_observed_decay(self, y, max_terms, want):
+        # the rows of 1/(1 - x - y) shrink like (x/(1-y))^m, not x^m: a tail
+        # taken at ratio x printed 19.949 +- 0.0152 and 99.999999943 +- 1e-10
+        spec = KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,))
+        ctx = PrecisionContext(digits=20, max_terms=max_terms)
+        try:
+            r = kdf_full(spec, "1/2", y, "double_truncate", ctx)
+        except NumericsError:
+            return  # a ratio of 1 or more: no honest estimate, so no value
+        assert abs(r.value - want) <= r.error_estimate
+
     @pytest.mark.parametrize("spec", [
         # sums to 1/(1 - x - y), divergent on x + y = 1
         KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,)),

@@ -354,6 +354,16 @@ class TestLValueDispatch:
                 tol = max(a.error_estimate, b.error_estimate)
                 assert abs(a.value - b.value) <= tol, (a.method, b.method)
 
+    @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
+    def test_alpha_integral_is_the_integral_reduction(self, form, n, ctx):
+        # termwise Beta integration turns the alpha-space integral into the
+        # double series, so both names read one evaluation and its effort
+        a = l_value(form, n, "alpha_integral", ctx)
+        k = l_value(form, n, "kdf_theorem", ctx)
+        assert a.value._mpf_ == k.value._mpf_
+        assert a.error_estimate == k.error_estimate
+        assert a.terms_or_levels_used == k.terms_or_levels_used > 0
+
     def test_precise_routes_meet_the_context(self, ctx):
         for method in ("factorized", "mellin", "alpha_integral", "kdf_theorem", "closed_form"):
             res = l_value("f", 3, method, ctx)
