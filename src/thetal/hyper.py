@@ -686,11 +686,9 @@ def _kdf_iterated(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx
     return res.value, res.error_estimate + abs(res.value) * mp.mpf("5e-12")
 
 
-def _ratio_tail(last, prev, floor):
-    """r/(1-r) for r the larger of floor and last/prev, elementwise: the tail
-    factor of terms whose ratios fall toward floor; infinite once r >= 1."""
-    seen = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
-    r = np.maximum(floor, seen)
+def _geometric_tail(r):
+    """r/(1-r), the tail factor of terms whose ratios stay at most r;
+    infinite once r >= 1."""
     return np.where(r < 1, r / (1 - r), np.inf)
 
 
@@ -698,11 +696,12 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     """Truncated M x M square with a comparison-series tail bound.
 
     Each tail is geometric in the larger of Horn's limit (y along a row, x
-    down the rows) and the last ratio seen (of a row's last two terms, of
-    the last two full rows), so a slower decay shows; a ratio of 1 or more
-    gives an infinite estimate.  An argument at 1 takes the power decay of
-    margin m1 or m2 instead.  A flat safety factor of 3 covers the
-    preasymptotic constants; honesty of the bound is what the tests check.
+    down the rows) and the last ratio seen (a row's exact last term ratio,
+    the ratio of the last two full rows); a ratio of 1 or more gives an
+    infinite estimate.  The square stops before the first row whose weight
+    is not a normal float, and the row tail covers the rest.  An argument at
+    1 takes the power decay of margin m1 or m2 instead.  A flat safety
+    factor of 3 covers the preasymptotic constants.
     """
     M = min(2000, max(64, int(ctx.max_terms**0.5)))
     a, c = _float_params(spec.a), _float_params(spec.c)
@@ -715,25 +714,30 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     inner = _float_ratios(np.ones(M - 1), bp, dp, ns, yf)  # the factor free of m
     weights = np.ones(M)
     weights[1:] = np.cumprod(_float_ratios(coupled[: M - 1].copy(), b, d, ns, xf))
+    # a subnormal weight sticks where the true one decays, and 0 loses the row
+    tiny = np.finfo(np.float64).tiny
+    rows = int(np.argmin(np.abs(weights) >= tiny)) or M  # weights[0] = 1
     total = 0.0
-    row_sums = np.empty(M)
-    last_two = np.empty((M, 2))
+    row_sums = np.empty(rows)
+    last_col = np.empty(rows)
     terms = np.empty(M)
-    for m in range(M):
-        # the weight leads the running product, so a weight that underflowed
-        # to 0 zeroes its row instead of meeting an overflowed ratio product
+    for m in range(rows):
+        # the weight leads the running product, so a row's terms meet an
+        # overflowed ratio product only through a nonzero weight
         terms[0] = weights[m]
         terms[1:] = coupled[m : m + M - 1] * inner
         np.cumprod(terms, out=terms)
         row_sums[m] = terms.sum()
         total += float(row_sums[m])
-        last_two[m] = terms[-2:]
-    prev_col, last_col = np.abs(last_two).T
-    col_factor = M / m2 if yf == 1 else _ratio_tail(last_col, prev_col, yf)
-    col_tails = last_col * col_factor
+        last_col[m] = abs(terms[-1])
+    # row m's last term ratio is exactly coupled[m + M - 2] inner[M - 2]
+    col_r = np.maximum(yf, np.abs(coupled[M - 2 : M - 2 + rows] * inner[-1]))
+    col_tails = last_col * (M / m2 if yf == 1 else _geometric_tail(col_r))
     full = np.abs(row_sums[-2:]) + col_tails[-2:]
-    row_factor = M / m1 if xf == 1 else _ratio_tail(full[1:], full[:1], xf)[0]
-    row_tail = full[1] * row_factor
+    # the last two full rows show the decay only while both are normal floats
+    seen = full[-1] / full[0] if rows > 1 and full.min() >= tiny else np.inf
+    row_factor = rows / m1 if xf == 1 else _geometric_tail(np.maximum(xf, seen))
+    row_tail = float(full[-1] * row_factor)
     # the 1e-12 floor covers float64 roundoff across the M^2 accumulation
     return total, 3.0 * (float(col_tails.sum()) + row_tail) + abs(total) * 1e-12
 
@@ -789,9 +793,5 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
                 val, est = run(spec, float(xq), float(yq), float(m1), float(m2), ctx)
         val, est = (mp.mpf(v) if isinstance(v, float) else v for v in (val, est))
         what = f"kdf {strategy}"
-        return KdFResult(
-            ensure_finite(val, what),
-            ensure_finite(est, f"{what} estimate"),
-            strategy,
-            calls,
-        )
+        val, est = ensure_finite(val, what), ensure_finite(est, f"{what} estimate")
+        return KdFResult(val, est, strategy, calls)

@@ -97,13 +97,17 @@ def test_criterion_03_weight3_reduction_for_g(ctx):
     v, _ = kdf_theorem_rhs("thm11_2", ctx)
     r_mellin = _rel(v, l_value("g", 3, "mellin", ctx).value)
     r_alpha = _rel(v, l_value("g", 3, "alpha_integral", ctx).value)
+    # the alpha integral is this reduction read through the same memo, so
+    # the nome integral is the independent integral route here
+    r_nome = _rel(v, l_value("g", 3, "q_integral", ctx).value)
     r_closed = _rel(v, l_value("g", 3, "closed_form", ctx).value)
     assert r_mellin <= mp.mpf("1e-10")
     assert r_alpha <= mp.mpf("1e-10")
+    assert r_nome <= mp.mpf("1e-10")
     assert r_closed <= mp.mpf("1e-8")
     _report(3, True,
             f"mellin {float(r_mellin):.1e}, alpha {float(r_alpha):.1e}, "
-            f"5F4 closed form {float(r_closed):.1e}")
+            f"nome {float(r_nome):.1e}, 5F4 closed form {float(r_closed):.1e}")
 
 
 def test_criterion_04_weight4_reduction_for_f(ctx):

@@ -268,11 +268,27 @@ class TestBoundaryRule:
         # taken at ratio x printed 19.949 +- 0.0152 and 99.999999943 +- 1e-10
         spec = KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,))
         ctx = PrecisionContext(digits=20, max_terms=max_terms)
-        try:
-            r = kdf_full(spec, "1/2", y, "double_truncate", ctx)
-        except NumericsError:
-            return  # a ratio of 1 or more: no honest estimate, so no value
+        r = kdf_full(spec, "1/2", y, "double_truncate", ctx)
         assert abs(r.value - want) <= r.error_estimate
+
+    def test_a_ratio_of_one_has_no_estimate(self):
+        # in a 64 x 64 square of 1/(1 - x - y) at (1/2, 49/100) the full rows
+        # still grow, so no geometric tail bounds what is left
+        spec = KdFSpec(a=(1, 1), c=(1,), b=(1,), d=(1,), bp=(1,), dp=(1,))
+        ctx = PrecisionContext(digits=20, max_terms=4096)
+        with pytest.raises(NumericsError, match="estimate is not finite"):
+            kdf_full(spec, "1/2", "49/100", "double_truncate", ctx)
+
+    @pytest.mark.parametrize("x,y", [("1/3", "11/20"), ("11/20", "1/3")])
+    def test_subnormal_terms_do_not_fake_a_slow_decay(self, x, y):
+        # at (1/3, 11/20) row 0's terms, and at (11/20, 1/3) the row weights,
+        # fall to 5e-324, where a step ratio in (1/2, 1) rounds back to
+        # 5e-324: a quotient of two such terms reads exactly 1
+        spec = THEOREM_SPECS["thm11_1"][0]
+        ctx = PrecisionContext(digits=20)
+        ref = kdf_full(spec, x, y, "integral_reduction", ctx)
+        dt = kdf_full(spec, x, y, "double_truncate", ctx)
+        assert abs(dt.value - ref.value) <= dt.error_estimate
 
     @pytest.mark.parametrize("spec", [
         # sums to 1/(1 - x - y), divergent on x + y = 1
