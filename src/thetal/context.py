@@ -109,9 +109,10 @@ class PrecisionContext:
         """
         return mp.workdps(self.workdigits)
 
-    def worktol(self):
-        """Internal stopping tolerance, below the certified one."""
-        return mp.mpf(10) ** (-self.workdigits)
+    def goal(self):
+        """10^-(digits + 2), the relative aim of every sum and integral, at
+        the precision in force."""
+        return mp.mpf(10) ** (-(self.digits + 2))
 
     def with_digits(self, digits: int) -> "PrecisionContext":
         return replace(self, digits=digits)

@@ -159,7 +159,7 @@ def _pfq_terms(spec: PFQSpec, zv):
 
 def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     az = abs(zv)
-    tol = mp.mpf(10) ** (-(ctx.digits + 2))
+    tol = ctx.goal()
     # past m_min the term ratio stays below (1+|z|)/2, so the geometric tail
     # bound |t| q/(1-q) is safe; 4K/(1-|z|) over-covers the parameter drift
     ksum = float(sum(abs(u) for u in spec.upper) + sum(abs(l) for l in spec.lower) + 1)
@@ -225,7 +225,7 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     (Buhring, Proc. AMS 114, 1992); its last kept term is the estimate, and
     N doubles until that meets the goal or would pass max_terms.
     """
-    goal = mp.mpf(10) ** (-(ctx.digits + 2))
+    goal = ctx.goal()
     scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
         mp.gamma(as_real(u)) for u in spec.upper
     )
@@ -305,19 +305,19 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
         if zv == 1:
             if not cf - af - bf > 0:
                 raise DomainError("z = 1 needs c - a - b > 0")
-            val, _ = integrate01(
+            val = integrate01(
                 lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - av - 1),
                 ctx,
                 left_exponent=float(bf),
                 right_exponent=float(cf - bf - af),
-            )
+            )[0]
         else:
-            val, _ = integrate01(
+            val = integrate01(
                 lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - 1) * (1 - zv * t) ** (-av),
                 ctx,
                 left_exponent=float(bf),
                 right_exponent=float(cf - bf),
-            )
+            )[0]
         return ensure_finite(val / beta_fn(bf, cf - bf, ctx), "euler 2F1")
 
 
@@ -503,10 +503,6 @@ class KdFSpec:
         _no_bad_lower(self.d, "d")
         _no_bad_lower(self.dp, "dp")
 
-    def swapped(self) -> "KdFSpec":
-        """The mirror spec: (b,d,x) duties exchanged with (bp,dp,y)."""
-        return KdFSpec(a=self.a, c=self.c, b=self.bp, d=self.dp, bp=self.b, dp=self.d)
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -566,19 +562,17 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
         raise DomainError("integral reduction needs c > a > 0")
     kernel_x = series_kernel(spec.b, spec.d)
     kernel_y = series_kernel(spec.bp, spec.dp)
-    calls = [0]
     with ctx.working():
         xv, yv = as_real(x), as_real(y)
         av, cv = as_real(a1), as_real(c1)
         x_unit, y_unit = xv == 1, yv == 1
 
         def f(t, ct):
-            calls[0] += 1
             kx = kernel_x(xv * t, ct if x_unit else 1 - xv * t)
             ky = kernel_y(yv * t, ct if y_unit else 1 - yv * t)
             return t ** (av - 1) * ct ** (cv - av - 1) * kx * ky
 
-        val, est = integrate01(
+        val, est, calls = integrate01(
             f,
             ctx,
             left_exponent=float(a1),
@@ -587,7 +581,7 @@ def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
         )
         norm = beta_fn(a1, c1 - a1, ctx)
         value = val / norm
-        return value, max(est / norm, noise_floor(value, ctx)), calls[0]
+        return value, max(est / norm, noise_floor(value, ctx)), calls
 
 
 def _float_params(fractions):
@@ -777,12 +771,10 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     with ctx.working():
         if xq == 0 and yq == 0:
             return KdFResult(mp.mpf(1), mp.mpf(0), strategy)
-        if yq == 0:
-            val = pfq(_merged_pfq(spec, "x"), xq, ctx)
-            return KdFResult(val, abs(val) * ctx.worktol(), strategy)
-        if xq == 0:
-            val = pfq(_merged_pfq(spec, "y"), yq, ctx)
-            return KdFResult(val, abs(val) * ctx.worktol(), strategy)
+        if xq == 0 or yq == 0:
+            # pfq sums each argument to its goal relative to max(|value|, 1)
+            val = pfq(_merged_pfq(spec, "y" if xq == 0 else "x"), xq or yq, ctx)
+            return KdFResult(val, ctx.goal() * max(abs(val), 1), strategy)
         calls = 0
         if strategy == "integral_reduction":
             val, est, calls = _kdf_integral(spec, xq, yq, ctx)

@@ -34,6 +34,7 @@ from .lvalues import (
     kdf_theorem_rhs,
     kdf_weighted_sum,
     l_value,
+    lambert_closed,
     lf4_triple,
 )
 from .theta import (
@@ -162,9 +163,6 @@ def _promised_digits(value, err):
 # pointwise identities on the nome grid
 
 _K3 = series_kernel(("1/2", "1/2"), (1,))
-_K2 = series_kernel(("1/2", 1), ("3/2",))
-_KLOG = series_kernel((1, 1), (2,))
-_X3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
 
 _EULER_SPEC = PFQSpec(("1/2", 1), ("3/2",))
 
@@ -202,14 +200,13 @@ def _eis384(qv, ctx):
     return lambert_series("eis384", qv, ctx), rhs
 
 
-def _lemma22_1(qv, ctx):
-    a, ca = alpha_pair(qv, ctx)
-    return lambert_series("lemma22_1", qv, ctx), a / 16 * _KLOG(a, ca)
+def _lambert_closed_pair(name):
+    # the raw Lambert sum against its closed form in alpha, as the nome
+    # integrals use it above their series cut
+    def pair_at(qv, ctx):
+        return lambert_series(name, qv, ctx), lambert_closed(name, *alpha_pair(qv, ctx))
 
-
-def _lemma22_2(qv, ctx):
-    a, ca = alpha_pair(qv, ctx)
-    return lambert_series("lemma22_2", qv, ctx), mp.sqrt(a) / 4 * _K2(a, ca)
+    return pair_at
 
 
 def _doubling_23(qv, ctx):
@@ -226,12 +223,6 @@ def _m_theta28(qv, ctx):
     lhs = theta2(mp.sqrt(qv), ctx) ** 8
     rhs = (eisenstein_M(qv, ctx) - eisenstein_M(qv * qv, ctx)) * 16 / 15
     return lhs, rhs
-
-
-def _ram(qv, ctx):
-    a, ca = alpha_pair(qv, ctx)
-    rhs = mp.sqrt(a) / 4 * _X3(a, ca) / _K3(a, ca)
-    return lambert_series("ram_lhs", qv, ctx), rhs
 
 
 def _comb_8a(qv, ctx):
@@ -367,41 +358,38 @@ def _exact_str(x):
     return str(x)
 
 
+def _exact_outcome(headline, checks, size=lambda v: v, flags=()):
+    """An exact entry's pairs: the headline totals size(side) over every
+    check, then come the first three checks or flags whose sides differ.
+    Flags stay out of the totals."""
+    checks = tuple(checks)
+    totals = (sum(size(p[side]) for p in checks) for side in (1, 2))
+    misses = [p for p in checks + tuple(flags) if p[1] != p[2]]
+    return EvalOutcome(((headline, *totals), *misses[:3]))
+
+
 def _ev_pochhammer(config, ctx):
     # closed forms for three Pochhammer quotients, exact over n <= 400
-    n_max = 400
     families = (
         ("(3/2)_n/(1/2)_n", Fraction(3, 2), Fraction(1, 2), 1, lambda n: 2 * n + 1),
         ("(5/4)_n/(1/4)_n", Fraction(5, 4), Fraction(1, 4), 1, lambda n: 4 * n + 1),
         ("3(7/4)_n/(3/4)_n", Fraction(7, 4), Fraction(3, 4), 3, lambda n: 4 * n + 3),
     )
-    agg_lhs = Fraction(0)
-    agg_rhs = Fraction(0)
-    pairs = []
+    checks = []
     for name, top, bot, scale, closed in families:
         ratio = Fraction(scale)
-        for n in range(n_max + 1):
-            want = Fraction(closed(n))
-            agg_lhs += ratio
-            agg_rhs += want
-            if ratio != want and len(pairs) < 3:
-                pairs.append((f"{name} at n={n}", ratio, want))
+        for n in range(401):
+            checks.append((f"{name} at n={n}", ratio, Fraction(closed(n))))
             ratio = ratio * (top + n) / (bot + n)
-    pairs.insert(0, (f"sum over n<=400, three families", agg_lhs, agg_rhs))
-    return EvalOutcome(tuple(pairs))
+    return _exact_outcome("sum over n<=400, three families", checks)
 
 
 def _ev_coeff_oracle(config, ctx):
     n = 2000
     conv = coeffs_convolution("f", n).coeffs
     lam = coeffs_lambert("f", n).coeffs
-    pairs = []
-    for m, (a, b) in enumerate(zip(conv, lam), start=1):
-        if a != b and len(pairs) < 3:
-            pairs.append((f"a_{m}", a, b))
-    agg = (f"sum|a_n| n<=2000", sum(abs(a) for a in conv), sum(abs(b) for b in lam))
-    pairs.insert(0, agg)
-    return EvalOutcome(tuple(pairs))
+    checks = ((f"a_{m}", a, b) for m, (a, b) in enumerate(zip(conv, lam), start=1))
+    return _exact_outcome("sum|a_n| n<=2000", checks, abs)
 
 
 _EXPECTED_MARGINS = {
@@ -415,20 +403,17 @@ _EXPECTED_MARGINS = {
 
 
 def _ev_kdf_margins(config, ctx):
-    pairs = []
-    agg_lhs = Fraction(0)
-    agg_rhs = Fraction(0)
-    for name in sorted(_EXPECTED_MARGINS):
-        report = kdf_converges(KDF_SPECS[name])
-        for i, (got, want) in enumerate(zip(report.margins, _EXPECTED_MARGINS[name])):
-            agg_lhs += got
-            agg_rhs += want
-            if got != want and len(pairs) < 3:
-                pairs.append((f"{name} m{i + 1}", got, want))
-        if not report.convergent_at_unit and len(pairs) < 3:
-            pairs.append((f"{name} convergent", 0, 1))
-    pairs.insert(0, ("sum of 18 margins", agg_lhs, agg_rhs))
-    return EvalOutcome(tuple(pairs))
+    reports = {n: kdf_converges(KDF_SPECS[n]) for n in sorted(_EXPECTED_MARGINS)}
+    checks = (
+        (f"{name} m{i + 1}", got, want)
+        for name, report in reports.items()
+        for i, (got, want) in enumerate(zip(report.margins, _EXPECTED_MARGINS[name]))
+    )
+    flags = (
+        (f"{name} convergent", int(report.convergent_at_unit), 1)
+        for name, report in reports.items()
+    )
+    return _exact_outcome("sum of 18 margins", checks, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +461,11 @@ _REGISTRY_ENTRIES = (
     _pw("I6", "eis384", "odd square-weighted character sum equals theta product at q^2",
         "lambert_series(eis384)", "theta2^2 theta4^4 at q^2, quartered", _eis384),
     _pw("I7", "lemma22-1", "first weight-3 Lambert kernel equals alpha/16 times the log kernel",
-        "lambert_series(lemma22_1)", "alpha/16 * 2F1(1,1;2;alpha)", _lemma22_1),
+        "lambert_series(lemma22_1)", "alpha/16 * 2F1(1,1;2;alpha)",
+        _lambert_closed_pair("lemma22_1")),
     _pw("I8", "lemma22-2", "second weight-3 Lambert kernel equals sqrt(alpha)/4 times the atanh kernel",
-        "lambert_series(lemma22_2)", "sqrt(alpha)/4 * 2F1(1/2,1;3/2;alpha)", _lemma22_2),
+        "lambert_series(lemma22_2)", "sqrt(alpha)/4 * 2F1(1/2,1;3/2;alpha)",
+        _lambert_closed_pair("lemma22_2")),
     _pw("I9", "doubling-23", "2 theta2 theta3 at q^2 equals theta2^2 at q",
         "2 theta2(q^2) theta3(q^2)", "theta2(q)^2", _doubling_23),
     _pw("I10", "cube-m", "cubic odd Lambert sum equals an eighth-power theta combination",
@@ -486,7 +473,8 @@ _REGISTRY_ENTRIES = (
     _pw("I11", "m-theta28", "theta2^8 at sqrt(q) equals 16/15 of an Eisenstein difference",
         "theta2(sqrt q)^8", "(16/15)(M(q) - M(q^2))", _m_theta28),
     _pw("I12", "ram", "quadratic odd Lambert sum equals sqrt(alpha)/4 times a 3F2/2F1 quotient",
-        "lambert_series(ram_lhs)", "sqrt(alpha)/4 * 3F2/2F1 kernels", _ram),
+        "lambert_series(ram_lhs)", "sqrt(alpha)/4 * 3F2/2F1 kernels",
+        _lambert_closed_pair("ram_lhs")),
     _pw("I13", "comb-8a", "2 theta4^8(q^2) - theta4^8(q) equals (1+alpha)(1-alpha) theta3^8",
         "eighth-power theta combination", "(1+alpha)(1-alpha) theta3^8(q)", _comb_8a),
     _pw("I14", "comb-8b", "2 theta4^8(q^4) - theta4^8(q^2) equals a half-integer power combination",

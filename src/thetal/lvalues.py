@@ -48,6 +48,7 @@ __all__ = [
     "kdf_weighted_sum",
     "kdf_theorem_rhs",
     "alpha_integral",
+    "lambert_closed",
     "q_integral",
     "mellin",
     "dirichlet_sum",
@@ -125,6 +126,14 @@ def l_psi(s, ctx: PrecisionContext):
 # ---------------------------------------------------------------------------
 # double-series right-hand sides
 
+
+def _weight4(a, c):
+    # the s = 4 reductions share every group but the coupled pair (a; c)
+    return KdFSpec(
+        a=(a,), c=(c,), b=(1, 1, 1), d=("3/2", "3/2"), bp=("1/2", "1/2"), dp=(1,)
+    )
+
+
 KDF_SPECS = {
     "thm11_1": KdFSpec(
         a=(2,), c=("5/2",), b=(1, 1), d=(2,), bp=("1/2", "1/2"), dp=(1,)
@@ -132,38 +141,10 @@ KDF_SPECS = {
     "thm11_2": KdFSpec(
         a=("3/2",), c=(2,), b=("1/2", 1), d=("3/2",), bp=("1/2", "1/2"), dp=(1,)
     ),
-    "thm12_1a": KdFSpec(
-        a=("1/2",),
-        c=("3/2",),
-        b=(1, 1, 1),
-        d=("3/2", "3/2"),
-        bp=("1/2", "1/2"),
-        dp=(1,),
-    ),
-    "thm12_1b": KdFSpec(
-        a=("3/2",),
-        c=("5/2",),
-        b=(1, 1, 1),
-        d=("3/2", "3/2"),
-        bp=("1/2", "1/2"),
-        dp=(1,),
-    ),
-    "thm12_2a": KdFSpec(
-        a=("1/2",),
-        c=(1,),
-        b=(1, 1, 1),
-        d=("3/2", "3/2"),
-        bp=("1/2", "1/2"),
-        dp=(1,),
-    ),
-    "thm12_2b": KdFSpec(
-        a=("1/2",),
-        c=(2,),
-        b=(1, 1, 1),
-        d=("3/2", "3/2"),
-        bp=("1/2", "1/2"),
-        dp=(1,),
-    ),
+    "thm12_1a": _weight4("1/2", "3/2"),
+    "thm12_1b": _weight4("3/2", "5/2"),
+    "thm12_2a": _weight4("1/2", 1),
+    "thm12_2b": _weight4("1/2", 2),
 }
 
 # each right-hand side: power of pi, exact rational factor, weighted specs
@@ -234,8 +215,27 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
 # ---------------------------------------------------------------------------
 # integrals over the nome
 
+_KLOG = series_kernel((1, 1), (2,))
+_KATANH = series_kernel(("1/2", 1), ("3/2",))
 _K3 = series_kernel(("1/2", "1/2"), (1,))
 _X3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
+
+
+def lambert_closed(name: str, a, ca):
+    """A reorganized Lambert sum's modular closed form in alpha, given
+    (a, ca) = (alpha, 1 - alpha) at its nome, at the precision in force.
+
+    Lemma 2.2's log and atanh kernels and Ramanujan's 3F2/2F1 quotient: the
+    identity registry checks each against the raw series on its grid, and
+    the nome integrals use them above the series cut.
+    """
+    if name == "lemma22_1":
+        return a / 16 * _KLOG(a, ca)
+    if name == "lemma22_2":
+        return mp.sqrt(a) / 4 * _KATANH(a, ca)
+    if name == "ram_lhs":
+        return mp.sqrt(a) / 4 * _X3(a, ca) / _K3(a, ca)
+    raise DomainError(f"no closed form for Lambert series {name!r}")
 
 
 def _half_period(x, cx):
@@ -264,28 +264,6 @@ def _q_weight(tag: str, u, t, ctx: PrecisionContext):
 _Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
 
 
-def _lambert_near(name: str, t):
-    """One of the reorganized Lambert sums above the cut, from theta2..4 at q.
-
-    There the sum is evaluated through its modular closed form (log, atanh,
-    or the treble-kernel quotient), all of which the identity registry
-    checks against the raw series on the sample grid, so nothing here is
-    assumed.
-    """
-    t2, t3, t4 = t[2], t[3], t[4]
-    if name == "lemma22_1":
-        return mp.log(t3 / t4) / 4
-    a = (t2 / t3) ** 4
-    ca = (t4 / t3) ** 4
-    sa = mp.sqrt(a)
-    if name == "lemma22_2":
-        # atanh(sqrt a)/2 with the complement kept explicit near a = 1
-        return mp.log((1 + sa) ** 2 / ca) / 8
-    if name == "ram_lhs":
-        return sa / 4 * _X3(a, ca) / _K3(a, ca)
-    raise DomainError(f"no near-1 evaluation for Lambert series {name!r}")
-
-
 # id: pi power, exact factor, theta weight tag, Lambert id, left exponent
 _Q_INTEGRALS = {
     "prop21_1": (2, Fraction(1, 8), "wt3", "lemma22_1", 2.0),
@@ -305,25 +283,26 @@ def q_integral(q_id: str, ctx: PrecisionContext):
         power, pref, tag, lam, left = _Q_INTEGRALS[q_id]
     except KeyError:
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
-    evals = [0]
 
     def integrand(x, cx):
-        evals[0] += 1
         u = _half_period(x, cx)
-        near = x >= _Q_SERIES_CUT
         # one joint call for every theta this node needs at u
-        which = (2, 3, 4) if near else _WEIGHT_AT_U[tag]
-        t = dict(zip(which, theta_involution(u, which, ctx))) if which else {}
-        lam_v = _lambert_near(lam, t) if near else lambert_series(lam, x, ctx)
+        if x < _Q_SERIES_CUT:
+            which = _WEIGHT_AT_U[tag]
+            t = dict(zip(which, theta_involution(u, which, ctx))) if which else {}
+            lam_v = lambert_series(lam, x, ctx)
+        else:
+            t = dict(zip((2, 3, 4), theta_involution(u, (2, 3, 4), ctx)))
+            lam_v = lambert_closed(lam, (t[2] / t[3]) ** 4, (t[4] / t[3]) ** 4)
         return _q_weight(tag, u, t, ctx) * lam_v / x
 
-    val, est = integrate01(integrand, ctx, left_exponent=left, right_exponent=1.0)
+    val, est, calls = integrate01(integrand, ctx, left_exponent=left)
     with ctx.working():
         factor = _pi_factor(power, pref)
         return (
             ensure_finite(val * factor, "nome integral"),
             max(est, noise_floor(val, ctx)) * factor,
-            evals[0],
+            calls,
         )
 
 
@@ -365,22 +344,19 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         # below this t the inverse-nome leading term alone is under tolerance
         cut = mp.pi**2 / (4 * (mp.log(10) * (mp.mp.dps + 15) + 20))
         zero = mp.mpf(0)
-    evals = [0]
 
     def lower(x, cx):
-        evals[0] += 1
         t = split_v * x
         if t < cut:
             return zero
         return _theta_product_at(form, t / mp.pi, ctx) * x ** (sv - 1)
 
     def upper(v, cv):
-        evals[0] += 1
         t = split_v - mp.log(v)
         return _theta_product_at(form, t / mp.pi, ctx) * t ** (sv - 1) / v
 
-    lo_val, lo_est = integrate01(lower, ctx)
-    up_val, up_est = integrate01(upper, ctx)
+    lo_val, lo_est, lo_calls = integrate01(lower, ctx)
+    up_val, up_est, up_calls = integrate01(upper, ctx)
     with ctx.working():
         gv = gamma(sv, ctx)
         scale = split_v**sv
@@ -389,7 +365,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         return (
             ensure_finite(value, "mellin transform"),
             max(est, noise_floor(value, ctx)),
-            evals[0],
+            lo_calls + up_calls,
         )
 
 

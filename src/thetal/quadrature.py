@@ -97,8 +97,9 @@ def integrate01(
     f(x, cx) must behave as x^(p-1) (1-x)^(r-1) phi(x) with phi smooth on the
     open interval, p = left_exponent, r = right_exponent, both >= 1/2; a
     log(1-x) factor is fine when right_log is set (and harmless anyway, the
-    flag only pads the working precision).  Returns (value, error_estimate).
-    Raises :class:`QuadratureError` when quad_level_cap is hit first.
+    flag only pads the working precision).  Returns (value, error_estimate,
+    calls), calls counting the evaluations of f.  Raises
+    :class:`QuadratureError` when quad_level_cap is hit first.
     """
     if min(left_exponent, right_exponent) < 0.5:
         raise DomainError(
@@ -108,15 +109,17 @@ def integrate01(
     with ctx.working():
         prec_bits = mp.mp.prec + pad
     with mp.workprec(prec_bits):
-        goal = mp.mpf(10) ** (-(ctx.digits + 2))
+        goal = ctx.goal()
         h = mp.mpf(2) ** (-_FIRST_LEVEL)
         total = mp.mpf(0)
-        for x, cx, w in _nodes(_FIRST_LEVEL, prec_bits):
+        nodes = _nodes(_FIRST_LEVEL, prec_bits)
+        for x, cx, w in nodes:
             contrib = w * f(x, cx)
             if x != cx:
                 contrib += w * f(cx, x)
             total += contrib
         value = h * total
+        calls = 2 * len(nodes) - 1  # the node at t = 0 is its own mirror
         prev_delta = None
         estimate = abs(value)
         level = _FIRST_LEVEL
@@ -124,8 +127,10 @@ def integrate01(
             level += 1
             h /= 2
             add = mp.mpf(0)
-            for x, cx, w in _nodes(level, prec_bits):
+            nodes = _nodes(level, prec_bits)
+            for x, cx, w in nodes:
                 add += w * (f(x, cx) + f(cx, x))
+            calls += 2 * len(nodes)
             new_value = value / 2 + h * add
             delta = abs(new_value - value)
             value = new_value
@@ -135,10 +140,8 @@ def integrate01(
                 estimate = max(delta, min(prev_delta, delta**2 / prev_delta))
             else:
                 estimate = delta
-            if estimate <= goal * scale:
-                return ensure_finite(value, "integral"), estimate
-            if delta == 0 and prev_delta == 0:
-                return ensure_finite(value, "integral"), estimate
+            if estimate <= goal * scale or delta == prev_delta == 0:
+                return ensure_finite(value, "integral"), estimate, calls
             prev_delta = delta
         raise QuadratureError(
             f"no convergence within level cap {ctx.quad_level_cap}",

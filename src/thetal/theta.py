@@ -13,7 +13,7 @@ multiplied one sparse factor at a time in int64 arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 
 import mpmath as mp
 import numpy as np
@@ -90,6 +90,22 @@ def _theta_series(which: int, qv, max_terms: int):
         if n > max_terms:
             raise BudgetError(f"theta{which} series exhausted its budget", best=s)
     return s
+
+
+def _summed(terms, what: str, max_terms: int, floor=0):
+    """Sum terms until one falls below 10^-(dps-2) max(|sum|, floor).
+
+    Raises BudgetError, carrying the partial sum, once more than max_terms
+    terms have gone in without that.
+    """
+    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
+    s = mp.mpf(0)
+    for used, t in enumerate(terms, 1):
+        s += t
+        if abs(t) < tol * max(abs(s), floor):
+            return s
+        if used > max_terms:
+            raise BudgetError(f"{what} exhausted its budget", best=s)
 
 
 def theta_direct(which: int, q, ctx: PrecisionContext):
@@ -190,29 +206,12 @@ def alpha_qderiv(q, ctx: PrecisionContext):
     """
     with ctx.working():
         qv = _nome_value(q)
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-        s2 = mp.mpf(0.25)
-        n = 1
-        while True:
-            t = (n * (n + 1) + mp.mpf(0.25)) * qv ** (n * (n + 1))
-            s2 += t
-            if t < tol * s2:
-                break
-            n += 1
-            if n > ctx.max_terms:
-                raise BudgetError("theta2 derivative series exhausted", best=s2)
+        quarter = mp.mpf(0.25)
+        d2_terms = ((n * (n + 1) + quarter) * qv ** (n * (n + 1)) for n in count(1))
+        s2 = _summed(chain((quarter,), d2_terms), "theta2 derivative", ctx.max_terms)
         d2 = 2 * mp.sqrt(mp.sqrt(qv)) * s2
-        s3 = mp.mpf(0)
-        n = 1
-        while True:
-            t = n * n * qv ** (n * n)
-            s3 += t
-            if t < tol * max(s3, mp.mpf(1)):
-                break
-            n += 1
-            if n > ctx.max_terms:
-                raise BudgetError("theta3 derivative series exhausted", best=s3)
-        d3 = 2 * s3
+        d3_terms = (n * n * qv ** (n * n) for n in count(1))
+        d3 = 2 * _summed(d3_terms, "theta3 derivative", ctx.max_terms, 1)
         t2 = _theta_series(2, qv, ctx.max_terms)
         t3 = _theta_series(3, qv, ctx.max_terms)
         a = (t2 / t3) ** 4
@@ -240,18 +239,8 @@ def eisenstein_M(q, ctx: PrecisionContext):
     """M(q) = 1 + 240 sum_k k^3 q^k / (1 - q^k), the weight-4 Lambert sum."""
     with ctx.working():
         qv = _nome_value(q)
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-        s = mp.mpf(0)
-        k = 1
-        while True:
-            p = qv**k
-            t = k**3 * p / (1 - p)
-            s += t
-            if t < tol * max(s, mp.mpf(1)):
-                break
-            k += 1
-            if k > ctx.max_terms:
-                raise BudgetError("Eisenstein sum exhausted its budget", best=s)
+        terms = (k**3 * p / (1 - p) for k in count(1) for p in (qv**k,))
+        s = _summed(terms, "Eisenstein sum", ctx.max_terms, 1)
         return ensure_finite(1 + 240 * s, "Eisenstein M")
 
 
@@ -312,23 +301,12 @@ def lambert_series(name: str, q, ctx: PrecisionContext):
     if name not in LAMBERT_IDS:
         raise DomainError(f"unknown Lambert series id {name!r}")
     with ctx.working():
-        qv = _nome_value(q)
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-        s = mp.mpf(0)
-        scale = None
-        used = 0
-        for t in _lambert_terms(name, qv):
-            s += t
-            used += 1
-            if scale is None:
-                scale = max(abs(t), mp.mpf(10) ** (-mp.mp.dps))
-            if abs(t) < tol * max(abs(s), scale):
-                break
-            if used > ctx.max_terms:
-                raise BudgetError(
-                    f"Lambert series {name} exhausted its budget", best=s
-                )
-        return ensure_finite(s, f"Lambert series {name}")
+        terms = _lambert_terms(name, _nome_value(q))
+        first = next(terms)
+        floor = max(abs(first), mp.mpf(10) ** (-mp.mp.dps))
+        what = f"Lambert series {name}"
+        s = _summed(chain((first,), terms), what, ctx.max_terms, floor)
+        return ensure_finite(s, what)
 
 
 @dataclass(frozen=True)

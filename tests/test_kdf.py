@@ -9,6 +9,7 @@ import pytest
 from conftest import agrees
 from thetal.context import DomainError, NumericsError, PrecisionContext
 from thetal.hyper import KDF_STRATEGIES, KdFSpec, PFQSpec, kdf_converges, kdf_full, pfq
+from thetal.lvalues import KDF_SPECS
 
 # the six parameter sets the weight-3/weight-4 reductions produce, with
 # values frozen from the integral route (thm11_1 independently = 3 pi log 2)
@@ -58,6 +59,11 @@ def references(ctx):
     for name, (spec, _, _) in THEOREM_SPECS.items():
         out[name] = kdf_full(spec, 1, 1, "integral_reduction", ctx)
     return out
+
+
+def swapped(spec):
+    """The mirror spec: (b,d,x) duties exchanged with (bp,dp,y)."""
+    return KdFSpec(a=spec.a, c=spec.c, b=spec.bp, d=spec.dp, bp=spec.b, dp=spec.d)
 
 
 def brute_double_sum(spec, x, y, terms=250):
@@ -115,7 +121,7 @@ class TestSpecAndMargins:
 
     def test_swapped_round_trip(self):
         spec = THEOREM_SPECS["thm11_2"][0]
-        assert spec.swapped().swapped() == spec
+        assert swapped(swapped(spec)) == spec
 
 
 class TestStrategies:
@@ -177,7 +183,7 @@ class TestSymmetryAndDegeneration:
         spec = THEOREM_SPECS["thm11_1"][0]
         for x, y in [("3/4", 1), ("2/5", "1/2"), (1, 1)]:
             v1 = kdf_full(spec, x, y, "integral_reduction", ctx).value
-            v2 = kdf_full(spec.swapped(), y, x, "integral_reduction", ctx).value
+            v2 = kdf_full(swapped(spec), y, x, "integral_reduction", ctx).value
             assert agrees(v1, v2, 22), (x, y)
 
     def test_y_zero_reduces_to_single_series(self, ctx):
@@ -191,6 +197,17 @@ class TestSymmetryAndDegeneration:
         got = kdf_full(spec, 0, "1/2", "integral_reduction", ctx).value
         want = pfq(PFQSpec(upper=(2, "1/2", "1/2"), lower=("5/2", 1)), "1/2", ctx)
         assert agrees(got, want, 24)
+
+    @pytest.mark.parametrize("name", sorted(KDF_SPECS))
+    def test_axis_estimates_cover_the_error(self, name):
+        # on an axis the value is one pFq, summed to 10^-(digits+2) relative
+        # to max(|value|, 1), not to the working precision
+        ctx, hot = PrecisionContext(digits=20), PrecisionContext(digits=50)
+        for x, y in [(1, 0), (0, 1), ("1/2", 0)]:
+            r = kdf_full(KDF_SPECS[name], x, y, "integral_reduction", ctx)
+            ref = kdf_full(KDF_SPECS[name], x, y, "integral_reduction", hot).value
+            with hot.working():
+                assert abs(r.value - ref) <= r.error_estimate, (x, y)
 
     def test_origin_is_one(self, ctx):
         r = kdf_full(THEOREM_SPECS["thm11_2"][0], 0, 0, "double_truncate", ctx)

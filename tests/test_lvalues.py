@@ -18,7 +18,6 @@ from thetal.lvalues import (
     KDF_SPECS,
     L_VALUE_METHODS,
     LValueResult,
-    _lambert_near,
     alpha_integral,
     closed_form,
     dirichlet_sum,
@@ -26,6 +25,7 @@ from thetal.lvalues import (
     l_chi4,
     l_psi,
     l_value,
+    lambert_closed,
     mellin,
     q_integral,
 )
@@ -195,8 +195,8 @@ class TestQIntegrals:
         with ctx.working():
             for q in (mp.mpf("0.29"), mp.mpf("0.31"), mp.mpf("0.55")):
                 u = -mp.log(q) / mp.pi
-                t = dict(zip((2, 3, 4), theta_involution(u, (2, 3, 4), ctx)))
-                near = _lambert_near(name, t)
+                t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
+                near = lambert_closed(name, (t2 / t3) ** 4, (t4 / t3) ** 4)
                 direct = lambert_series(name, q, ctx)
                 assert agrees(near, direct, 22)
 

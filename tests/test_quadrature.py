@@ -11,7 +11,7 @@ from conftest import agrees
 
 def test_beta_endpoint_powers(ctx30):
     # int t^{1/2} (1-t)^{-1/2} dt = B(3/2, 1/2) = pi/2
-    val, est = integrate01(
+    val, est, _ = integrate01(
         lambda x, cx: mp.sqrt(x) / mp.sqrt(cx),
         ctx30,
         left_exponent=1.5,
@@ -23,7 +23,7 @@ def test_beta_endpoint_powers(ctx30):
 
 
 def test_both_endpoints_singular(ctx30):
-    val, _ = integrate01(
+    val, _, _ = integrate01(
         lambda x, cx: 1 / mp.sqrt(x * cx),
         ctx30,
         left_exponent=0.5,
@@ -34,7 +34,7 @@ def test_both_endpoints_singular(ctx30):
 
 
 def test_log_endpoint(ctx30):
-    val, _ = integrate01(
+    val, _, _ = integrate01(
         lambda x, cx: -mp.log(cx), ctx30, right_log=True
     )
     assert agrees(val, 1, 28)
@@ -43,14 +43,14 @@ def test_log_endpoint(ctx30):
 def test_log_squared_endpoint(ctx30):
     # int log^2(1-t) dt = 2; the squared log shows up in one of the
     # moment integrals so the rule has to absorb it
-    val, _ = integrate01(
+    val, _, _ = integrate01(
         lambda x, cx: mp.log(cx) ** 2, ctx30, right_log=True
     )
     assert agrees(val, 2, 27)
 
 
 def test_smooth_integrand(ctx30):
-    val, _ = integrate01(lambda x, cx: mp.exp(x), ctx30)
+    val, _, _ = integrate01(lambda x, cx: mp.exp(x), ctx30)
     with ctx30.working():
         assert agrees(val, mp.e - 1, 28)
 
@@ -58,7 +58,7 @@ def test_smooth_integrand(ctx30):
 def test_cx_argument_is_exact_complement(ctx20):
     # near t = 1 the cx argument must carry the accurate 1 - t; a naive
     # 1 - x would lose every digit here
-    val, _ = integrate01(
+    val, _, _ = integrate01(
         lambda x, cx: mp.sqrt(x) / mp.sqrt(cx),
         ctx20,
         left_exponent=1.5,
@@ -89,7 +89,7 @@ def test_quadrature_error_on_divergence():
 def test_monomial_products(a, b):
     # int t^a (1-t)^b dt = a! b! / (a+b+1)!
     ctx = PrecisionContext(digits=20)
-    val, _ = integrate01(
+    val, _, _ = integrate01(
         lambda x, cx: x**a * cx**b,
         ctx,
         left_exponent=a + 1,
@@ -98,3 +98,22 @@ def test_monomial_products(a, b):
     with ctx.working():
         truth = mp.beta(a + 1, b + 1)
         assert agrees(val, truth, 18)
+
+
+@pytest.mark.parametrize(
+    "f,kwargs",
+    [
+        (lambda x, cx: mp.exp(x), {}),
+        (lambda x, cx: mp.log(cx) ** 2, {"right_log": True}),
+    ],
+    ids=["smooth", "right_log"],
+)
+def test_returned_calls_match_a_counter(ctx30, f, kwargs):
+    seen = [0]
+
+    def counted(x, cx):
+        seen[0] += 1
+        return f(x, cx)
+
+    _, _, calls = integrate01(counted, ctx30, **kwargs)
+    assert calls == seen[0] > 0

@@ -12,6 +12,7 @@ from thetal.theta import (
     eisenstein_M,
     form_f,
     form_g,
+    LAMBERT_IDS,
     lambert_series,
     theta2,
     theta3,
@@ -125,6 +126,25 @@ def test_theta_budget():
     ctx = PrecisionContext(digits=15, max_terms=3)
     with pytest.raises(BudgetError):
         theta_direct(3, "0.999", ctx)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda ctx, n=n: lambert_series(n, "0.9", ctx) for n in LAMBERT_IDS]
+    + [
+        lambda ctx: eisenstein_M("0.9", ctx),
+        lambda ctx: alpha_qderiv("0.9", ctx),
+    ]
+    + [lambda ctx, w=w: theta_direct(w, "0.9", ctx) for w in (2, 3, 4)],
+    ids=[*LAMBERT_IDS, "eisenstein_M", "alpha_qderiv", "theta2", "theta3", "theta4"],
+)
+def test_every_budgeted_sum_gives_up_with_its_best(run):
+    # three terms cannot settle any of these sums at q = 0.9
+    ctx = PrecisionContext(digits=20, max_terms=3)
+    with pytest.raises(BudgetError) as info:
+        run(ctx)
+    with ctx.working():
+        assert info.value.best is not None and mp.isfinite(info.value.best)
 
 
 def test_alpha_midpoint_and_range(ctx30):
