@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -32,10 +33,10 @@ from .context import (
     ensure_finite,
     parse_rational,
 )
-from .quadrature import integrate01, noise_floor
+from .quadrature import integrate01, isolated, noise_floor, settled
 from .series import extrapolate_powerlog, richardson_power
 from .special import beta as beta_fn
-from .special import alternating_sum, pochhammer
+from .special import alternating_sum
 
 __all__ = [
     "PFQSpec",
@@ -45,11 +46,11 @@ __all__ = [
     "pfq_excess",
     "pfq_converges",
     "pfq",
-    "pfq_term",
     "euler_2f1",
     "series_kernel",
     "kdf_converges",
     "kdf_full",
+    "kdf_reductions",
     "KDF_STRATEGIES",
 ]
 
@@ -115,19 +116,6 @@ def pfq_converges(spec: PFQSpec, z) -> str:
     if zf == -1:
         return "boundary-convergent" if e > -1 else "divergent"
     return "divergent"
-
-
-def pfq_term(spec: PFQSpec, n: int, z, ctx: PrecisionContext):
-    """Term n from scratch via Pochhammer quotients (the slow reference)."""
-    with ctx.working():
-        num = Fraction(1)
-        den = Fraction(1)
-        for u in spec.upper:
-            num *= pochhammer(u, n)
-        for l in spec.lower:
-            den *= pochhammer(l, n)
-        t = as_real(num) / as_real(den) * as_real(z) ** n / mp.factorial(n)
-        return ensure_finite(t, "pfq term")
 
 
 def _pfq_terms(spec: PFQSpec, zv):
@@ -548,40 +536,55 @@ def _require_coupled_pair(spec: KdFSpec):
         raise DomainError("this strategy needs exactly one coupled pair (a; c)")
 
 
-def _kdf_integral(spec: KdFSpec, x, y, ctx: PrecisionContext):
-    """Beta-kernel reduction to a single integral; the reference strategy.
+def kdf_reductions(specs, x, y, ctx: PrecisionContext):
+    """Beta-kernel reductions of several double series at one point (x, y)
+    in one quadrature pass, each distinct kernel evaluated once per node;
+    the reference strategy.
 
     (a)_{m+n}/(c)_{m+n} = int t^{a+m+n-1} (1-t)^{c-a-1} dt / B(a, c-a)
-    collapses the double sum into the product of the two group kernels under
-    one integral; precision is then quadrature-limited, not tail-limited.
-    Returns (value, error_estimate, integrand_calls).
+    collapses each double sum into the product of its two group kernels
+    under one integral; precision is then quadrature-limited, not
+    tail-limited.  Per spec, returns the :class:`KdFResult` of kdf_full at
+    the integral reduction, or the quadrature error that spec meets alone
+    (see :func:`~thetal.quadrature.settled`); a spec off the domain raises.
     """
-    _require_coupled_pair(spec)
-    a1, c1 = spec.a[0], spec.c[0]
-    if not (c1 > a1 > 0):
-        raise DomainError("integral reduction needs c > a > 0")
-    kernel_x = series_kernel(spec.b, spec.d)
-    kernel_y = series_kernel(spec.bp, spec.dp)
+
+    def prepare(spec):
+        _kdf_domain(spec, x, y)
+        _require_coupled_pair(spec)
+        a1, c1 = spec.a[0], spec.c[0]
+        if not (c1 > a1 > 0):
+            raise DomainError("integral reduction needs c > a > 0")
+        kernels = series_kernel(spec.b, spec.d), series_kernel(spec.bp, spec.dp)
+        return (a1, c1, as_real(a1), as_real(c1)) + kernels
+
     with ctx.working():
-        xv, yv = as_real(x), as_real(y)
-        av, cv = as_real(a1), as_real(c1)
+        preps = [prepare(spec) for spec in specs]
+        xv, yv = (as_real(v) for v in _coerce_params((x, y)))
         x_unit, y_unit = xv == 1, yv == 1
 
         def f(t, ct):
-            kx = kernel_x(xv * t, ct if x_unit else 1 - xv * t)
-            ky = kernel_y(yv * t, ct if y_unit else 1 - yv * t)
-            return t ** (av - 1) * ct ** (cv - av - 1) * kx * ky
+            kx = cache(lambda kernel: kernel(xv * t, ct if x_unit else 1 - xv * t))
+            ky = cache(lambda kernel: kernel(yv * t, ct if y_unit else 1 - yv * t))
 
-        val, est, calls = integrate01(
-            f,
-            ctx,
-            left_exponent=float(a1),
-            right_exponent=float(c1 - a1),
-            right_log=x_unit or y_unit,
-        )
-        norm = beta_fn(a1, c1 - a1, ctx)
-        value = val / norm
-        return value, max(est / norm, noise_floor(value, ctx)), calls
+            def piece(a1, c1, av, cv, kernel_x, kernel_y):
+                vx, vy = kx(kernel_x), ky(kernel_y)
+                return t ** (av - 1) * ct ** (cv - av - 1) * vx * vy
+
+            return isolated(partial(piece, *prep) for prep in preps)
+
+        left = min(float(p[0]) for p in preps)
+        right = min(float(p[1] - p[0]) for p in preps)
+        runs = integrate01(f, ctx, left, right, right_log=x_unit or y_unit)
+
+        def finish(prep, run):
+            val, est, calls = settled(run)
+            norm = beta_fn(prep[0], prep[1] - prep[0], ctx)
+            value = val / norm
+            est = max(est / norm, noise_floor(value, ctx))
+            return KdFResult(value, est, "integral_reduction", calls)
+
+        return isolated(partial(finish, p, r) for p, r in zip(preps, runs))
 
 
 def _float_params(fractions):
@@ -736,8 +739,8 @@ def _kdf_double(spec: KdFSpec, xf: float, yf: float, m1: float, m2: float, ctx):
     return total, 3.0 * (float(col_tails.sum()) + row_tail) + abs(total) * 1e-12
 
 
-def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
-    """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy.
+def _kdf_domain(spec: KdFSpec, x, y):
+    """(x, y, margins) as exact fractions where the double series converges.
 
     The domain is decided here and nowhere else.  On the boundary the
     margins (m1, m2, m3) of :func:`kdf_converges` rule: x = 1 needs m1 > 0,
@@ -745,13 +748,7 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
     axes Horn's rule on the parameter counts does: e1 = #a + #b - #c - #d - 1
     and its primed twin e2 must not pass 0, and when both are 0 and
     k = #a - #c > 0, x^(1/k) + y^(1/k) < 1.  Anything else raises DomainError.
-    Every strategy's value and error estimate must be finite, so a float64
-    sum that overflows raises NumericsError.
-    Returns a :class:`KdFResult` with the value, its error estimate and
-    the integrand calls spent.
     """
-    if strategy not in KDF_STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}")
     xq, yq = _coerce_params((x, y))
     if not (0 <= xq <= 1 and 0 <= yq <= 1):
         raise DomainError("kdf arguments must lie in [0, 1]")
@@ -768,6 +765,17 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
             f"double series diverges at ({xq}, {yq}): margins {m1}, {m2}, {m3}; "
             f"count excesses {e1}, {e2}, {k}"
         )
+    return xq, yq, (m1, m2, m3)
+
+
+def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
+    """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy,
+    on the domain :func:`_kdf_domain` decides.  Value and error estimate
+    must be finite, so a float64 sum that overflows raises NumericsError.
+    Returns a :class:`KdFResult` with the integrand calls spent."""
+    if strategy not in KDF_STRATEGIES:
+        raise DomainError(f"unknown strategy {strategy!r}")
+    xq, yq, (m1, m2, m3) = _kdf_domain(spec, x, y)
     with ctx.working():
         if xq == 0 and yq == 0:
             return KdFResult(mp.mpf(1), mp.mpf(0), strategy)
@@ -775,15 +783,13 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
             # pfq sums each argument to its goal relative to max(|value|, 1)
             val = pfq(_merged_pfq(spec, "y" if xq == 0 else "x"), xq or yq, ctx)
             return KdFResult(val, ctx.goal() * max(abs(val), 1), strategy)
-        calls = 0
         if strategy == "integral_reduction":
-            val, est, calls = _kdf_integral(spec, xq, yq, ctx)
-        else:
-            run = _kdf_iterated if strategy == "iterated" else _kdf_double
-            # overflow surfaces below as a non-finite value, not as a warning
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                val, est = run(spec, float(xq), float(yq), float(m1), float(m2), ctx)
+            return settled(kdf_reductions((spec,), xq, yq, ctx)[0])
+        run = _kdf_iterated if strategy == "iterated" else _kdf_double
+        # overflow surfaces below as a non-finite value, not as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val, est = run(spec, float(xq), float(yq), float(m1), float(m2), ctx)
         val, est = (mp.mpf(v) if isinstance(v, float) else v for v in (val, est))
         what = f"kdf {strategy}"
         val, est = ensure_finite(val, what), ensure_finite(est, f"{what} estimate")
-        return KdFResult(val, est, strategy, calls)
+        return KdFResult(val, est, strategy)

@@ -9,7 +9,11 @@ series at the corner (1, 1), and single 5F4 closed forms.  The
 modular-parameter integral is that reduction before its termwise Beta
 integration, so the two names read one evaluation.  Every route reports an
 honest error estimate, so any pair of distinct routes cross-certifies a
-digit count; the identity registry leans on that.
+digit count; the identity registry leans on that.  Sibling integrals share
+one tanh-sinh pass that evaluates each node's costly factors once: the
+Mellin transform at s = 3 and 4 (per form), the four nome integrals, and
+the six double-series reductions.  The registry never plays two members of
+one pass against each other, so each still faces a route computed apart.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
 shared with the command line and the registry.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import count
 from typing import NamedTuple
 
@@ -27,8 +31,8 @@ import mpmath as mp
 import numpy as np
 
 from .context import DomainError, PrecisionContext, as_real, ensure_finite
-from .hyper import KdFSpec, PFQSpec, kdf_full, pfq, series_kernel
-from .quadrature import integrate01, noise_floor
+from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
+from .quadrature import integrate01, isolated, noise_floor, settled
 from .special import alternating_sum, cvz_terms, eta, gamma, zeta
 from .theta import coeffs_convolution, lambert_series, theta_involution
 
@@ -163,6 +167,11 @@ def _pi_factor(power: int, pref: Fraction):
     return mp.pi**power * mp.mpf(pref.numerator) / pref.denominator
 
 
+@lru_cache(maxsize=4)  # every spec's reduction at (1, 1); a registry pass fills one
+def _kdf_family(ctx: PrecisionContext):
+    return dict(zip(KDF_SPECS, kdf_reductions(tuple(KDF_SPECS.values()), 1, 1, ctx)))
+
+
 @lru_cache(maxsize=32)  # a registry pass at one precision fills four
 def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
     """(sum of w F(1, 1), sum of w error, integrand calls) over one
@@ -178,7 +187,10 @@ def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
         err = mp.mpf(0)
         calls = 0
         for weight, name in pieces:
-            res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
+            if strategy == "integral_reduction":
+                res = settled(_kdf_family(ctx)[name])
+            else:
+                res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
             acc += weight * res.value
             err += weight * res.error_estimate
             calls += res.calls
@@ -238,29 +250,6 @@ def lambert_closed(name: str, a, ca):
     raise DomainError(f"no closed form for Lambert series {name!r}")
 
 
-def _half_period(x, cx):
-    # u = -log(q)/pi from whichever side of q stays well conditioned
-    if x <= 0.5:
-        return -mp.log(x) / mp.pi
-    return -mp.log1p(-cx) / mp.pi
-
-
-# the theta indices each weight reads at u itself; the rest sit at 2u and 4u
-_WEIGHT_AT_U = {"wt3": (2, 4), "wt4_f": (4,), "wt4_g": ()}
-
-
-def _q_weight(tag: str, u, t, ctx: PrecisionContext):
-    # t maps a theta index to its value at u, for the indices fetched there
-    if tag == "wt3":
-        return t[2] ** 4 * t[4] ** 2
-    if tag == "wt4_f":
-        return 2 * theta_involution(2 * u, 4, ctx) ** 8 - t[4] ** 8
-    # wt4_g: one level down
-    return 2 * theta_involution(4 * u, 4, ctx) ** 8 - theta_involution(
-        2 * u, 4, ctx
-    ) ** 8
-
-
 _Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
 
 
@@ -273,6 +262,50 @@ _Q_INTEGRALS = {
 }
 
 
+@lru_cache(maxsize=4)  # a registry pass at one precision fills one
+def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
+    """The nome integrals q_ids by one tuple :func:`integrate01`.  A node
+    evaluates each theta and Lambert sum once for all of them, fetched in
+    each one's own order, so a failing one meets the error it meets alone."""
+
+    def integrand(x, cx):
+        # u = -log(q)/pi from whichever side of q stays well conditioned
+        u = -mp.log(x) / mp.pi if x <= 0.5 else -mp.log1p(-cx) / mp.pi
+        below = x < _Q_SERIES_CUT
+
+        @cache
+        def at_u():
+            which = (2, 4) if below else (2, 3, 4)
+            return dict(zip(which, theta_involution(u, which, ctx)))
+
+        @cache
+        def theta4(k):  # at k u
+            return theta_involution(k * u, 4, ctx)
+
+        @cache
+        def lam(name):
+            if below:
+                return lambert_series(name, x, ctx)
+            t = at_u()
+            return lambert_closed(name, (t[2] / t[3]) ** 4, (t[4] / t[3]) ** 4)
+
+        def member(tag, name):
+            t = None if below and tag == "wt4_g" else at_u()
+            lam_v = lam(name)
+            if tag == "wt3":
+                weight = t[2] ** 4 * t[4] ** 2
+            elif tag == "wt4_f":
+                weight = 2 * theta4(2) ** 8 - t[4] ** 8
+            else:  # wt4_g: one level down
+                weight = 2 * theta4(4) ** 8 - theta4(2) ** 8
+            return weight * lam_v / x
+
+        return isolated(partial(member, *_Q_INTEGRALS[q][2:4]) for q in q_ids)
+
+    left = min(_Q_INTEGRALS[q][4] for q in q_ids)
+    return dict(zip(q_ids, integrate01(integrand, ctx, left_exponent=left)))
+
+
 def q_integral(q_id: str, ctx: PrecisionContext):
     """L-value as a nome integral of a theta weight against a Lambert sum.
 
@@ -280,23 +313,10 @@ def q_integral(q_id: str, ctx: PrecisionContext):
     precision like the other quadrature routes.
     """
     try:
-        power, pref, tag, lam, left = _Q_INTEGRALS[q_id]
+        power, pref = _Q_INTEGRALS[q_id][:2]
     except KeyError:
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
-
-    def integrand(x, cx):
-        u = _half_period(x, cx)
-        # one joint call for every theta this node needs at u
-        if x < _Q_SERIES_CUT:
-            which = _WEIGHT_AT_U[tag]
-            t = dict(zip(which, theta_involution(u, which, ctx))) if which else {}
-            lam_v = lambert_series(lam, x, ctx)
-        else:
-            t = dict(zip((2, 3, 4), theta_involution(u, (2, 3, 4), ctx)))
-            lam_v = lambert_closed(lam, (t[2] / t[3]) ** 4, (t[4] / t[3]) ** 4)
-        return _q_weight(tag, u, t, ctx) * lam_v / x
-
-    val, est, calls = integrate01(integrand, ctx, left_exponent=left)
+    val, est, calls = settled(_q_family(ctx)[q_id])
     with ctx.working():
         factor = _pi_factor(power, pref)
         return (
@@ -320,6 +340,30 @@ def _theta_product_at(form: str, u, ctx: PrecisionContext):
     return t2**4 * t4**2 / 16
 
 
+@lru_cache(maxsize=4)  # a registry pass at one precision fills two
+def _mellin_halves(form: str, svs, split, ctx: PrecisionContext):
+    """Both halves' :func:`integrate01` results for every exponent in svs,
+    which share h(e^-t) at each node."""
+    with ctx.working():
+        split_v = mp.pi if split is None else as_real(split)
+        # below this t the inverse-nome leading term alone is under tolerance
+        cut = mp.pi**2 / (4 * (mp.log(10) * (mp.mp.dps + 15) + 20))
+
+    def lower(x, cx):
+        t = split_v * x
+        if t < cut:
+            return (mp.mpf(0),) * len(svs)
+        h = _theta_product_at(form, t / mp.pi, ctx)
+        return tuple(h * x ** (sv - 1) for sv in svs)
+
+    def upper(v, cv):
+        t = split_v - mp.log(v)
+        h = _theta_product_at(form, t / mp.pi, ctx)
+        return tuple(h * t ** (sv - 1) / v for sv in svs)
+
+    return integrate01(lower, ctx), integrate01(upper, ctx)
+
+
 def mellin(form: str, s, ctx: PrecisionContext, split=None):
     """L(form, s) = (1/Gamma(s)) int_0^inf h(e^-t) t^(s-1) dt.
 
@@ -328,7 +372,8 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
     Since a_0 = 0 the integrand dies double-exponentially at t -> 0 and
     exponentially at t -> inf, so the result must not depend on the cut;
     the split-invariance gate in tests/test_acceptance.py moves it by a
-    factor of two in both directions and checks that.
+    factor of two in both directions and checks that.  s = 3 and 4 at the
+    default split share one pass per form; others run the same code alone.
 
     Returns (value, error_estimate, integrand_evaluations).
     """
@@ -341,23 +386,10 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         split_v = mp.pi if split is None else as_real(split)
         if not split_v > 0:
             raise DomainError("split point must be positive")
-        # below this t the inverse-nome leading term alone is under tolerance
-        cut = mp.pi**2 / (4 * (mp.log(10) * (mp.mp.dps + 15) + 20))
-        zero = mp.mpf(0)
-
-    def lower(x, cx):
-        t = split_v * x
-        if t < cut:
-            return zero
-        return _theta_product_at(form, t / mp.pi, ctx) * x ** (sv - 1)
-
-    def upper(v, cv):
-        t = split_v - mp.log(v)
-        return _theta_product_at(form, t / mp.pi, ctx) * t ** (sv - 1) / v
-
-    lo_val, lo_est, lo_calls = integrate01(lower, ctx)
-    up_val, up_est, up_calls = integrate01(upper, ctx)
-    with ctx.working():
+        svs = (mp.mpf(3), mp.mpf(4)) if split is None and sv in (3, 4) else (sv,)
+        lows, ups = _mellin_halves(form, svs, split, ctx)
+        lo_val, lo_est, lo_calls = settled(lows[svs.index(sv)])
+        up_val, up_est, up_calls = settled(ups[svs.index(sv)])
         gv = gamma(sv, ctx)
         scale = split_v**sv
         value = (scale * lo_val + up_val) / gv

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import mpmath as mp
 
-from .context import DomainError, PrecisionContext, QuadratureError, ensure_finite
+from .context import DomainError, NumericsError, PrecisionContext, QuadratureError
+from .context import ensure_finite
 
-__all__ = ["integrate01", "noise_floor"]
+__all__ = ["integrate01", "isolated", "noise_floor", "settled"]
 
 # nodes per (workprec bits, level); grown lazily, shared across integrals,
 # and dropped a whole precision at a time, the oldest first
@@ -85,6 +86,24 @@ def noise_floor(value, ctx: PrecisionContext):
         return abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
 
 
+def isolated(calls):
+    """Each call's result, or in its place the NumericsError it raised."""
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except NumericsError as exc:
+            out.append(exc)
+    return tuple(out)
+
+
+def settled(result):
+    """A member's result, or its error raised without a stale traceback."""
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
+    return result
+
+
 def integrate01(
     f,
     ctx: PrecisionContext,
@@ -100,6 +119,13 @@ def integrate01(
     flag only pads the working precision).  Returns (value, error_estimate,
     calls), calls counting the evaluations of f.  Raises
     :class:`QuadratureError` when quad_level_cap is hit first.
+
+    f may return a tuple of integrands sharing factors per node instead
+    (exponents and right_log must cover them all).  Each component stops
+    by this rule at its own level, then stays frozen as the others run on.
+    One holding a NumericsError (see :func:`isolated`) or reaching the cap
+    fails alone: the result is a tuple of (value, error_estimate, calls) or
+    error per component, and :func:`settled` raises an error when read.
     """
     if min(left_exponent, right_exponent) < 0.5:
         raise DomainError(
@@ -110,41 +136,49 @@ def integrate01(
         prec_bits = mp.mp.prec + pad
     with mp.workprec(prec_bits):
         goal = ctx.goal()
-        h = mp.mpf(2) ** (-_FIRST_LEVEL)
-        total = mp.mpf(0)
-        nodes = _nodes(_FIRST_LEVEL, prec_bits)
-        for x, cx, w in nodes:
-            contrib = w * f(x, cx)
-            if x != cx:
-                contrib += w * f(cx, x)
-            total += contrib
-        value = h * total
-        calls = 2 * len(nodes) - 1  # the node at t = 0 is its own mirror
-        prev_delta = None
-        estimate = abs(value)
-        level = _FIRST_LEVEL
-        while level < ctx.quad_level_cap:
-            level += 1
-            h /= 2
-            add = mp.mpf(0)
-            nodes = _nodes(level, prec_bits)
-            for x, cx, w in nodes:
-                add += w * (f(x, cx) + f(cx, x))
-            calls += 2 * len(nodes)
-            new_value = value / 2 + h * add
-            delta = abs(new_value - value)
-            value = new_value
-            scale = max(abs(value), mp.mpf(1) / 10**6)
-            if prev_delta is not None and prev_delta > 0:
-                # doubling nodes should square the error; take the cautious mix
-                estimate = max(delta, min(prev_delta, delta**2 / prev_delta))
-            else:
-                estimate = delta
-            if estimate <= goal * scale or delta == prev_delta == 0:
-                return ensure_finite(value, "integral"), estimate, calls
-            prev_delta = delta
-        raise QuadratureError(
-            f"no convergence within level cap {ctx.quad_level_cap}",
-            best=value,
-            estimate=estimate,
-        )
+        level, h, calls = _FIRST_LEVEL, mp.mpf(2) ** (-_FIRST_LEVEL), 0
+        out = None  # per component: None while it refines, then its result
+        while out is None or None in out:
+            rows = []  # weight, f at the node, f at its mirror (None at t = 0)
+            for x, cx, w in _nodes(level, prec_bits):
+                mirrored = x != cx
+                rows.append((w, f(x, cx), f(cx, x) if mirrored else None))
+                calls += 1 + mirrored
+            if out is None:
+                single = not isinstance(rows[0][1], tuple)
+                n = 1 if single else len(rows[0][1])
+                out, estimate, prev_delta = [None] * n, [None] * n, [None] * n
+                value = [mp.mpf(0)] * n
+            if single:
+                rows = [(w, (a,), b if b is None else (b,)) for w, a, b in rows]
+            for i in (i for i in range(n) if out[i] is None):
+                add = mp.mpf(0)
+                for w, a, b in rows:
+                    ya, yb = a[i], b and b[i]
+                    if isinstance(ya, Exception) or isinstance(yb, Exception):
+                        out[i] = ya if isinstance(ya, Exception) else yb
+                        break
+                    if yb is None:
+                        add += w * ya
+                    elif level == _FIRST_LEVEL:
+                        add += w * ya + w * yb
+                    else:
+                        add += w * (ya + yb)
+                else:
+                    new_value = value[i] / 2 + h * add
+                    delta = abs(new_value - value[i])
+                    value[i], prev = new_value, prev_delta[i]
+                    scale = max(abs(new_value), mp.mpf(1) / 10**6)
+                    # doubling nodes should square the error; take the cautious mix
+                    estimate[i] = max(delta, min(prev, delta**2 / prev)) if prev else delta
+                    if level == _FIRST_LEVEL:
+                        continue
+                    if estimate[i] <= goal * scale or delta == prev == 0:
+                        out[i] = ensure_finite(new_value, "integral"), estimate[i], calls
+                    prev_delta[i] = delta
+            if None in out and level >= ctx.quad_level_cap:
+                cap = f"no convergence within level cap {ctx.quad_level_cap}"
+                for i in (i for i in range(n) if out[i] is None):
+                    out[i] = QuadratureError(cap, best=value[i], estimate=estimate[i])
+            level, h = level + 1, h / 2
+    return settled(out[0]) if single else tuple(out)

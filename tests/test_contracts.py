@@ -88,6 +88,17 @@ def test_module_caches_stay_bounded_across_precisions():
         weighted("thm11_1", "double_truncate", ctx)
     info = weighted.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    # the shared-pass memos: one more context than each holds, at 10 digits
+    passes = {
+        lvalues._mellin_halves: lambda ctx: lvalues.mellin("f", 3, ctx),
+        lvalues._q_family: lvalues._q_family,
+        lvalues._kdf_family: lvalues._kdf_family,
+    }
+    for memo, fill in passes.items():
+        for extra in range(memo.cache_info().maxsize + 1):
+            fill(PrecisionContext(digits=10, max_terms=4096 + extra))
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_registry_reads_l_values_through_lvalues():

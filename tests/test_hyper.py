@@ -18,10 +18,21 @@ from thetal.hyper import (
     pfq_excess,
     _agm_ambient,
     _pfq_terms,
-    pfq_term,
     series_kernel,
 )
 from thetal.lvalues import LF4_POS1, LF4_POS3, SAMART_5F4
+from thetal.special import pochhammer
+
+
+def pfq_term(spec, n, z, ctx):
+    """Term n from scratch via Pochhammer quotients (the slow reference)."""
+    with ctx.working():
+        num = den = Fraction(1)
+        for u in spec.upper:
+            num *= pochhammer(u, n)
+        for l in spec.lower:
+            den *= pochhammer(l, n)
+        return as_real(num) / as_real(den) * as_real(z) ** n / mp.factorial(n)
 
 
 @pytest.fixture(scope="module")

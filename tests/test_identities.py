@@ -136,7 +136,8 @@ COROLLARIES = ("I21", "I22", "I23")
 
 class TestSharedDoubleSeries:
     """A corollary is its theorem's weighted double series under another
-    scale, so the registry evaluates each of the six specs once."""
+    scale, and all six specs share one reduction pass, so the registry
+    evaluates each spec once."""
 
     def test_corollaries_same_cold_and_after_theorems(self, config):
         lvalues.kdf_weighted_sum.cache_clear()
@@ -147,20 +148,24 @@ class TestSharedDoubleSeries:
         warm = reports_to_json([verify(i, config) for i in COROLLARIES])
         assert cold == warm
 
-    def test_one_kdf_full_call_per_spec(self, config, monkeypatch):
+    def test_one_joint_reduction_for_all_specs(self, config, monkeypatch):
         calls = []
-        real = lvalues.kdf_full
+        real = lvalues.kdf_reductions
 
-        def counting(spec, *args):
-            calls.append(spec)
-            return real(spec, *args)
+        def counting(specs, *args):
+            calls.append(specs)
+            return real(specs, *args)
+
+        def single(*args):
+            raise AssertionError("a single-spec reduction in a registry pass")
 
         lvalues.kdf_weighted_sum.cache_clear()
-        monkeypatch.setattr(lvalues, "kdf_full", counting)
+        lvalues._kdf_family.cache_clear()
+        monkeypatch.setattr(lvalues, "kdf_reductions", counting)
+        monkeypatch.setattr(lvalues, "kdf_full", single)
         reports = verify_all(replace(config, ids=THEOREMS + COROLLARIES))
         assert [r.status for r in reports] == ["pass"] * 7
-        assert len(calls) == 6
-        assert set(calls) == set(lvalues.KDF_SPECS.values())
+        assert calls == [tuple(lvalues.KDF_SPECS.values())]
 
 
 class TestExactIdentities:

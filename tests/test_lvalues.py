@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import agrees
 from thetal import lvalues
-from thetal.context import DomainError, PrecisionContext
-from thetal.hyper import kdf_converges
+from thetal.context import BudgetError, DomainError, PrecisionContext
+from thetal.hyper import kdf_converges, kdf_full
 from thetal.lvalues import (
     FORMS,
     KDF_RHS_IDS,
@@ -420,3 +420,62 @@ class TestTrebleKernelRoutes:
         res = l_value(form, 4, method, PrecisionContext(digits=digits))
         with mp.workdps(60):
             assert abs(res.value - ref) <= res.error_estimate
+
+
+def _mpfs(result):
+    # a quadrature result or a KdFResult, compared bit for bit
+    return tuple(getattr(x, "_mpf_", x) for x in result)
+
+
+class TestSharedPasses:
+    """Sibling integrals share one pass over their nodes.  Each member must
+    come out of it as from a pass of its own, and fail alone."""
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_mellin_members_match_lone_passes(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        for form in FORMS:
+            family = lvalues._mellin_halves(form, (mp.mpf(3), mp.mpf(4)), None, ctx)
+            for i, s in enumerate((3, 4)):
+                lone = lvalues._mellin_halves(form, (mp.mpf(s),), None, ctx)
+                for joint, alone in zip(family, lone):
+                    assert _mpfs(joint[i]) == _mpfs(alone[0]), (form, s)
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_nome_members_match_lone_passes(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        family = lvalues._q_family(ctx)
+        assert tuple(family) == tuple(QID_TO_PAIR)
+        for q_id, joint in family.items():
+            assert _mpfs(joint) == _mpfs(lvalues._q_family(ctx, (q_id,))[q_id]), q_id
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_double_series_members_match_lone_passes(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        family = lvalues._kdf_family(ctx)
+        assert tuple(family) == tuple(KDF_SPECS)
+        for name, spec in KDF_SPECS.items():
+            alone = kdf_full(spec, 1, 1, "integral_reduction", ctx)
+            assert _mpfs(family[name]) == _mpfs(alone), name
+
+    # q_integral("prop21_1") at 20 digits and max_terms=30, from the code
+    # that ran each nome integral in a pass of its own
+    PROP21_1_LONE = (
+        (0, 892739149655804656686822089121306265, -120, 120),
+        (0, 839180414498341336749822910935457681, -225, 120),
+        619,
+    )
+
+    @pytest.mark.parametrize("first", ["prop31_2", "prop21_1"])
+    def test_a_failing_nome_integral_fails_alone(self, first):
+        # the other three Lambert sums run out of terms below the series cut
+        ctx = PrecisionContext(digits=20, max_terms=30)
+        lvalues._q_family.cache_clear()
+        order = [first] + [q for q in QID_TO_PAIR if q != first]
+        for q_id in order:
+            if q_id == "prop21_1":
+                assert _mpfs(q_integral(q_id, ctx)) == self.PROP21_1_LONE
+                continue
+            lam = lvalues._Q_INTEGRALS[q_id][3]
+            with pytest.raises(BudgetError, match=f"Lambert series {lam} exhausted"):
+                q_integral(q_id, ctx)

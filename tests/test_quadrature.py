@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath as mp
 
-from thetal.context import DomainError, PrecisionContext, QuadratureError
-from thetal.quadrature import integrate01
+from thetal.context import BudgetError, DomainError, PrecisionContext, QuadratureError
+from thetal.quadrature import integrate01, isolated, settled
 
 from conftest import agrees
 
@@ -117,3 +117,81 @@ def test_returned_calls_match_a_counter(ctx30, f, kwargs):
 
     _, _, calls = integrate01(counted, ctx30, **kwargs)
     assert calls == seen[0] > 0
+
+
+# one pad for both: exp stops a level after the endpoint-singular member
+_SMOOTH = (lambda x, cx: mp.exp(x), {})
+_SINGULAR = (
+    lambda x, cx: mp.sqrt(x) / mp.sqrt(cx),
+    {"left_exponent": 1.5, "right_exponent": 0.5},
+)
+
+
+def _mpfs(result):
+    value, estimate, calls = result
+    return value._mpf_, estimate._mpf_, calls
+
+
+def test_tuple_components_match_their_scalar_runs(ctx30):
+    pair = integrate01(
+        lambda x, cx: (_SMOOTH[0](x, cx), _SINGULAR[0](x, cx)),
+        ctx30,
+        left_exponent=1.0,
+        right_exponent=0.5,
+    )
+    assert pair[0][2] != pair[1][2]  # the two stop at different levels
+    for (f, kwargs), member in zip((_SMOOTH, _SINGULAR), pair):
+        assert _mpfs(member) == _mpfs(integrate01(f, ctx30, **kwargs))
+
+
+def test_a_capped_component_fails_only_when_read():
+    ctx = PrecisionContext(digits=10, quad_level_cap=6)
+    smooth, capped = integrate01(lambda x, cx: (mp.exp(x), 1 / x), ctx)
+    assert _mpfs(smooth) == _mpfs(integrate01(_SMOOTH[0], ctx))
+    assert isinstance(capped, QuadratureError) and capped.best is not None
+    assert settled(smooth) == smooth
+    with pytest.raises(QuadratureError):
+        settled(capped)
+
+
+def test_a_member_that_raises_fails_alone(ctx20):
+    def near_zero(x):
+        if x < mp.mpf("0.1"):
+            raise BudgetError("spent", best=x)
+        return x
+
+    smooth, failed = integrate01(
+        lambda x, cx: isolated((lambda: mp.exp(x), lambda: near_zero(x))), ctx20
+    )
+    assert _mpfs(smooth) == _mpfs(integrate01(_SMOOTH[0], ctx20))
+    assert isinstance(failed, BudgetError)
+    with pytest.raises(BudgetError):
+        settled(failed)
+
+
+@pytest.mark.parametrize(
+    "f,kwargs,expected",
+    [
+        (
+            _SMOOTH[0],
+            {},
+            ((0, 1255635852844416135134785941418166147361742752519, -159, 160),
+             (0, 1, -159, 1), 323),
+        ),
+        (
+            lambda x, cx: mp.log(cx) ** 2,
+            {"right_log": True},
+            ((0, 1, 1, 1), (0, 0, 0, 0), 325),
+        ),
+        (
+            _SINGULAR[0],
+            _SINGULAR[1],
+            ((0, 2295721403524109460692402599871655564227077512209, -160, 161),
+             (0, 3699497247220781, -160, 52), 161),
+        ),
+    ],
+    ids=["smooth", "right_log", "singular"],
+)
+def test_scalar_results_are_unchanged(ctx30, f, kwargs, expected):
+    # (value, estimate, calls) as the scalar-only engine returned them
+    assert _mpfs(integrate01(f, ctx30, **kwargs)) == expected
