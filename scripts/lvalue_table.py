@@ -34,7 +34,7 @@ def run_pair(form, s, ctx, digits):
         print(
             f"  {method:<14} {mp.nstr(res.value, digits, strip_zeros=False):<{digits + 3}}"
             f" est {mp.nstr(res.error_estimate, 2):<9}"
-            f" effort {res.terms_or_levels_used:<8} {dt:6.2f}s"
+            f" effort {res.effort:<8} {dt:6.2f}s"
         )
     if len(got) > 1:
         with mp.workdps(digits + 15):

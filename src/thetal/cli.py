@@ -212,9 +212,9 @@ def _cmd_kdf(args):
     margins = [str(m) for m in report.margins]
     _emit(args,
           [f"F({args.x}, {args.y}) = {sv}",
-           f"error estimate <= {se}  [{res.strategy}]",
+           f"error estimate <= {se}  [{args.strategy}]",
            f"margins = {', '.join(margins)}"],
-          {"x": args.x, "y": args.y, "strategy": res.strategy,
+          {"x": args.x, "y": args.y, "strategy": args.strategy,
            "digits": ctx.digits, "value": sv, "error_estimate": se,
            "margins": margins,
            "convergent_at_unit": report.convergent_at_unit})
@@ -226,8 +226,7 @@ def _cmd_lvalue(args):
     if args.method == "dirichlet_sum":
         # the one route open to non-integer exponents and term budgets
         n_terms = args.max_terms if args.max_terms is not None else 100_000
-        v, e, used = dirichlet_sum(args.form, args.s, ctx, n_terms=n_terms)
-        value, err, terms = v, e, used
+        res = dirichlet_sum(args.form, args.s, ctx, n_terms=n_terms)
     else:
         try:
             s_int = int(args.s)
@@ -236,15 +235,14 @@ def _cmd_lvalue(args):
                 f"method {args.method} takes integer s, got {args.s!r}"
             ) from None
         res = l_value(args.form, s_int, args.method, ctx)
-        value, err, terms = res.value, res.error_estimate, res.terms_or_levels_used
-    sv = _nstr(value, ctx.digits)
-    se = _nstr(err, 3)
+    sv = _nstr(res.value, ctx.digits)
+    se = _nstr(res.error_estimate, 3)
     _emit(args,
           [f"L({args.form}, {args.s}) [{args.method}] = {sv}",
            f"error estimate <= {se}"],
           {"form": args.form, "s": args.s, "method": args.method,
            "digits": ctx.digits, "value": sv, "error_estimate": se,
-           "terms_or_levels_used": terms})
+           "terms_or_levels_used": res.effort})
     return 0
 
 

@@ -7,19 +7,23 @@ budgets for series length and quadrature depth so nothing can spin silently.
 Values are mpmath ``mpf`` floats carried at ``digits + guard`` decimal places.
 Routines wrap their bodies in ``with ctx.working():`` and convert inputs via
 :func:`as_real` on entry.  No NaN or infinity may escape an operation; such
-states surface as :class:`NumericsError` subclasses instead.
+states surface as :class:`NumericsError` subclasses instead.  A result
+that bounds its own error comes as an :class:`Estimate`; only
+``series.richardson_power`` keeps a bare pair, for its float64 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
 __all__ = [
     "MIN_DIGITS",
     "PrecisionContext",
+    "Estimate",
     "NumericsError",
     "DomainError",
     "BudgetError",
@@ -116,6 +120,16 @@ class PrecisionContext:
 
     def with_digits(self, digits: int) -> "PrecisionContext":
         return replace(self, digits=digits)
+
+
+class Estimate(NamedTuple):
+    """What every route reports: a value, an honest bound on its error, and
+    the effort it counted (integrand calls or series terms; 0 where it
+    counts none, as for a closed form)."""
+
+    value: mp.mpf
+    error_estimate: mp.mpf
+    effort: int = 0
 
 
 def as_real(x):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .context import (
     BudgetError,
     DomainError,
+    Estimate,
     PrecisionContext,
     as_real,
     ensure_finite,
@@ -42,7 +42,6 @@ __all__ = [
     "PFQSpec",
     "KdFSpec",
     "ConvergenceReport",
-    "KdFResult",
     "pfq_excess",
     "pfq_converges",
     "pfq",
@@ -298,14 +297,14 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
                 ctx,
                 left_exponent=float(bf),
                 right_exponent=float(cf - bf - af),
-            )[0]
+            ).value
         else:
             val = integrate01(
                 lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - 1) * (1 - zv * t) ** (-av),
                 ctx,
                 left_exponent=float(bf),
                 right_exponent=float(cf - bf),
-            )[0]
+            ).value
         return ensure_finite(val / beta_fn(bf, cf - bf, ctx), "euler 2F1")
 
 
@@ -510,16 +509,6 @@ def kdf_converges(spec: KdFSpec) -> ConvergenceReport:
     return ConvergenceReport(margins, min(margins) > 0)
 
 
-class KdFResult(NamedTuple):
-    """``calls`` counts the integrand evaluations of the integral reduction;
-    the float64 strategies and the axis cases report 0."""
-
-    value: mp.mpf
-    error_estimate: mp.mpf
-    strategy: str
-    calls: int = 0
-
-
 KDF_STRATEGIES = ("integral_reduction", "iterated", "double_truncate")
 
 
@@ -544,7 +533,7 @@ def kdf_reductions(specs, x, y, ctx: PrecisionContext):
     (a)_{m+n}/(c)_{m+n} = int t^{a+m+n-1} (1-t)^{c-a-1} dt / B(a, c-a)
     collapses each double sum into the product of its two group kernels
     under one integral; precision is then quadrature-limited, not
-    tail-limited.  Per spec, returns the :class:`KdFResult` of kdf_full at
+    tail-limited.  Per spec, returns the :class:`Estimate` of kdf_full at
     the integral reduction, or the quadrature error that spec meets alone
     (see :func:`~thetal.quadrature.settled`); a spec off the domain raises.
     """
@@ -581,8 +570,7 @@ def kdf_reductions(specs, x, y, ctx: PrecisionContext):
             val, est, calls = settled(run)
             norm = beta_fn(prep[0], prep[1] - prep[0], ctx)
             value = val / norm
-            est = max(est / norm, noise_floor(value, ctx))
-            return KdFResult(value, est, "integral_reduction", calls)
+            return Estimate(value, max(est / norm, noise_floor(value, ctx)), calls)
 
         return isolated(partial(finish, p, r) for p, r in zip(preps, runs))
 
@@ -768,21 +756,22 @@ def _kdf_domain(spec: KdFSpec, x, y):
     return xq, yq, (m1, m2, m3)
 
 
-def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFResult:
+def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> Estimate:
     """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy,
     on the domain :func:`_kdf_domain` decides.  Value and error estimate
     must be finite, so a float64 sum that overflows raises NumericsError.
-    Returns a :class:`KdFResult` with the integrand calls spent."""
+    The effort is the integrand calls of the integral reduction; the float64
+    strategies and the axis cases report 0."""
     if strategy not in KDF_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
     xq, yq, (m1, m2, m3) = _kdf_domain(spec, x, y)
     with ctx.working():
         if xq == 0 and yq == 0:
-            return KdFResult(mp.mpf(1), mp.mpf(0), strategy)
+            return Estimate(mp.mpf(1), mp.mpf(0))
         if xq == 0 or yq == 0:
             # pfq sums each argument to its goal relative to max(|value|, 1)
             val = pfq(_merged_pfq(spec, "y" if xq == 0 else "x"), xq or yq, ctx)
-            return KdFResult(val, ctx.goal() * max(abs(val), 1), strategy)
+            return Estimate(val, ctx.goal() * max(abs(val), 1))
         if strategy == "integral_reduction":
             return settled(kdf_reductions((spec,), xq, yq, ctx)[0])
         run = _kdf_iterated if strategy == "iterated" else _kdf_double
@@ -792,4 +781,4 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> KdFRe
         val, est = (mp.mpf(v) if isinstance(v, float) else v for v in (val, est))
         what = f"kdf {strategy}"
         val, est = ensure_finite(val, what), ensure_finite(est, f"{what} estimate")
-        return KdFResult(val, est, strategy)
+        return Estimate(val, est)

@@ -18,7 +18,7 @@ Exact entries allow no error at all.
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -111,22 +111,14 @@ class VerificationReport:
 
 
 def report_to_dict(report: VerificationReport, timings: bool = False) -> dict:
-    """The stable serialization schema; wall time is suppressed by default
-    so repeated runs produce identical bytes."""
-    return {
-        "id": report.id,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "digits_agreed": report.digits_agreed,
-        "lhs_method": report.lhs_method,
-        "rhs_method": report.rhs_method,
-        "sample_points": list(report.sample_points),
-        "wall_time_s": f"{report.wall_time_s:.3f}" if timings else "0",
-        "precision_digits": report.precision_digits,
-        "status": report.status,
-    }
+    """The stable serialization schema: every field but the target, with
+    wall time suppressed by default so repeated runs produce identical
+    bytes."""
+    out = asdict(report)
+    del out["target"]
+    out["sample_points"] = list(report.sample_points)
+    out["wall_time_s"] = f"{report.wall_time_s:.3f}" if timings else "0"
+    return out
 
 
 class EvalOutcome(NamedTuple):
@@ -270,7 +262,7 @@ def _ev_theorem(rhs_id):
     form, n, method = _L_PAIR[rhs_id]
 
     def ev(config, ctx):
-        v, e = kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
+        v, e, _ = kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
         ref = l_value(form, n, method, ctx)
         label = f"L({form},{n})"
         return EvalOutcome(((label, v, ref.value),), _promised_digits(v, e))

@@ -25,12 +25,11 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import count
-from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from .context import DomainError, PrecisionContext, as_real, ensure_finite
+from .context import DomainError, Estimate, PrecisionContext, as_real, ensure_finite
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
 from .quadrature import integrate01, isolated, noise_floor, settled
 from .special import alternating_sum, cvz_terms, eta, gamma, zeta
@@ -39,7 +38,6 @@ from .theta import coeffs_convolution, lambert_series, theta_involution
 __all__ = [
     "FORMS",
     "L_VALUE_METHODS",
-    "LValueResult",
     "KDF_SPECS",
     "KDF_RHS_IDS",
     "SAMART_5F4",
@@ -71,21 +69,6 @@ L_VALUE_METHODS = (
     "kdf_theorem",
     "closed_form",
 )
-
-
-class LValueResult(NamedTuple):
-    """One L-value with its provenance.
-
-    ``terms_or_levels_used`` is whatever effort figure the route naturally
-    reports: series terms for the sums, integrand evaluations for the
-    quadrature routes (``alpha_integral`` and ``kdf_theorem`` report the
-    same count, being one evaluation), and 0 for the closed forms.
-    """
-
-    value: mp.mpf
-    error_estimate: mp.mpf
-    method: str
-    terms_or_levels_used: int
 
 
 def _roundoff(value, ctx: PrecisionContext):
@@ -174,10 +157,10 @@ def _kdf_family(ctx: PrecisionContext):
 
 @lru_cache(maxsize=32)  # a registry pass at one precision fills four
 def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
-    """(sum of w F(1, 1), sum of w error, integrand calls) over one
-    reduction's weighted specs: its theorem's side before the pi-power
-    prefactor, and its corollary's before that one's scale, so the two share
-    one evaluation.  The calls are 0 for the float64 strategies."""
+    """The sum of w F(1, 1) over one reduction's weighted specs, its error
+    the sum of w error and its effort the integrand calls (0 for the float64
+    strategies): its theorem's side before the pi-power prefactor, and its
+    corollary's before that one's scale, so the two share one evaluation."""
     try:
         pieces = _KDF_RHS[rhs_id][2]
     except KeyError:
@@ -193,21 +176,22 @@ def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
                 res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
             acc += weight * res.value
             err += weight * res.error_estimate
-            calls += res.calls
-        return acc, err, calls
+            calls += res.effort
+        return Estimate(acc, err, calls)
 
 
 def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction"):
-    """The double-series side of one L-value reduction, as (value, error).
+    """The double-series side of one L-value reduction, with the integrand
+    calls of its weighted sum.
 
     The s = 4 sides are weighted pairs of boundary values; the weights and
     the pi-power prefactor are kept exact and applied once at the end.
     """
-    acc, err, _ = kdf_weighted_sum(rhs_id, strategy, ctx)
+    acc, err, calls = kdf_weighted_sum(rhs_id, strategy, ctx)
     power, pref, _ = _KDF_RHS[rhs_id]
     with ctx.working():
         factor = _pi_factor(power, pref)
-        return ensure_finite(acc * factor, "kdf rhs"), err * factor
+        return Estimate(ensure_finite(acc * factor, "kdf rhs"), err * factor, calls)
 
 
 def alpha_integral(rhs_id: str, ctx: PrecisionContext):
@@ -216,12 +200,9 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
     The paper integrates this alpha-space form termwise through the Beta
     integral to reach the double series at (1, 1); the integral reduction
     of :func:`kdf_full` undoes exactly that step.  So this is the same
-    evaluation as :func:`kdf_theorem_rhs`, read through the same memo.
-
-    Returns (value, error_estimate, integrand_evaluations).
+    evaluation as :func:`kdf_theorem_rhs`, and one call of it.
     """
-    value, err = kdf_theorem_rhs(rhs_id, ctx)
-    return value, err, kdf_weighted_sum(rhs_id, "integral_reduction", ctx)[2]
+    return kdf_theorem_rhs(rhs_id, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +288,8 @@ def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
 
 
 def q_integral(q_id: str, ctx: PrecisionContext):
-    """L-value as a nome integral of a theta weight against a Lambert sum.
-
-    Returns (value, error_estimate, integrand_evaluations), at full working
-    precision like the other quadrature routes.
-    """
+    """L-value as a nome integral of a theta weight against a Lambert sum,
+    at full working precision like the other quadrature routes."""
     try:
         power, pref = _Q_INTEGRALS[q_id][:2]
     except KeyError:
@@ -319,7 +297,7 @@ def q_integral(q_id: str, ctx: PrecisionContext):
     val, est, calls = settled(_q_family(ctx)[q_id])
     with ctx.working():
         factor = _pi_factor(power, pref)
-        return (
+        return Estimate(
             ensure_finite(val * factor, "nome integral"),
             max(est, noise_floor(val, ctx)) * factor,
             calls,
@@ -374,8 +352,6 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
     the split-invariance gate in tests/test_acceptance.py moves it by a
     factor of two in both directions and checks that.  s = 3 and 4 at the
     default split share one pass per form; others run the same code alone.
-
-    Returns (value, error_estimate, integrand_evaluations).
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")
@@ -394,7 +370,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         scale = split_v**sv
         value = (scale * lo_val + up_val) / gv
         est = (scale * lo_est + up_est) / gv
-        return (
+        return Estimate(
             ensure_finite(value, "mellin transform"),
             max(est, noise_floor(value, ctx)),
             lo_calls + up_calls,
@@ -449,9 +425,8 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     thousand coefficients) closes the tail for s > 5/2: good to ~9 digits at
     s = 4 with the default budget, and only ~5 at s = 3, which is the point
     of having the other routes.  f is not served here; its factorized route
-    is strictly better and keeps this one an independent g check.
-
-    Returns (value, error_estimate, terms_used).
+    is strictly better and keeps this one an independent g check.  The
+    effort is the terms summed.
     """
     if form != "g":
         raise DomainError("the raw Dirichlet series route is g only")
@@ -474,7 +449,7 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
                 acc += am * mp.mpf(m) ** (-sv)
         tail = _divisor_tail(int(n_terms), float(sv) - 1.0, ctx)
         est = mp.mpf(tail) + _roundoff(acc, ctx)
-        return ensure_finite(acc, "dirichlet sum"), est, int(n_terms)
+        return Estimate(ensure_finite(acc, "dirichlet sum"), est, int(n_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +474,7 @@ def lf4_triple(ctx: PrecisionContext):
 
 
 def closed_form(which: str, ctx: PrecisionContext):
-    """One of the single-series closed forms, as (value, error_estimate).
+    """One of the single-series closed forms, at zero effort.
 
     lf3 is elementary.  lf4 scales the central value of :func:`lf4_triple`
     and reports the spread of the three as the error: the closed form is
@@ -509,12 +484,12 @@ def closed_form(which: str, ctx: PrecisionContext):
     with ctx.working():
         if which == "lf3":
             v = mp.pi**3 * mp.log(2) / 32
-            return ensure_finite(v, "closed form"), _roundoff(v, ctx)
+            return Estimate(ensure_finite(v, "closed form"), _roundoff(v, ctx))
         if which == "lg3":
             f54 = pfq(SAMART_5F4, 1, ctx)
             v = mp.pi**3 / 1024 * (48 * mp.log(2) - f54)
             est = abs(v) * mp.mpf(10) ** (-(ctx.digits + 1)) + _roundoff(v, ctx)
-            return ensure_finite(v, "closed form"), est
+            return Estimate(ensure_finite(v, "closed form"), est)
         if which == "lf4":
             central, split, plain = lf4_triple(ctx)
             spread = max(
@@ -522,9 +497,8 @@ def closed_form(which: str, ctx: PrecisionContext):
             )
             scale = mp.pi**2 / 12
             v = scale * central
-            return ensure_finite(v, "closed form"), scale * spread + _roundoff(
-                v, ctx
-            )
+            est = scale * spread + _roundoff(v, ctx)
+            return Estimate(ensure_finite(v, "closed form"), est)
     raise DomainError(f"unknown closed form id {which!r}")
 
 
@@ -555,28 +529,23 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
             raise DomainError("the Dirichlet factorization is an f-only route")
         with ctx.working():
             v = l_psi(n - 2, ctx) * l_chi4(n, ctx)
-            return LValueResult(v, _roundoff(v, ctx), method, 2 * cvz_terms(ctx))
+            return Estimate(v, _roundoff(v, ctx), 2 * cvz_terms(ctx))
     if method == "dirichlet_sum":
-        v, e, used = dirichlet_sum(form, n, ctx)
-        return LValueResult(v, e, method, used)
+        return dirichlet_sum(form, n, ctx)
     if method == "mellin":
-        v, e, used = mellin(form, n, ctx)
-        return LValueResult(v, e, method, used)
+        return mellin(form, n, ctx)
     if method in ("alpha_integral", "kdf_theorem"):
-        v, e, used = alpha_integral(_RHS_BY_FORM[form, n], ctx)
-        return LValueResult(v, e, method, used)
+        return alpha_integral(_RHS_BY_FORM[form, n], ctx)
     if method == "q_integral":
-        v, e, used = q_integral(_QINT_BY_FORM[form, n], ctx)
-        return LValueResult(v, e, method, used)
+        return q_integral(_QINT_BY_FORM[form, n], ctx)
     # closed_form
     key = (form, n)
     if key not in _CLOSED_BY_FORM:
         raise DomainError(f"no closed form is on the books for L({form}, {n})")
-    v, e = closed_form(_CLOSED_BY_FORM[key], ctx)
-    return LValueResult(v, e, method, 0)
+    return closed_form(_CLOSED_BY_FORM[key], ctx)
 
 
-def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> LValueResult:
+def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
     """L(form, n) for n in {3, 4} by the requested route, memoized per context.
 
     Route availability: ``factorized`` and the lf* closed forms are f only,
@@ -584,7 +553,10 @@ def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> LValueResu
     L(g, 4) at all); the integral, Mellin and double-series routes cover all
     four (form, n) pairs.  The error estimate is an honest bound for the
     route as run; the raw series, the one coarse route, does not sharpen when
-    the context asks for more digits.
+    the context asks for more digits.  The effort is whatever figure the
+    route reports: series terms for the sums, integrand evaluations for the
+    quadrature routes (``alpha_integral`` and ``kdf_theorem`` report the same
+    count, being one evaluation), and 0 for the closed forms.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")

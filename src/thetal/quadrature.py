@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import mpmath as mp
 
-from .context import DomainError, NumericsError, PrecisionContext, QuadratureError
-from .context import ensure_finite
+from .context import DomainError, Estimate, NumericsError, PrecisionContext
+from .context import QuadratureError, ensure_finite
 
 __all__ = ["integrate01", "isolated", "noise_floor", "settled"]
 
@@ -116,16 +116,16 @@ def integrate01(
     f(x, cx) must behave as x^(p-1) (1-x)^(r-1) phi(x) with phi smooth on the
     open interval, p = left_exponent, r = right_exponent, both >= 1/2; a
     log(1-x) factor is fine when right_log is set (and harmless anyway, the
-    flag only pads the working precision).  Returns (value, error_estimate,
-    calls), calls counting the evaluations of f.  Raises
+    flag only pads the working precision).  Returns an :class:`Estimate`
+    whose effort counts the evaluations of f.  Raises
     :class:`QuadratureError` when quad_level_cap is hit first.
 
     f may return a tuple of integrands sharing factors per node instead
     (exponents and right_log must cover them all).  Each component stops
     by this rule at its own level, then stays frozen as the others run on.
     One holding a NumericsError (see :func:`isolated`) or reaching the cap
-    fails alone: the result is a tuple of (value, error_estimate, calls) or
-    error per component, and :func:`settled` raises an error when read.
+    fails alone: the result is a tuple of one :class:`Estimate` or error per
+    component, and :func:`settled` raises an error when read.
     """
     if min(left_exponent, right_exponent) < 0.5:
         raise DomainError(
@@ -174,7 +174,7 @@ def integrate01(
                     if level == _FIRST_LEVEL:
                         continue
                     if estimate[i] <= goal * scale or delta == prev == 0:
-                        out[i] = ensure_finite(new_value, "integral"), estimate[i], calls
+                        out[i] = Estimate(ensure_finite(new_value, "integral"), estimate[i], calls)
                     prev_delta[i] = delta
             if None in out and level >= ctx.quad_level_cap:
                 cap = f"no convergence within level cap {ctx.quad_level_cap}"

@@ -10,13 +10,14 @@ read off the extrapolation itself.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 
 from .context import (
     DomainError,
+    Estimate,
     NumericsError,
     PrecisionContext,
     as_real,
@@ -24,7 +25,6 @@ from .context import (
 )
 
 __all__ = [
-    "ExtrapolationResult",
     "richardson_power",
     "extrapolate_powerlog",
 ]
@@ -69,11 +69,6 @@ def richardson_power(
         return rows[0], diag_move
 
 
-class ExtrapolationResult(NamedTuple):
-    value: mp.mpf
-    error_estimate: mp.mpf
-
-
 def _powerlog_fit(Ms, Ss, exponent, levels):
     """Solve the linear model S(M) = S_inf - M^-e (a log M + b) + deeper."""
     cols = [[mp.mpf(1)] * len(Ms)]
@@ -104,7 +99,7 @@ def extrapolate_powerlog(
     samples: Sequence[tuple[int, object]],
     exponent,
     ctx: PrecisionContext,
-) -> ExtrapolationResult:
+) -> Estimate:
     """Fit S(M) = S_inf - M^-exponent (a log M + b)(1 + o(1)).
 
     samples are (M, S(M)) at geometrically spaced M, at least 4 of them.  The
@@ -127,4 +122,4 @@ def extrapolate_powerlog(
         else:
             movement = residual
         est = movement + residual
-        return ExtrapolationResult(ensure_finite(value, "extrapolation"), est)
+        return Estimate(ensure_finite(value, "extrapolation"), est)

@@ -1,5 +1,4 @@
-"""Gamma-family scalars, zeta, exact Pochhammer symbols, and
-alternating-series acceleration.
+"""Gamma-family scalars, zeta, and alternating-series acceleration.
 
 The transcendental kernels (gamma, log, exp) come from mpmath.  The summation
 machinery layered on top, which is what the rest of the package leans on, is
@@ -9,7 +8,6 @@ and zeta through the eta function.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 
 import mpmath as mp
@@ -17,7 +15,6 @@ import mpmath as mp
 from .context import DomainError, PrecisionContext, as_real, ensure_finite
 
 __all__ = [
-    "pochhammer",
     "gamma",
     "beta",
     "zeta",
@@ -25,22 +22,6 @@ __all__ = [
     "cvz_terms",
     "alternating_sum",
 ]
-
-
-def pochhammer(a, n):
-    """Exact rising factorial (a)_n = a (a+1) ... (a+n-1) of a rational a.
-
-    The empty product (n = 0) is exactly 1 for any a.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer index must be a non-negative integer")
-    if not isinstance(a, (int, Fraction)):
-        raise DomainError("pochhammer takes an int or Fraction argument")
-    acc = Fraction(1)
-    af = Fraction(a)
-    for k in range(int(n)):
-        acc *= af + k
-    return acc
 
 
 def gamma(x, ctx: PrecisionContext):

@@ -1,9 +1,10 @@
+from fractions import Fraction
 from math import isqrt
 
 import pytest
 import mpmath as mp
 
-from thetal.context import PrecisionContext
+from thetal.context import DomainError, PrecisionContext
 
 
 @pytest.fixture
@@ -23,6 +24,23 @@ def agrees(a, b, digits):
         if a == b:
             return True
         return abs(a - b) / max(abs(a), abs(b)) <= mp.mpf(10) ** (-digits)
+
+
+def pochhammer(a, n):
+    """Exact rising factorial (a)_n = a (a+1) ... (a+n-1) of a rational a,
+    the slow reference for term ratios.
+
+    The empty product (n = 0) is exactly 1 for any a.
+    """
+    if n < 0 or n != int(n):
+        raise DomainError("pochhammer index must be a non-negative integer")
+    if not isinstance(a, (int, Fraction)):
+        raise DomainError("pochhammer takes an int or Fraction argument")
+    acc = Fraction(1)
+    af = Fraction(a)
+    for k in range(int(n)):
+        acc *= af + k
+    return acc
 
 
 def g_binary_theta(N):

@@ -78,14 +78,14 @@ def test_criterion_01_closed_form_reproduction(ctx, truth_f3):
 
 
 def test_criterion_02_weight3_reduction_for_f(ctx, truth_f3):
-    v_ir, e_ir = kdf_theorem_rhs("thm11_1", ctx, strategy="integral_reduction")
+    v_ir, e_ir, _ = kdf_theorem_rhs("thm11_1", ctx, strategy="integral_reduction")
     assert _rel(v_ir, truth_f3) <= mp.mpf("1e-10")
 
-    v_it, _ = kdf_theorem_rhs("thm11_1", ctx, strategy="iterated")
+    v_it, _, _ = kdf_theorem_rhs("thm11_1", ctx, strategy="iterated")
     assert _rel(v_it, truth_f3) <= mp.mpf("1e-5")
 
     ctx_m = PrecisionContext(digits=DIGITS, max_terms=4_000_000)  # M = 2000
-    v_dt, e_dt = kdf_theorem_rhs("thm11_1", ctx_m, strategy="double_truncate")
+    v_dt, e_dt, _ = kdf_theorem_rhs("thm11_1", ctx_m, strategy="double_truncate")
     assert abs(v_dt - truth_f3) <= e_dt, "truncation bound dishonest"
     _report(2, True,
             f"integral_reduction {float(_rel(v_ir, truth_f3)):.1e}, "
@@ -94,7 +94,7 @@ def test_criterion_02_weight3_reduction_for_f(ctx, truth_f3):
 
 
 def test_criterion_03_weight3_reduction_for_g(ctx):
-    v, _ = kdf_theorem_rhs("thm11_2", ctx)
+    v, _, _ = kdf_theorem_rhs("thm11_2", ctx)
     r_mellin = _rel(v, l_value("g", 3, "mellin", ctx).value)
     r_alpha = _rel(v, l_value("g", 3, "alpha_integral", ctx).value)
     # the alpha integral is this reduction read through the same memo, so
@@ -111,7 +111,7 @@ def test_criterion_03_weight3_reduction_for_g(ctx):
 
 
 def test_criterion_04_weight4_reduction_for_f(ctx):
-    v, _ = kdf_theorem_rhs("thm12_1", ctx)
+    v, _, _ = kdf_theorem_rhs("thm12_1", ctx)
     with ctx.working():
         ref = mp.pi**2 / 12 * l_chi4(4, ctx)
     r = _rel(v, ref)
@@ -127,7 +127,7 @@ def test_criterion_04_weight4_reduction_for_f(ctx):
 
 
 def test_criterion_05_weight4_reduction_for_g(ctx):
-    v, _ = kdf_theorem_rhs("thm12_2", ctx)
+    v, _, _ = kdf_theorem_rhs("thm12_2", ctx)
     r_mellin = _rel(v, l_value("g", 4, "mellin", ctx).value)
     r_dirichlet = _rel(v, l_value("g", 4, "dirichlet_sum", ctx).value)
     assert r_mellin <= mp.mpf("1e-10")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agrees
+from conftest import agrees, pochhammer
 from thetal.context import BudgetError, DomainError, PrecisionContext, as_real
 from thetal.hyper import (
     PFQSpec,
@@ -21,7 +21,6 @@ from thetal.hyper import (
     series_kernel,
 )
 from thetal.lvalues import LF4_POS1, LF4_POS3, SAMART_5F4
-from thetal.special import pochhammer
 
 
 def pfq_term(spec, n, z, ctx):

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import agrees
 from thetal import lvalues
-from thetal.context import BudgetError, DomainError, PrecisionContext
+from thetal.context import BudgetError, DomainError, Estimate, PrecisionContext
 from thetal.hyper import kdf_converges, kdf_full
 from thetal.lvalues import (
     FORMS,
     KDF_RHS_IDS,
     KDF_SPECS,
     L_VALUE_METHODS,
-    LValueResult,
     alpha_integral,
     closed_form,
     dirichlet_sum,
@@ -140,7 +139,7 @@ class TestKdfRhs:
 
     @pytest.mark.parametrize("rhs_id", KDF_RHS_IDS)
     def test_rhs_matches_lvalue(self, rhs_id, ctx):
-        v, e = kdf_theorem_rhs(rhs_id, ctx)
+        v, e, _ = kdf_theorem_rhs(rhs_id, ctx)
         truth = TRUTH[RHS_TO_PAIR[rhs_id]]
         assert abs(v - truth) <= e + abs(truth) * mp.mpf("1e-20")
         assert agrees(v, truth, 20)
@@ -148,7 +147,7 @@ class TestKdfRhs:
     def test_other_strategy_passthrough(self, ctx):
         # at the (1, 1) corner the truncated square converges like N**-0.5,
         # so this route is progress-bar coarse; what matters is honesty
-        v, e = kdf_theorem_rhs("thm11_1", ctx, strategy="double_truncate")
+        v, e, _ = kdf_theorem_rhs("thm11_1", ctx, strategy="double_truncate")
         assert abs(v - TRUTH["f", 3]) <= e
         assert e < abs(v)
 
@@ -297,19 +296,19 @@ class TestDirichletSum:
 
 class TestClosedForms:
     def test_lf3(self, ctx):
-        v, e = closed_form("lf3", ctx)
+        v, e, _ = closed_form("lf3", ctx)
         assert agrees(v, TRUTH["f", 3], 25)
         assert e < mp.mpf("1e-25")
 
     def test_lf4_three_way(self, ctx):
-        v, e = closed_form("lf4", ctx)
+        v, e, _ = closed_form("lf4", ctx)
         assert agrees(v, TRUTH["f", 4], 20)
         # the reported error is the spread of three independent series
         assert abs(v - TRUTH["f", 4]) <= e + abs(v) * mp.mpf("1e-20")
         assert e < mp.mpf("1e-18")
 
     def test_lg3(self, ctx):
-        v, e = closed_form("lg3", ctx)
+        v, e, _ = closed_form("lg3", ctx)
         assert agrees(v, TRUTH["g", 3], 20)
         assert abs(v - TRUTH["g", 3]) <= e + abs(v) * mp.mpf("1e-20")
 
@@ -320,7 +319,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("digits", (20, 30, 50))
     @pytest.mark.parametrize("which,pair", [("lf4", ("f", 4)), ("lg3", ("g", 3))])
     def test_estimate_bounds_the_error(self, which, pair, digits):
-        v, e = closed_form(which, PrecisionContext(digits=digits))
+        v, e, _ = closed_form(which, PrecisionContext(digits=digits))
         assert abs(v - TRUTH[pair]) <= e
 
 
@@ -340,19 +339,19 @@ class TestLValueDispatch:
     def test_every_route_hits_the_oracle(self, form, n, ctx):
         for method in _available_methods(form, n):
             res = l_value(form, n, method, ctx)
-            assert isinstance(res, LValueResult)
-            assert res.method == method
+            assert isinstance(res, Estimate)
             assert res.error_estimate >= 0
             slack = res.error_estimate + abs(TRUTH[form, n]) * mp.mpf("1e-19")
             assert abs(res.value - TRUTH[form, n]) <= slack, method
 
     @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
     def test_pairwise_route_agreement(self, form, n, ctx):
-        results = [l_value(form, n, m, ctx) for m in _available_methods(form, n)]
+        methods = _available_methods(form, n)
+        results = [l_value(form, n, m, ctx) for m in methods]
         for i, a in enumerate(results):
-            for b in results[i + 1 :]:
+            for j, b in enumerate(results[i + 1 :], i + 1):
                 tol = max(a.error_estimate, b.error_estimate)
-                assert abs(a.value - b.value) <= tol, (a.method, b.method)
+                assert abs(a.value - b.value) <= tol, (methods[i], methods[j])
 
     @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
     def test_alpha_integral_is_the_integral_reduction(self, form, n, ctx):
@@ -362,7 +361,7 @@ class TestLValueDispatch:
         k = l_value(form, n, "kdf_theorem", ctx)
         assert a.value._mpf_ == k.value._mpf_
         assert a.error_estimate == k.error_estimate
-        assert a.terms_or_levels_used == k.terms_or_levels_used > 0
+        assert a.effort == k.effort > 0
 
     def test_precise_routes_meet_the_context(self, ctx):
         for method in ("factorized", "mellin", "alpha_integral", "kdf_theorem", "closed_form"):
@@ -422,8 +421,22 @@ class TestTrebleKernelRoutes:
             assert abs(res.value - ref) <= res.error_estimate
 
 
+class TestEveryEstimateHolds:
+    """Every route l_value serves bounds its own error, with no slack."""
+
+    @pytest.mark.parametrize("digits", [20, 30])
+    @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
+    def test_error_within_estimate(self, form, n, digits, g4_hot):
+        ref = g4_hot if (form, n, digits) == ("g", 4, 30) else TRUTH[form, n]
+        ctx = PrecisionContext(digits=digits)
+        for method in _available_methods(form, n):
+            res = l_value(form, n, method, ctx)
+            with mp.workdps(60):
+                assert abs(res.value - ref) <= res.error_estimate, method
+
+
 def _mpfs(result):
-    # a quadrature result or a KdFResult, compared bit for bit
+    # an Estimate, compared bit for bit
     return tuple(getattr(x, "_mpf_", x) for x in result)
 
 

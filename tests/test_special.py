@@ -8,9 +8,9 @@ import mpmath as mp
 
 from thetal.context import DomainError, PrecisionContext, parse_rational
 from thetal.hyper import _agm_ambient
-from thetal.special import alternating_sum, beta, gamma, pochhammer, zeta
+from thetal.special import alternating_sum, beta, gamma, zeta
 
-from conftest import agrees
+from conftest import agrees, pochhammer
 
 
 def test_pochhammer_exact_small():
