@@ -28,6 +28,7 @@ from itertools import count
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .context import DomainError, Estimate, PrecisionContext, as_real, ensure_finite
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
@@ -427,6 +428,12 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     of having the other routes.  f is not served here; its factorized route
     is strictly better and keeps this one an independent g check.  The
     effort is the terms summed.
+
+    The sum is one Python-integer accumulation at wp bits.  Each weight
+    m^-s goes to fixed point once: exactly floored, (2^wp) // m^s, for
+    integer s, and computed at wp bits then floored for real s.  Each
+    weight is then within 2^(1-wp) of m^-s, and the estimate carries the
+    resulting 2 sum |a_m| 2^-wp.
     """
     if form != "g":
         raise DomainError("the raw Dirichlet series route is g only")
@@ -436,20 +443,22 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
         sv = ensure_finite(as_real(s), "exponent")
         if not 2 * sv > 5:
             raise DomainError("divisor tail closes only for s > 5/2")
-        stream = _g_coeffs(int(n_terms))
-        integer_s = sv == int(sv)
-        acc = mp.mpf(0)
-        for m in range(int(n_terms), 0, -1):
-            am = stream.coeffs[m - 1]
-            if am == 0:
-                continue
-            if integer_s:
-                acc += mp.mpf(am) / (mp.mpf(m) ** int(sv))
-            else:
-                acc += am * mp.mpf(m) ** (-sv)
+        coeffs = _g_coeffs(int(n_terms)).coeffs
+        mass = sum(map(abs, coeffs))
+        wp = mp.mp.prec + mass.bit_length()
+        one, k = 1 << wp, int(sv)
+        acc = 0
+        with mp.workprec(wp):
+            for m, am in enumerate(coeffs, 1):
+                if am:
+                    if k == sv:
+                        acc += am * (one // m**k)
+                    else:
+                        acc += am * to_fixed((mp.mpf(m) ** -sv)._mpf_, wp)
+        value = mp.mpf((acc, -wp))
         tail = _divisor_tail(int(n_terms), float(sv) - 1.0, ctx)
-        est = mp.mpf(tail) + _roundoff(acc, ctx)
-        return Estimate(ensure_finite(acc, "dirichlet sum"), est, int(n_terms))
+        est = mp.mpf(tail) + _roundoff(value, ctx) + mp.mpf((2 * mass, -wp))
+        return Estimate(ensure_finite(value, "dirichlet sum"), est, int(n_terms))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ carries the weight-3 products f and g, the modular parameter alpha, the
 Eisenstein sum M, the Lambert-type reorganized double sums, and exact integer
 q-expansion coefficients for f and g: products of the lacunary theta series,
 multiplied one sparse factor at a time in int64 arithmetic.
+
+Every q-series -- the thetas, the seven Lambert sums, M and the theta
+derivatives behind alpha_qderiv -- goes through one fixed-point kernel,
+:func:`_fixed_sum`.  Its terms are Python integers scaled by 2^wp, with wp
+the working precision plus 20 guard bits plus 2 log2(1/(1-q)) for q near 1;
+each term comes from the last by integer multiplications, and the sum goes
+back to mpf once.  Each series' leading power (2 q^{1/4}, q or sqrt q) is
+divided out first, so the fixed-point sum starts near 1 and keeps its
+relative accuracy however small q is.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from itertools import chain, count
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .context import (
     BudgetError,
@@ -54,67 +64,115 @@ def _nome_value(q):
     return qv
 
 
-def _theta_series(which: int, qv, max_terms: int):
-    """Raw series at the current working precision, no rerouting.
+_GUARD_BITS = 20
 
-    theta2 = 2 q^{1/4} sum q^{n(n+1)}, theta3/theta4 = 1 + 2 sum (+-1)^n
-    q^{n^2}.  Terms collapse doubly fast, so the loop is short whenever
-    q <= e^-pi; for larger q it still terminates, just more slowly, which is
-    exactly what the cross-check tests want to see.
+
+def _fixed_nome(qv):
+    """(wp, q 2^wp): the bits a sum over powers of q works at, and q at them.
+
+    wp is mp.prec plus _GUARD_BITS plus 2 log2(1/(1-q)): one log2(1/(1-q))
+    for the denominators 1 -+ q^m, which lose that many bits as q -> 1, and
+    one for the rounding that term stepping piles up over ~1/(1-q) terms.
     """
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-    if which == 2:
-        s = mp.mpf(1)
-        n = 1
-        while True:
-            t = qv ** (n * (n + 1))
-            s += t
-            if t < tol * s:
-                break
-            n += 1
-            if n > max_terms:
-                raise BudgetError("theta2 series exhausted its budget", best=s)
-        return 2 * mp.sqrt(mp.sqrt(qv)) * s
-    if which not in (3, 4):
-        raise DomainError("theta index must be one of 2, 3, 4")
-    s = mp.mpf(1)
-    sign = -1 if which == 4 else 1
-    n = 1
+    prec = mp.mp.prec
+    gap = (1 << prec) - to_fixed(qv._mpf_, prec)  # (1 - q) 2^prec
+    wp = prec + _GUARD_BITS + 2 * max(0, prec - gap.bit_length())
+    return wp, to_fixed(qv._mpf_, wp)
+
+
+def _reciprocal(x, wp):
+    """1/x in fixed point at wp bits, for a positive mpf x <= 2^wp."""
+    _, man, exp, _ = x._mpf_
+    return (1 << (wp - exp)) // man
+
+
+def _fixed_sum(
+    terms, what, max_terms, wp, lead=1, floor=0, running=True, alternate=False
+):
+    """The one summation kernel: (even, odd) partial sums of a q-series.
+
+    ``terms`` yields t_0, t_1, ... as Python integers scaled by 2^wp, with
+    the series' leading power ``lead`` already divided out, so the sum
+    starts near 1 however small q is.  The even- and odd-indexed terms are
+    kept apart, so one pass gives a series and its alternating twin; s is
+    even + odd, or even - odd if ``alternate``.  The sum stops at the first
+    t_k with |t_k| < 10^-(dps-2) max(|s|, floor), or |t_k| < 10^-(dps-2)
+    floor if not ``running``.  A t_k past k = max_terms that does not stop
+    it raises BudgetError carrying lead * s.
+    """
+    ten = 10 ** (mp.mp.dps - 2)
+    even = odd = 0
+    for k, t in enumerate(terms):
+        if k & 1:
+            odd += t
+        else:
+            even += t
+        s = even - odd if alternate else even + odd
+        if abs(t) * ten < (max(abs(s), floor) if running else floor):
+            return even, odd
+        if k >= max_terms:
+            raise BudgetError(
+                f"{what} exhausted its budget", best=lead * mp.mpf((s, -wp))
+            )
+
+
+def _gaussian_powers(Q, b: int, wp: int):
+    """q^(n^2 + b n) for n = 0, 1, 2, ... from q = Q 2^-wp, each term the
+    last times the ratio q^(2n + 1 + b), which steps by q^2."""
+    q2 = Q * Q >> wp
+    t, r = 1 << wp, Q
+    for _ in range(b):
+        r = r * Q >> wp
     while True:
-        t = qv ** (n * n)
-        s += 2 * t if sign == 1 or n % 2 == 0 else -2 * t
-        # scale against 1, not s: theta4 may be tiny near q -> 1
-        if t < tol / 2:
-            break
-        n += 1
-        if n > max_terms:
-            raise BudgetError(f"theta{which} series exhausted its budget", best=s)
-    return s
+        yield t
+        t = t * r >> wp
+        r = r * q2 >> wp
 
 
-def _summed(terms, what: str, max_terms: int, floor=0):
-    """Sum terms until one falls below 10^-(dps-2) max(|sum|, floor).
+def _theta_series(which, qv, max_terms: int):
+    """{w: theta_w(q)} for each index in ``which``, by the raw series.
 
-    Raises BudgetError, carrying the partial sum, once more than max_terms
-    terms have gone in without that.
+    theta2 = 2 q^{1/4} sum_{n>=0} q^{n(n+1)}, and theta3, theta4 = 1 +
+    2 sum_{n>=1} (+-1)^n q^{n^2} from one pass over the shared terms.  The
+    terms collapse doubly fast, so the loop is short whenever q <= e^-pi;
+    for larger q it still terminates, just more slowly, which is exactly
+    what the cross-check tests want to see.  Each sum is one pass of the
+    fixed-point kernel at the bits :func:`_fixed_nome` picks for q.
     """
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-    s = mp.mpf(0)
-    for used, t in enumerate(terms, 1):
-        s += t
-        if abs(t) < tol * max(abs(s), floor):
-            return s
-        if used > max_terms:
-            raise BudgetError(f"{what} exhausted its budget", best=s)
+    wp, Q = _fixed_nome(qv)
+    vals = {}
+    if 2 in which:
+        lead = 2 * mp.sqrt(mp.sqrt(qv))
+        terms = _gaussian_powers(Q, 1, wp)
+        s = sum(_fixed_sum(terms, "theta2 series", max_terms, wp, lead))
+        vals[2] = lead * mp.mpf((s, -wp))
+    if 3 in which or 4 in which:
+        terms = _gaussian_powers(Q, 0, wp)
+        doubled = chain((next(terms),), (t << 1 for t in terms))
+        name = "theta3" if 3 in which else "theta4"
+        # scale against 1, not s: theta4 may be tiny near q -> 1
+        even, odd = _fixed_sum(
+            doubled,
+            f"{name} series",
+            max_terms,
+            wp,
+            floor=1 << wp,
+            running=False,
+            alternate=3 not in which,
+        )
+        vals[3] = mp.mpf((even + odd, -wp))
+        vals[4] = mp.mpf((even - odd, -wp))
+    return vals
 
 
 def theta_direct(which: int, q, ctx: PrecisionContext):
     """Unrouted theta series, any q in (0,1).  For cross-checks only; the
     routed evaluators below are the production path."""
+    if which not in _INVOLUTION_PARTNER:
+        raise DomainError("theta index must be one of 2, 3, 4")
     with ctx.working():
-        return ensure_finite(
-            _theta_series(which, _nome_value(q), ctx.max_terms), "theta series"
-        )
+        vals = _theta_series((which,), _nome_value(q), ctx.max_terms)
+        return ensure_finite(vals[which], "theta series")
 
 
 _INVOLUTION_PARTNER = {2: 4, 3: 3, 4: 2}
@@ -125,19 +183,19 @@ def _thetas(u, which, max_terms: int, qv=None):
 
     sqrt(u) theta4(e^{-pi u}) = theta2(e^{-pi/u}) and its u -> 1/u mirror;
     theta3 maps to itself.  One exp and one sqrt serve every requested
-    value, and each distinct index is summed once.  A caller that holds the
+    value, and each side sums its thetas in one call.  A caller that holds the
     nome passes it as ``qv``, and the direct side sums on that very q.
     """
     if u >= 1:
         qd = mp.exp(-mp.pi * u) if qv is None else qv
-        vals = {w: _theta_series(w, qd, max_terms) for w in set(which)}
+        vals = _theta_series(which, qd, max_terms)
     else:
         qt = mp.exp(-mp.pi / u)
         su = mp.sqrt(u)
-        vals = {
-            w: _theta_series(_INVOLUTION_PARTNER[w], qt, max_terms) / su
-            for w in set(which)
-        }
+        mirrored = _theta_series(
+            {_INVOLUTION_PARTNER[w] for w in which}, qt, max_terms
+        )
+        vals = {w: mirrored[_INVOLUTION_PARTNER[w]] / su for w in which}
     return tuple(vals[w] for w in which)
 
 
@@ -200,20 +258,26 @@ def alpha(q, ctx: PrecisionContext):
 def alpha_qderiv(q, ctx: PrecisionContext):
     """q d(alpha)/dq from the term-by-term derivatives of theta2, theta3.
 
-    Uses q d/dq theta2 = 2 q^{1/4} sum (n(n+1) + 1/4) q^{n(n+1)} and
-    q d/dq theta3 = 2 sum n^2 q^{n^2}; both series converge as fast as the
-    thetas themselves, so no rerouting is needed.
+    Uses q d/dq theta2 = 2 q^{1/4} sum_{n>=0} (n(n+1) + 1/4) q^{n(n+1)} and
+    q d/dq theta3 = 2 q sum_{n>=0} (n+1)^2 q^{n^2+2n}; both series converge
+    as fast as the thetas themselves, so no rerouting is needed.
     """
     with ctx.working():
         qv = _nome_value(q)
-        quarter = mp.mpf(0.25)
-        d2_terms = ((n * (n + 1) + quarter) * qv ** (n * (n + 1)) for n in count(1))
-        s2 = _summed(chain((quarter,), d2_terms), "theta2 derivative", ctx.max_terms)
-        d2 = 2 * mp.sqrt(mp.sqrt(qv)) * s2
-        d3_terms = (n * n * qv ** (n * n) for n in count(1))
-        d3 = 2 * _summed(d3_terms, "theta3 derivative", ctx.max_terms, 1)
-        t2 = _theta_series(2, qv, ctx.max_terms)
-        t3 = _theta_series(3, qv, ctx.max_terms)
+        wp, Q = _fixed_nome(qv)
+        lead2, lead3 = 2 * mp.sqrt(mp.sqrt(qv)), 2 * qv
+        d2_terms = (
+            (4 * n * (n + 1) + 1) * t >> 2
+            for n, t in enumerate(_gaussian_powers(Q, 1, wp))
+        )
+        s2 = _fixed_sum(d2_terms, "theta2 derivative", ctx.max_terms, wp, lead2)
+        d2 = lead2 * mp.mpf((sum(s2), -wp))
+        d3_terms = ((n + 1) ** 2 * t for n, t in enumerate(_gaussian_powers(Q, 2, wp)))
+        floor3 = _reciprocal(qv, wp)  # 1 over the lead q
+        s3 = _fixed_sum(d3_terms, "theta3 derivative", ctx.max_terms, wp, lead3, floor3)
+        d3 = lead3 * mp.mpf((sum(s3), -wp))
+        thetas = _theta_series((2, 3), qv, ctx.max_terms)
+        t2, t3 = thetas[2], thetas[3]
         a = (t2 / t3) ** 4
         return ensure_finite(4 * a * (d2 / t2 - d3 / t3), "alpha derivative")
 
@@ -239,74 +303,87 @@ def eisenstein_M(q, ctx: PrecisionContext):
     """M(q) = 1 + 240 sum_k k^3 q^k / (1 - q^k), the weight-4 Lambert sum."""
     with ctx.working():
         qv = _nome_value(q)
-        terms = (k**3 * p / (1 - p) for k in count(1) for p in (qv**k,))
-        s = _summed(terms, "Eisenstein sum", ctx.max_terms, 1)
-        return ensure_finite(1 + 240 * s, "Eisenstein M")
+        wp, Q = _fixed_nome(qv)
+        terms = _eisenstein_terms(Q, wp)
+        floor = _reciprocal(qv, wp)  # 1 over the lead q
+        s = _fixed_sum(terms, "Eisenstein sum", ctx.max_terms, wp, qv, floor)
+        return ensure_finite(1 + 240 * qv * mp.mpf((sum(s), -wp)), "Eisenstein M")
 
 
-# Reorganized single sums for the double Lambert series.  Each generator
-# walks the odd index m = 2r - 1; all terms decay geometrically in r.
-def _lambert_terms(name: str, qv):
-    if name == "lam1":
-        # 4 sum chi_{-4}(n) q^{n/2} / (1 - q^n)
-        sq = mp.sqrt(qv)
-        for r in count(1):
-            m = 2 * r - 1
-            t = 4 * sq**m / (1 - qv**m)
-            yield t if r % 2 == 1 else -t
-    elif name == "lam2":
-        # 16 sum (2r-1) q^{2r-1} / (1 - q^{2(2r-1)})
-        for r in count(1):
-            m = 2 * r - 1
-            yield 16 * m * qv**m / (1 - qv ** (2 * m))
-    elif name == "lemma22_1":
-        for r in count(1):
-            m = 2 * r - 1
-            yield qv**m / (m * (1 - qv ** (2 * m)))
-    elif name == "lemma22_2":
-        sq = mp.sqrt(qv)
-        for r in count(1):
-            m = 2 * r - 1
-            yield sq**m / (m * (1 - qv**m))
-    elif name == "ram_lhs":
-        sq = mp.sqrt(qv)
-        for r in count(1):
-            m = 2 * r - 1
-            w = sq**m
-            yield w / (m * m * (1 + w * w))
-    elif name == "eis384":
-        # sum chi_{-4}(n) n^2 q^n / (1 - q^{2n})
-        for r in count(1):
-            m = 2 * r - 1
-            t = m * m * qv**m / (1 - qv ** (2 * m))
-            yield t if r % 2 == 1 else -t
-    elif name == "cube":
-        for r in count(1):
-            m = 2 * r - 1
-            yield m**3 * qv**m / (1 - qv ** (2 * m))
-    else:
-        raise DomainError(f"unknown Lambert series id {name!r}")
+def _eisenstein_terms(Q, wp: int):
+    """k^3 q^(k-1) / (1 - q^k) for k = 1, 2, ..., the M sum over its lead q."""
+    one = power = 1 << wp  # q^(k-1)
+    for k in count(1):
+        nxt = power * Q >> wp
+        yield (k**3 * power << wp) // (one - nxt)
+        power = nxt
 
 
-LAMBERT_IDS = ("lam1", "lam2", "lemma22_1", "lemma22_2", "ram_lhs", "eis384", "cube")
+# The reorganized single sums for the double Lambert series, each over odd m
+# as sum (+-1)^((m-1)/2) c m^e y^m / (1 -+ y^(2m)) with y = sqrt(q) or q:
+# id: (c, e, + in the denominator, y = sqrt(q), alternating).
+_LAMBERT = {
+    "lam1": (4, 0, False, True, True),  # 4 sum chi_{-4}(n) q^{n/2} / (1 - q^n)
+    "lam2": (16, 1, False, False, False),  # 16 sum m q^m / (1 - q^{2m})
+    "lemma22_1": (1, -1, False, False, False),  # sum q^m / (m (1 - q^{2m}))
+    "lemma22_2": (1, -1, False, True, False),  # sum q^{m/2} / (m (1 - q^m))
+    "ram_lhs": (1, -2, True, True, False),  # sum q^{m/2} / (m^2 (1 + q^m))
+    "eis384": (1, 2, False, False, True),  # sum chi_{-4}(m) m^2 q^m / (1 - q^{2m})
+    "cube": (1, 3, False, False, False),  # sum m^3 q^m / (1 - q^{2m})
+}
+
+LAMBERT_IDS = tuple(_LAMBERT)
+
+
+def _odd_lambert_terms(Y2, c: int, e: int, plus: bool, wp: int):
+    """c m^e y^(m-1) / (1 -+ y^(2m)) for m = 1, 3, 5, ... from y^2 = Y2 2^-wp:
+    the numerator steps by y^2 and the denominator's power by y^4."""
+    one = 1 << wp
+    y4 = Y2 * Y2 >> wp
+    num, power = c << wp, Y2  # c y^(m-1), y^(2m)
+    for m in count(1, 2):
+        den = one + power if plus else one - power
+        if e >= 0:
+            yield (num * m**e << wp) // den
+        else:
+            yield (num << wp) // (den * m**-e)
+        num = num * Y2 >> wp
+        power = power * y4 >> wp
 
 
 def lambert_series(name: str, q, ctx: PrecisionContext):
     """One of the reorganized Lambert sums, summed with geometric control.
 
-    Cost grows like digits / -log(q) as q -> 1; the identity grid and the
-    nome integrals, which switch to theta closed forms above q = 0.3, stay
-    well inside that.
+    One pass of the fixed-point kernel over the series divided by its lead
+    y = sqrt(q) or q; the 2 log2(1/(1-q)) extra bits of :func:`_fixed_nome`
+    cover the denominators 1 - q^m that vanish as q -> 1.  The sum stops at
+    the first term under 10^-(dps-2) max(|s|, floor), with floor the larger
+    of the first term and 10^-dps.  Cost grows like digits / -log(q) as
+    q -> 1; the identity grid and the nome integrals, which switch to theta
+    closed forms above q = 0.3, stay well inside that.
     """
-    if name not in LAMBERT_IDS:
+    if name not in _LAMBERT:
         raise DomainError(f"unknown Lambert series id {name!r}")
+    c, e, plus, half, alternate = _LAMBERT[name]
     with ctx.working():
-        terms = _lambert_terms(name, _nome_value(q))
+        qv = _nome_value(q)
+        wp, Q = _fixed_nome(qv)
+        lead = mp.sqrt(qv) if half else qv
+        terms = _odd_lambert_terms(Q if half else Q * Q >> wp, c, e, plus, wp)
         first = next(terms)
-        floor = max(abs(first), mp.mpf(10) ** (-mp.mp.dps))
+        floor = max(first, _reciprocal(lead, wp) // 10**mp.mp.dps)
         what = f"Lambert series {name}"
-        s = _summed(chain((first,), terms), what, ctx.max_terms, floor)
-        return ensure_finite(s, what)
+        even, odd = _fixed_sum(
+            chain((first,), terms),
+            what,
+            ctx.max_terms,
+            wp,
+            lead,
+            floor,
+            alternate=alternate,
+        )
+        s = even - odd if alternate else even + odd
+        return ensure_finite(lead * mp.mpf((s, -wp)), what)
 
 
 @dataclass(frozen=True)

@@ -471,23 +471,18 @@ class TestSharedPasses:
             alone = kdf_full(spec, 1, 1, "integral_reduction", ctx)
             assert _mpfs(family[name]) == _mpfs(alone), name
 
-    # q_integral("prop21_1") at 20 digits and max_terms=30, from the code
-    # that ran each nome integral in a pass of its own
-    PROP21_1_LONE = (
-        (0, 892739149655804656686822089121306265, -120, 120),
-        (0, 839180414498341336749822910935457681, -225, 120),
-        619,
-    )
-
     @pytest.mark.parametrize("first", ["prop31_2", "prop21_1"])
     def test_a_failing_nome_integral_fails_alone(self, first):
         # the other three Lambert sums run out of terms below the series cut
         ctx = PrecisionContext(digits=20, max_terms=30)
         lvalues._q_family.cache_clear()
+        # prop21_1 in a pass of its own, where no sibling can fail
+        lone = _mpfs(lvalues._q_family(ctx, ("prop21_1",))["prop21_1"])
         order = [first] + [q for q in QID_TO_PAIR if q != first]
         for q_id in order:
             if q_id == "prop21_1":
-                assert _mpfs(q_integral(q_id, ctx)) == self.PROP21_1_LONE
+                q_integral(q_id, ctx)
+                assert _mpfs(lvalues._q_family(ctx)[q_id]) == lone
                 continue
             lam = lvalues._Q_INTEGRALS[q_id][3]
             with pytest.raises(BudgetError, match=f"Lambert series {lam} exhausted"):

@@ -1,3 +1,5 @@
+from itertools import chain, count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,23 +130,160 @@ def test_theta_budget():
         theta_direct(3, "0.999", ctx)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [lambda ctx, n=n: lambert_series(n, "0.9", ctx) for n in LAMBERT_IDS]
-    + [
-        lambda ctx: eisenstein_M("0.9", ctx),
-        lambda ctx: alpha_qderiv("0.9", ctx),
-    ]
-    + [lambda ctx, w=w: theta_direct(w, "0.9", ctx) for w in (2, 3, 4)],
-    ids=[*LAMBERT_IDS, "eisenstein_M", "alpha_qderiv", "theta2", "theta3", "theta4"],
-)
-def test_every_budgeted_sum_gives_up_with_its_best(run):
+# every budgeted sum in the module, as a function of (q, ctx)
+SERIES = {
+    **{n: lambda q, ctx, n=n: lambert_series(n, q, ctx) for n in LAMBERT_IDS},
+    "eisenstein_M": eisenstein_M,
+    "alpha_qderiv": alpha_qderiv,
+    **{f"theta{w}": lambda q, ctx, w=w: theta_direct(w, q, ctx) for w in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", list(SERIES))
+def test_every_budgeted_sum_gives_up_with_its_best(name):
     # three terms cannot settle any of these sums at q = 0.9
     ctx = PrecisionContext(digits=20, max_terms=3)
     with pytest.raises(BudgetError) as info:
-        run(ctx)
+        SERIES[name]("0.9", ctx)
     with ctx.working():
         assert info.value.best is not None and mp.isfinite(info.value.best)
+
+
+# The kernel against plain mpf sums 20 digits hotter, on nomes that are
+# exact binary numbers, so both sides sum the very same q.  The reference
+# applies the same stop rule at the working tolerance, so the two truncate
+# alike and only the kernel's rounding is measured.
+HOT = 20
+KERNEL_NOMES = {
+    "2^-120": mp.mpf(2) ** -120,
+    "2^-40": mp.mpf(2) ** -40,
+    "e^-pi": mp.mpf(float(mp.exp(-mp.pi))),
+    "0.29": mp.mpf(0.29),
+    "0.55": mp.mpf(0.55),
+    "0.9": mp.mpf(0.9),
+}
+
+
+def _ref_sum(terms, tol, floor=0, running=True):
+    s = mp.mpf(0)
+    for t in terms:
+        s += t
+        if abs(t) < tol * (max(abs(s), floor) if running else floor):
+            return s
+
+
+def _ref_theta(which, q, tol):
+    if which == 2:
+        terms = chain((1,), (q ** (n * (n + 1)) for n in count(1)))
+        return 2 * q ** mp.mpf(0.25) * _ref_sum(terms, tol)
+    sign = -1 if which == 4 else 1
+    terms = chain((1,), (2 * sign**n * q ** (n * n) for n in count(1)))
+    return _ref_sum(terms, tol, 1, running=False)
+
+
+def _ref_lambert(name, q, tol, tiny):
+    chi = lambda m: 1 if m % 4 == 1 else -1  # on odd m
+    w = mp.sqrt(q)
+    term = {
+        "lam1": lambda m: 4 * chi(m) * w**m / (1 - q**m),
+        "lam2": lambda m: 16 * m * q**m / (1 - q ** (2 * m)),
+        "lemma22_1": lambda m: q**m / (m * (1 - q ** (2 * m))),
+        "lemma22_2": lambda m: w**m / (m * (1 - q**m)),
+        "ram_lhs": lambda m: w**m / (m * m * (1 + q**m)),
+        "eis384": lambda m: chi(m) * m * m * q**m / (1 - q ** (2 * m)),
+        "cube": lambda m: m**3 * q**m / (1 - q ** (2 * m)),
+    }[name]
+    floor = max(abs(term(1)), tiny)
+    return _ref_sum((term(m) for m in count(1, 2)), tol, floor), floor
+
+
+def _ref_alpha_qderiv(q, tol):
+    d2_terms = ((n * (n + 1) + mp.mpf(0.25)) * q ** (n * (n + 1)) for n in count())
+    d2 = 2 * q ** mp.mpf(0.25) * _ref_sum(d2_terms, tol)
+    d3 = 2 * _ref_sum((n * n * q ** (n * n) for n in count(1)), tol, 1)
+    t2, t3 = _ref_theta(2, q, tol), _ref_theta(3, q, tol)
+    a = (t2 / t3) ** 4
+    # the two quotients cancel as q -> 1: the error scales with either one
+    return 4 * a * (d2 / t2 - d3 / t3), 4 * a * d2 / t2
+
+
+def _ref_value(name, q, tol, tiny):
+    """(hot reference, floor of its stop rule) for one series at q."""
+    if name.startswith("theta"):
+        return _ref_theta(int(name[-1]), q, tol), (0 if name == "theta2" else 1)
+    if name == "eisenstein_M":
+        terms = (k**3 * q**k / (1 - q**k) for k in count(1))
+        return 1 + 240 * _ref_sum(terms, tol, 1), 1
+    if name == "alpha_qderiv":
+        return _ref_alpha_qderiv(q, tol)
+    return _ref_lambert(name, q, tol, tiny)
+
+
+def _kernel_misses(q, digits, names):
+    """Series at q farther than 2^-(prec-4) max(|v|, floor) from the hot
+    reference, prec the working bits, with each miss's ratio to that bound."""
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        got = {name: SERIES[name](q, ctx) for name in names}
+        prec, dps = mp.mp.prec, mp.mp.dps
+    misses = []
+    with mp.workdps(dps + HOT):
+        tol, tiny = mp.mpf(10) ** (2 - dps), mp.mpf(10) ** -dps
+        for name, value in got.items():
+            ref, floor = _ref_value(name, q, tol, tiny)
+            bound = mp.mpf(2) ** (4 - prec) * max(abs(ref), floor)
+            if not abs(value - ref) <= bound:
+                misses.append((name, mp.nstr(abs(value - ref) / bound, 5)))
+    return misses
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("q", list(KERNEL_NOMES), ids=list(KERNEL_NOMES))
+def test_fixed_point_kernel_accuracy(digits, q):
+    assert not _kernel_misses(KERNEL_NOMES[q], digits, SERIES)
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+def test_fixed_point_kernel_near_one(digits):
+    # the raw theta series at q = 0.999, where terms step ~300 times
+    names = ("theta2", "theta3", "theta4")
+    assert not _kernel_misses(mp.mpf(0.999), digits, names)
+
+
+# The largest max_terms at which each sum still raises BudgetError, as the
+# per-term mpf loops gave them; the fixed-point kernel keeps every stop rule
+# and budget term for term.
+BUDGET_PINS = {
+    ("0.1", 20): dict(
+        theta2=5, theta3=5, theta4=5, lam1=32, lam2=17, lemma22_1=15,
+        lemma22_2=31, ram_lhs=29, eis384=18, cube=18,
+        eisenstein_M=36, alpha_qderiv=5,
+    ),
+    ("0.29", 50): dict(
+        theta2=10, theta3=10, theta4=10, lam1=116, lam2=60, lemma22_1=56,
+        lemma22_2=112, ram_lhs=108, eis384=62, cube=63,
+        eisenstein_M=127, alpha_qderiv=10,
+    ),
+    ("0.55", 20): dict(
+        theta2=10, theta3=11, theta4=11, lam1=125, lam2=66, lemma22_1=59,
+        lemma22_2=116, ram_lhs=109, eis384=71, cube=72,
+        eisenstein_M=144, alpha_qderiv=11,
+    ),
+    ("0.9", 30): dict(
+        theta2=29, theta3=30, theta4=30, lam1=917, lam2=482, lemma22_1=429,
+        lemma22_2=845, ram_lhs=803, eis384=528, cube=520,
+        eisenstein_M=1033, alpha_qderiv=30,
+    ),
+}
+
+
+@pytest.mark.parametrize("q, digits", list(BUDGET_PINS))
+def test_budgets_are_pinned(q, digits):
+    for name, last_failing in BUDGET_PINS[q, digits].items():
+        run = SERIES[name]
+        with pytest.raises(BudgetError):
+            run(q, PrecisionContext(digits=digits, max_terms=last_failing))
+        run(q, PrecisionContext(digits=digits, max_terms=last_failing + 1))
 
 
 def test_alpha_midpoint_and_range(ctx30):
