@@ -193,7 +193,7 @@ def _cmd_alpha(args):
 def _cmd_pfq(args):
     ctx = _ctx(args)
     spec = PFQSpec(args.upper, args.lower)
-    val = pfq(spec, args.z, ctx)
+    val = pfq(spec, args.z, ctx).value
     s = _nstr(val, ctx.digits)
     _emit(args, [f"pFq = {s}"],
           {"upper": list(args.upper), "lower": list(args.lower), "z": args.z,

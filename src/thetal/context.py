@@ -8,8 +8,12 @@ Values are mpmath ``mpf`` floats carried at ``digits + guard`` decimal places.
 Routines wrap their bodies in ``with ctx.working():`` and convert inputs via
 :func:`as_real` on entry.  No NaN or infinity may escape an operation; such
 states surface as :class:`NumericsError` subclasses instead.  A result
-that bounds its own error comes as an :class:`Estimate`; only
-``series.richardson_power`` keeps a bare pair, for its float64 arrays.
+that bounds its own error comes as an :class:`Estimate`, no tighter than
+:func:`noise_floor`: ``pfq``, ``euler_2f1``, ``kdf_full``, ``kdf_reductions``,
+``alternating_sum``, ``eta``, ``zeta``, ``integrate01``,
+``extrapolate_powerlog`` and every ``lvalues`` route, ``l_chi4`` and
+``l_psi`` among them.  Only ``series.richardson_power`` keeps a bare pair,
+for its float64 arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ __all__ = [
     "MIN_DIGITS",
     "PrecisionContext",
     "Estimate",
+    "noise_floor",
+    "floored",
     "NumericsError",
     "DomainError",
     "BudgetError",
@@ -130,6 +136,21 @@ class Estimate(NamedTuple):
     value: mp.mpf
     error_estimate: mp.mpf
     effort: int = 0
+
+
+def noise_floor(value, ctx: PrecisionContext):
+    """The least error any estimate of value claims: its evaluation noise at
+    working precision, below which a tail bound or level delta can collapse
+    without meaning it."""
+    with ctx.working():
+        return abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
+
+
+def floored(value, error, effort, ctx: PrecisionContext, what="result") -> Estimate:
+    """The Estimate of a value that must be finite, its error raised to at
+    least the value's noise floor."""
+    value = ensure_finite(value, what)
+    return Estimate(value, max(error, noise_floor(value, ctx)), effort)
 
 
 def as_real(x):

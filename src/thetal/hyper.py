@@ -31,9 +31,10 @@ from .context import (
     PrecisionContext,
     as_real,
     ensure_finite,
+    floored,
     parse_rational,
 )
-from .quadrature import integrate01, isolated, noise_floor, settled
+from .quadrature import integrate01, isolated, settled
 from .series import extrapolate_powerlog, richardson_power
 from .special import beta as beta_fn
 from .special import alternating_sum
@@ -158,24 +159,20 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
     s = next(terms)
     for m, t in enumerate(terms, 1):
         s += t
-        if t == 0:
-            break  # terminating series
-        # a polynomial sums to its last term: no tail test, whatever |z|
-        if (
-            not spec.terminating
-            and m >= m_min
-            and abs(t) * q / (1 - q) < tol * max(abs(s), mp.mpf(1))
-        ):
-            break
+        if t == 0:  # a polynomial sums to its last term, whatever |z|
+            return Estimate(s, mp.mpf(0), m)
+        if not spec.terminating and m >= m_min:
+            tail = abs(t) * q / (1 - q)
+            if tail < tol * max(abs(s), 1):
+                return Estimate(s, tail, m + 1)
         if m > ctx.max_terms:
             raise BudgetError("pFq interior sum exhausted its budget", best=s)
-    return s
 
 
-def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """B_n(x) exactly; the odd Bernoulli numbers past B_1 vanish."""
+def _bernoulli_poly(n: int, x: Fraction, bernoulli) -> Fraction:
+    """B_n(x) exactly from B_0 .. B_n; the odd ones past B_1 vanish."""
     return sum(
-        math.comb(n, j) * Fraction(*mp.bernfrac(j)) * x ** (n - j)
+        math.comb(n, j) * bernoulli[j] * x ** (n - j)
         for j in range(n + 1)
         if j < 2 or j % 2 == 0
     )
@@ -195,9 +192,10 @@ def _tail_coeffs(spec: PFQSpec, count: int) -> tuple:
     multiplicity.subtract(spec.lower)
     multiplicity[Fraction(1)] -= 1
     weights = [(x, w) for x, w in multiplicity.items() if w]
+    bernoulli = [Fraction(*mp.bernfrac(j)) for j in range(count + 1)]
     d = [Fraction(0)]
     for k in range(1, count):
-        b = sum(w * _bernoulli_poly(k + 1, x) for x, w in weights)
+        b = sum(w * _bernoulli_poly(k + 1, x, bernoulli) for x, w in weights)
         d.append((-1) ** (k + 1) * b / (k * (k + 1)))
     c = [Fraction(1)]
     for n in range(1, count):
@@ -210,7 +208,9 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
 
     The tail sum_{n>=N} t_n = C sum_k c_k zeta(1+e+k, N) is asymptotic in N
     (Buhring, Proc. AMS 114, 1992); its last kept term is the estimate, and
-    N doubles until that meets the goal or would pass max_terms.
+    N doubles until that meets the goal or would pass max_terms.  The effort
+    is N.  mp.zeta(s, N) is good to about 10^-(dps+9) absolutely, so each
+    zeta value takes log10 |C c_k| more digits.
     """
     goal = ctx.goal()
     scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
@@ -227,11 +227,14 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
         n_head = min(n_head, ctx.max_terms)
         s = sum(islice(terms, n_head - m), s)
         m = n_head
-        tail = [ck * mp.zeta(power + k, n_head) for k, ck in enumerate(coeffs)]
+        tail = []
+        for k, ck in enumerate(coeffs):
+            with mp.workdps(mp.mp.dps + int(mp.log10(abs(ck) + 1))):
+                tail.append(ck * mp.zeta(power + k, n_head))
         value = s + mp.fsum(tail)
         est = abs(tail[-1])
         if est <= goal * abs(value):
-            return value
+            return Estimate(value, est, n_head)
         if n_head >= ctx.max_terms:
             raise BudgetError(
                 "pFq unit-argument tail exhausted its budget", best=value, estimate=est
@@ -254,22 +257,23 @@ def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
     arguments use plain summation with a geometric tail bound;
     z = 1 sums digits + 20 terms and adds the excess-driven power tail
     through its exact expansion in Hurwitz zeta values; z = -1 uses the
-    alternating-series accelerator.
+    alternating-series accelerator.  Each reports the bound it stopped on
+    and the terms it summed, as an :class:`Estimate`.
     """
     with ctx.working():
         zv = as_real(z)
         if not -1 <= zv <= 1:
             raise DomainError("pFq argument must lie in [-1, 1]")
         if zv == 0:
-            return mp.mpf(1)
+            return Estimate(mp.mpf(1), mp.mpf(0))
         kind = pfq_converges(spec, zv)
         if kind == "divergent":
             raise DomainError(f"pFq diverges at z = {zv}: excess {pfq_excess(spec)}")
         if kind == "interior":
-            return ensure_finite(_pfq_interior(spec, zv, ctx), "pFq")
-        if zv == 1:
-            return ensure_finite(_pfq_unit(spec, ctx), "pFq")
-        return ensure_finite(_pfq_alternating(spec, ctx), "pFq")
+            res = _pfq_interior(spec, zv, ctx)
+        else:
+            res = (_pfq_unit if zv == 1 else _pfq_alternating)(spec, ctx)
+        return floored(*res, ctx, "pFq")
 
 
 def euler_2f1(a, b, c, z, ctx: PrecisionContext):
@@ -279,7 +283,7 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
     t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a), and at z = 1 the last factor merges
     into the right endpoint exponent (requiring c - a - b > 0).  The endpoint
     exponents feed the calibrated quadrature, so b and the effective c - b
-    must not drop below 1/2.
+    must not drop below 1/2.  The estimate and effort are the quadrature's.
     """
     af, bf, cf = _coerce_params((a, b, c))
     if not cf > bf > 0:
@@ -292,20 +296,14 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
         if zv == 1:
             if not cf - af - bf > 0:
                 raise DomainError("z = 1 needs c - a - b > 0")
-            val = integrate01(
-                lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - av - 1),
-                ctx,
-                left_exponent=float(bf),
-                right_exponent=float(cf - bf - af),
-            ).value
+            right = cf - bf - af
+            f = lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - av - 1)
         else:
-            val = integrate01(
-                lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - 1) * (1 - zv * t) ** (-av),
-                ctx,
-                left_exponent=float(bf),
-                right_exponent=float(cf - bf),
-            ).value
-        return ensure_finite(val / beta_fn(bf, cf - bf, ctx), "euler 2F1")
+            right = cf - bf
+            f = lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - 1) * (1 - zv * t) ** (-av)
+        val, est, calls = integrate01(f, ctx, float(bf), float(right))
+        norm = beta_fn(bf, cf - bf, ctx)
+        return floored(val / norm, est / norm, calls, ctx, "euler 2F1")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +451,9 @@ def series_kernel(upper, lower):
     """Closed/stable evaluator k(z, cz) for the pFq with these parameters.
 
     cz must be the exact complement 1 - z; every kernel leans on it near
-    z = 1.  Raises DomainError when no closed form is tabulated.
+    z = 1.  A kernel returns a bare value: it is an integrand factor, and
+    the quadrature's estimate covers it.  Raises DomainError when no closed
+    form is tabulated.
     """
     key = (tuple(sorted(_coerce_params(upper))), tuple(sorted(_coerce_params(lower))))
     try:
@@ -569,8 +569,7 @@ def kdf_reductions(specs, x, y, ctx: PrecisionContext):
         def finish(prep, run):
             val, est, calls = settled(run)
             norm = beta_fn(prep[0], prep[1] - prep[0], ctx)
-            value = val / norm
-            return Estimate(value, max(est / norm, noise_floor(value, ctx)), calls)
+            return floored(val / norm, est / norm, calls, ctx)
 
         return isolated(partial(finish, p, r) for p, r in zip(preps, runs))
 
@@ -760,8 +759,8 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> Estim
     """Double series F(x, y) at (x, y) in [0, 1]^2 by the requested strategy,
     on the domain :func:`_kdf_domain` decides.  Value and error estimate
     must be finite, so a float64 sum that overflows raises NumericsError.
-    The effort is the integrand calls of the integral reduction; the float64
-    strategies and the axis cases report 0."""
+    The effort is the integrand calls of the integral reduction, or on an
+    axis the terms of the one pFq there; the float64 strategies report 0."""
     if strategy not in KDF_STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
     xq, yq, (m1, m2, m3) = _kdf_domain(spec, x, y)
@@ -769,9 +768,7 @@ def kdf_full(spec: KdFSpec, x, y, strategy: str, ctx: PrecisionContext) -> Estim
         if xq == 0 and yq == 0:
             return Estimate(mp.mpf(1), mp.mpf(0))
         if xq == 0 or yq == 0:
-            # pfq sums each argument to its goal relative to max(|value|, 1)
-            val = pfq(_merged_pfq(spec, "y" if xq == 0 else "x"), xq or yq, ctx)
-            return Estimate(val, ctx.goal() * max(abs(val), 1))
+            return pfq(_merged_pfq(spec, "y" if xq == 0 else "x"), xq or yq, ctx)
         if strategy == "integral_reduction":
             return settled(kdf_reductions((spec,), xq, yq, ctx)[0])
         run = _kdf_iterated if strategy == "iterated" else _kdf_double

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 
-from .context import MIN_DIGITS, DomainError, PrecisionContext, as_real
+from .context import MIN_DIGITS, DomainError, Estimate, PrecisionContext, as_real
 from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
@@ -244,7 +244,7 @@ def _doubling_44(qv, ctx):
 
 def _euler(zv, ctx):
     # grid points reused as the hypergeometric argument
-    return euler_2f1("1/2", 1, "3/2", zv, ctx), pfq(_EULER_SPEC, zv, ctx)
+    return euler_2f1("1/2", 1, "3/2", zv, ctx).value, pfq(_EULER_SPEC, zv, ctx).value
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,15 @@ def _ev_theorem(rhs_id):
     return ev
 
 
+def _less(c, res):  # the Estimate of c - res for an exactly known c
+    return res._replace(value=c - res.value)
+
+
 # each corollary scales its theorem's weighted double series and replaces
-# the L-value by a closed form: label, then (scale, closed form) at ctx
+# the L-value by a closed form: label, then (scale, closed Estimate) at ctx
 _COROLLARY = {
-    "thm11_1": ("F(1,1)", lambda ctx: (1, 3 * mp.pi * mp.log(2))),
-    "thm11_2": ("8 F(1,1)", lambda ctx: (8, 48 * mp.log(2) - pfq(SAMART_5F4, 1, ctx))),
+    "thm11_1": ("F(1,1)", lambda ctx: (1, Estimate(3 * mp.pi * mp.log(2), 0))),
+    "thm11_2": ("8 F(1,1)", lambda ctx: (8, _less(48 * mp.log(2), pfq(SAMART_5F4, 1, ctx)))),
     "thm12_1": ("pi/24 weighted", lambda ctx: (mp.pi / 24, pfq(LF4_ALT, -1, ctx))),
 }
 
@@ -287,7 +291,8 @@ def _ev_corollary(rhs_id):
         with ctx.working():
             scale, closed = sides(ctx)
             lhs = scale * acc
-        return EvalOutcome(((label, lhs, closed),), _promised_digits(lhs, scale * err))
+        promised = _promised_digits(lhs, scale * err + closed.error_estimate)
+        return EvalOutcome(((label, lhs, closed.value),), promised)
 
     return ev
 
@@ -303,7 +308,7 @@ def _ev_factorization(config, ctx):
 
 def _ev_lf4_triple(config, ctx):
     labels = ("alternating", "split", "character-sum")
-    variants = tuple(zip(labels, lf4_triple(ctx)))
+    variants = tuple(zip(labels, (t.value for t in lf4_triple(ctx))))
     pairs = []
     for i, (la, va) in enumerate(variants):
         for lb, vb in variants[i + 1 :]:

@@ -31,9 +31,10 @@ import numpy as np
 from mpmath.libmp import to_fixed
 
 from .context import DomainError, Estimate, PrecisionContext, as_real, ensure_finite
+from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
-from .quadrature import integrate01, isolated, noise_floor, settled
-from .special import alternating_sum, cvz_terms, eta, gamma, zeta
+from .quadrature import integrate01, isolated, settled
+from .special import alternating_sum, eta, gamma, zeta
 from .theta import coeffs_convolution, lambert_series, theta_involution
 
 __all__ = [
@@ -72,17 +73,13 @@ L_VALUE_METHODS = (
 )
 
 
-def _roundoff(value, ctx: PrecisionContext):
-    # generic few-ulp floor for exact formulas evaluated at working precision
-    return abs(value) * mp.mpf(10) ** (3 - ctx.workdigits)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet building blocks
 
 
-def l_chi4(s, ctx: PrecisionContext):
-    """L(chi_-4, s) = sum_{j>=0} (-1)^j (2j+1)^{-s} for real s > 0.
+def l_chi4(s, ctx: PrecisionContext) -> Estimate:
+    """L(chi_-4, s) = sum_{j>=0} (-1)^j (2j+1)^{-s} for real s > 0, as the
+    alternating sum's :class:`Estimate`.
 
     The alternating acceleration converges for every positive s, well past
     the abscissa of the raw series, which is all the continuation these
@@ -95,19 +92,19 @@ def l_chi4(s, ctx: PrecisionContext):
         return alternating_sum(((2 * mp.mpf(k) + 1) ** (-sv) for k in count()), ctx)
 
 
-def l_psi(s, ctx: PrecisionContext):
+def l_psi(s, ctx: PrecisionContext) -> Estimate:
     """L(psi, s) for the sign character psi(n) = (-1)^(n-1), real s >= 1.
 
-    Equals (1 - 2^(1-s)) zeta(s), and log 2 at s = 1; evaluated directly as
-    the alternating zeta series so the same accelerator serves both factors
-    of the factorized route.
+    Equals (1 - 2^(1-s)) zeta(s), and log 2 at s = 1 (no terms summed);
+    evaluated directly as the alternating zeta series so the same
+    accelerator serves both factors of the factorized route.
     """
     with ctx.working():
         sv = as_real(s)
         if sv < 1:
             raise DomainError("l_psi wants s >= 1")
         if sv == 1:
-            return mp.log(2)
+            return floored(mp.log(2), 0, 0, ctx)
         return eta(sv, ctx)
 
 
@@ -221,7 +218,8 @@ def lambert_closed(name: str, a, ca):
 
     Lemma 2.2's log and atanh kernels and Ramanujan's 3F2/2F1 quotient: the
     identity registry checks each against the raw series on its grid, and
-    the nome integrals use them above the series cut.
+    the nome integrals use them above the series cut, so the value is bare,
+    its error measured by those comparisons and estimates.
     """
     if name == "lemma22_1":
         return a / 16 * _KLOG(a, ca)
@@ -298,11 +296,7 @@ def q_integral(q_id: str, ctx: PrecisionContext):
     val, est, calls = settled(_q_family(ctx)[q_id])
     with ctx.working():
         factor = _pi_factor(power, pref)
-        return Estimate(
-            ensure_finite(val * factor, "nome integral"),
-            max(est, noise_floor(val, ctx)) * factor,
-            calls,
-        )
+        return floored(val * factor, est * factor, calls, ctx, "nome integral")
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +365,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         scale = split_v**sv
         value = (scale * lo_val + up_val) / gv
         est = (scale * lo_est + up_est) / gv
-        return Estimate(
-            ensure_finite(value, "mellin transform"),
-            max(est, noise_floor(value, ctx)),
-            lo_calls + up_calls,
-        )
+        return floored(value, est, lo_calls + up_calls, ctx, "mellin transform")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +404,7 @@ def _divisor_tail(n_terms: int, s1: float, ctx: PrecisionContext) -> float:
     powers = np.arange(0, n_terms + 1, dtype=np.float64)
     powers[0] = 1.0
     partial = float(np.dot(d[1:], powers[1:] ** (-s1)))
-    zv = zeta(mp.mpf(s1), ctx)
+    zv = zeta(mp.mpf(s1), ctx).value
     tail = float(zv * zv) - partial
     return max(tail, 0.0) + 1e-13
 
@@ -457,7 +447,7 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
                         acc += am * to_fixed((mp.mpf(m) ** -sv)._mpf_, wp)
         value = mp.mpf((acc, -wp))
         tail = _divisor_tail(int(n_terms), float(sv) - 1.0, ctx)
-        est = mp.mpf(tail) + _roundoff(value, ctx) + mp.mpf((2 * mass, -wp))
+        est = mp.mpf(tail) + noise_floor(value, ctx) + mp.mpf((2 * mass, -wp))
         return Estimate(ensure_finite(value, "dirichlet sum"), est, int(n_terms))
 
 
@@ -474,41 +464,47 @@ def lf4_triple(ctx: PrecisionContext):
     """Three evaluations of L(chi_-4, 4), the sum behind L(f, 4)'s closed form.
 
     The central alternating 5F4 at z = -1, its even/odd split into two
-    unit-argument 5F4s, and the plain (2j+1)^-4 character sum, in that order.
+    unit-argument 5F4s, and the plain (2j+1)^-4 character sum, in that
+    order, each an :class:`Estimate`.
     """
     with ctx.working():
-        central = pfq(LF4_ALT, -1, ctx)
-        split = pfq(LF4_POS1, 1, ctx) - pfq(LF4_POS3, 1, ctx) / 81
-        return central, split, l_chi4(4, ctx)
+        pos1, pos3 = pfq(LF4_POS1, 1, ctx), pfq(LF4_POS3, 1, ctx)
+        split = Estimate(
+            pos1.value - pos3.value / 81,
+            pos1.error_estimate + pos3.error_estimate / 81,
+            pos1.effort + pos3.effort,
+        )
+        return pfq(LF4_ALT, -1, ctx), split, l_chi4(4, ctx)
 
 
 def closed_form(which: str, ctx: PrecisionContext):
-    """One of the single-series closed forms, at zero effort.
+    """One of the single-series closed forms, with the terms its sums took.
 
     lf3 is elementary.  lf4 scales the central value of :func:`lf4_triple`
-    and reports the spread of the three as the error: the closed form is
-    only as good as its internal agreement.  lg3 combines log 2 with a
-    unit-argument 5F4.
+    and reports its estimate plus the spread of the three: the closed form
+    is only as good as its internal agreement.  lg3 combines log 2 with a
+    unit-argument 5F4 and reports that sum's estimate.
     """
     with ctx.working():
         if which == "lf3":
-            v = mp.pi**3 * mp.log(2) / 32
-            return Estimate(ensure_finite(v, "closed form"), _roundoff(v, ctx))
-        if which == "lg3":
-            f54 = pfq(SAMART_5F4, 1, ctx)
+            v, est, terms = mp.pi**3 * mp.log(2) / 32, mp.mpf(0), 0
+        elif which == "lg3":
+            f54, est, terms = pfq(SAMART_5F4, 1, ctx)
             v = mp.pi**3 / 1024 * (48 * mp.log(2) - f54)
-            est = abs(v) * mp.mpf(10) ** (-(ctx.digits + 1)) + _roundoff(v, ctx)
-            return Estimate(ensure_finite(v, "closed form"), est)
-        if which == "lf4":
-            central, split, plain = lf4_triple(ctx)
+            est *= mp.pi**3 / 1024
+        elif which == "lf4":
+            triple = lf4_triple(ctx)
+            central, split, plain = (t.value for t in triple)
             spread = max(
                 abs(central - split), abs(central - plain), abs(split - plain)
             )
             scale = mp.pi**2 / 12
             v = scale * central
-            est = scale * spread + _roundoff(v, ctx)
-            return Estimate(ensure_finite(v, "closed form"), est)
-    raise DomainError(f"unknown closed form id {which!r}")
+            est = scale * (triple[0].error_estimate + spread)
+            terms = sum(t.effort for t in triple)
+        else:
+            raise DomainError(f"unknown closed form id {which!r}")
+        return floored(v, est, terms, ctx, "closed form")
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +533,10 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
         if form != "f":
             raise DomainError("the Dirichlet factorization is an f-only route")
         with ctx.working():
-            v = l_psi(n - 2, ctx) * l_chi4(n, ctx)
-            return Estimate(v, _roundoff(v, ctx), 2 * cvz_terms(ctx))
+            a, b = l_psi(n - 2, ctx), l_chi4(n, ctx)
+            v = a.value * b.value
+            est = abs(a.value) * b.error_estimate + abs(b.value) * a.error_estimate
+            return floored(v, est, a.effort + b.effort, ctx)
     if method == "dirichlet_sum":
         return dirichlet_sum(form, n, ctx)
     if method == "mellin":

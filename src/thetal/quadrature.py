@@ -20,7 +20,7 @@ import mpmath as mp
 from .context import DomainError, Estimate, NumericsError, PrecisionContext
 from .context import QuadratureError, ensure_finite
 
-__all__ = ["integrate01", "isolated", "noise_floor", "settled"]
+__all__ = ["integrate01", "isolated", "settled"]
 
 # nodes per (workprec bits, level); grown lazily, shared across integrals,
 # and dropped a whole precision at a time, the oldest first
@@ -76,14 +76,6 @@ def _nodes(level: int, prec_bits: int):
             del _NODE_CACHE[stale]
     _NODE_CACHE[key] = out
     return out
-
-
-def noise_floor(value, ctx: PrecisionContext):
-    """A quadrature route's least error for value: the integrand's evaluation
-    noise at working precision, below which level deltas can collapse
-    without meaning it."""
-    with ctx.working():
-        return abs(value) * mp.mpf(10) ** (2 - ctx.workdigits)
 
 
 def isolated(calls):

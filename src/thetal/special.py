@@ -1,9 +1,10 @@
 """Gamma-family scalars, zeta, and alternating-series acceleration.
 
-The transcendental kernels (gamma, log, exp) come from mpmath.  The summation
-machinery layered on top, which is what the rest of the package leans on, is
-local: a Cohen-Rodriguez Villegas-Zagier accelerator for alternating series,
-and zeta through the eta function.
+The transcendental kernels (gamma, log, exp) come from mpmath, good to the
+working precision with no truncation to bound, so gamma and beta return bare
+values.  The summation machinery layered on top, which is what the rest of
+the package leans on, is local and returns Estimates: a Cohen-Rodriguez
+Villegas-Zagier accelerator for alternating series, and zeta through eta.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from itertools import count
 
 import mpmath as mp
 
-from .context import DomainError, PrecisionContext, as_real, ensure_finite
+from .context import DomainError, Estimate, PrecisionContext, as_real
+from .context import ensure_finite, floored
 
 __all__ = [
     "gamma",
     "beta",
     "zeta",
     "eta",
-    "cvz_terms",
     "alternating_sum",
 ]
 
@@ -48,26 +49,21 @@ def beta(a, b, ctx: PrecisionContext):
 _CVZ_RATE = 1.7627471740390860505
 
 
-def cvz_terms(ctx: PrecisionContext) -> int:
-    """Number of terms :func:`alternating_sum` takes at ctx's working digits."""
-    with mp.workdps(ctx.workdigits + 5):
-        return int(ctx.workdigits * mp.log(10) / _CVZ_RATE) + 5
-
-
-def alternating_sum(terms, ctx: PrecisionContext):
-    """Accelerated sum of (-1)^k t_k, k >= 0, for positive decreasing t_k.
+def alternating_sum(terms, ctx: PrecisionContext) -> Estimate:
+    """Accelerated sum S of (-1)^k t_k, k >= 0, for positive decreasing t_k.
 
     terms is an endless iterable of t_0, t_1, ...; the first n are drawn in
-    order, at ctx's working digits plus 5.  Chebyshev-polynomial
-    acceleration: with n ~ digits/log10(3+sqrt 8) terms the error is
-    ~(3+sqrt 8)^-n.  The scheme assumes the t_k form a totally monotone
+    order, at ctx's working digits plus 5, and n is the effort.
+    Chebyshev-polynomial acceleration (Cohen, Rodriguez Villegas and Zagier)
+    with n ~ digits/log10(3+sqrt 8) terms; the estimate is their bound
+    2|S| (3+sqrt 8)^-n.  The scheme assumes the t_k form a totally monotone
     sequence, true for every (ak+b)^-s series used here; callers with doubts
     should cross-check a value before relying on it.
     """
-    n = cvz_terms(ctx)
     with mp.workdps(ctx.workdigits + 5):
-        d = (3 + 2 * mp.sqrt(2)) ** n
-        d = (d + 1 / d) / 2
+        n = int(ctx.workdigits * mp.log(10) / _CVZ_RATE) + 5
+        p = (3 + 2 * mp.sqrt(2)) ** n
+        d = (p + 1 / p) / 2
         b = mp.mpf(-1)
         c = -d
         s = mp.mpf(0)
@@ -75,15 +71,16 @@ def alternating_sum(terms, ctx: PrecisionContext):
             c = b - c
             s += c * t
             b = (k + n) * (k - n) * b / ((k + mp.mpf(1) / 2) * (k + 1))
-        return ensure_finite(s / d, "alternating_sum")
+        value = s / d
+        return floored(value, 2 * abs(value) / p, n, ctx, "alternating_sum")
 
 
-def eta(s, ctx: PrecisionContext):
+def eta(s, ctx: PrecisionContext) -> Estimate:
     """Dirichlet eta(s) = sum_{k>=0} (-1)^k (k+1)^-s for an mpf s > 0."""
     return alternating_sum((mp.mpf(k) ** (-s) for k in count(1)), ctx)
 
 
-def zeta(s, ctx: PrecisionContext):
+def zeta(s, ctx: PrecisionContext) -> Estimate:
     """Riemann zeta for s > 1, via the eta (alternating zeta) series.
 
     zeta(s) = eta(s) / (1 - 2^(1-s)) keeps the machinery uniform with the
@@ -93,4 +90,6 @@ def zeta(s, ctx: PrecisionContext):
         sv = as_real(s)
         if not sv > 1:
             raise DomainError("zeta implemented for s > 1 only")
-        return ensure_finite(eta(sv, ctx) / (1 - mp.mpf(2) ** (1 - sv)), "zeta")
+        value, est, n = eta(sv, ctx)
+        den = 1 - mp.mpf(2) ** (1 - sv)
+        return floored(value / den, est / den, n, ctx, "zeta")

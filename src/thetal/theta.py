@@ -259,11 +259,16 @@ def alpha_qderiv(q, ctx: PrecisionContext):
     """q d(alpha)/dq from the term-by-term derivatives of theta2, theta3.
 
     Uses q d/dq theta2 = 2 q^{1/4} sum_{n>=0} (n(n+1) + 1/4) q^{n(n+1)} and
-    q d/dq theta3 = 2 q sum_{n>=0} (n+1)^2 q^{n^2+2n}; both series converge
-    as fast as the thetas themselves, so no rerouting is needed.
+    q d/dq theta3 = 2 q sum_{n>=0} (n+1)^2 q^{n^2+2n}.  The two quotients
+    they form cancel as q -> 1, so above e^-pi (u < 1, the cut of
+    :func:`_thetas`) the series run at the partner nome q' = e^(-pi/u):
+    with alpha(q') = 1 - alpha(q), q dalpha/dq (q) = u^-2 [q' dalpha/dq'](q').
     """
     with ctx.working():
         qv = _nome_value(q)
+        u = -mp.log(qv) / mp.pi
+        if u < 1:
+            qv = mp.exp(-mp.pi / u)
         wp, Q = _fixed_nome(qv)
         lead2, lead3 = 2 * mp.sqrt(mp.sqrt(qv)), 2 * qv
         d2_terms = (
@@ -279,7 +284,7 @@ def alpha_qderiv(q, ctx: PrecisionContext):
         thetas = _theta_series((2, 3), qv, ctx.max_terms)
         t2, t3 = thetas[2], thetas[3]
         a = (t2 / t3) ** 4
-        return ensure_finite(4 * a * (d2 / t2 - d3 / t3), "alpha derivative")
+        return ensure_finite(4 * a * (d2 / t2 - d3 / t3) / min(u, 1) ** 2, "alpha derivative")
 
 
 def form_f(q, ctx: PrecisionContext):

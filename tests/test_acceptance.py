@@ -113,14 +113,14 @@ def test_criterion_03_weight3_reduction_for_g(ctx):
 def test_criterion_04_weight4_reduction_for_f(ctx):
     v, _, _ = kdf_theorem_rhs("thm12_1", ctx)
     with ctx.working():
-        ref = mp.pi**2 / 12 * l_chi4(4, ctx)
+        ref = mp.pi**2 / 12 * l_chi4(4, ctx).value
     r = _rel(v, ref)
     assert r <= mp.mpf("1e-10")
 
     with ctx.working():
-        v_alt = pfq(LF4_ALT, -1, ctx)
-        v_split = pfq(LF4_POS1, 1, ctx) - pfq(LF4_POS3, 1, ctx) / 81
-        v_chi = l_chi4(4, ctx)
+        v_alt = pfq(LF4_ALT, -1, ctx).value
+        v_split = pfq(LF4_POS1, 1, ctx).value - pfq(LF4_POS3, 1, ctx).value / 81
+        v_chi = l_chi4(4, ctx).value
     spread = max(_rel(v_alt, v_split), _rel(v_alt, v_chi), _rel(v_split, v_chi))
     assert spread <= mp.mpf("1e-12")
     _report(4, True, f"reduction {float(r):.1e}, 5F4 triple spread {float(spread):.1e}")

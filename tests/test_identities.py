@@ -123,6 +123,20 @@ class TestValueIdentities:
         r = verify("I21", replace(config, kdf_strategy="double_truncate"))
         assert r.status == "pass"
 
+    def test_corollaries_promise_digits_from_both_sides(self, config, monkeypatch):
+        # under the truncated square a corollary's target is what its bounds
+        # vouch for, and the closed side's 5F4 bound counts as well
+        cfg = replace(config, kdf_strategy="double_truncate")
+        assert verify("I23", cfg).target >= 1
+        real = identities.pfq
+
+        def inflated(*args):
+            res = real(*args)
+            return res._replace(error_estimate=abs(res.value) / 10)
+
+        monkeypatch.setattr(identities, "pfq", inflated)
+        assert verify("I23", cfg).target == 0
+
     def test_iterated_strategy(self, config):
         r = verify("I17", replace(config, kdf_strategy="iterated"))
         assert r.status == "pass"

@@ -188,19 +188,19 @@ class TestSymmetryAndDegeneration:
     def test_y_zero_reduces_to_single_series(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
         got = kdf_full(spec, "1/2", 0, "iterated", ctx).value
-        want = pfq(PFQSpec(upper=(2, 1, 1), lower=("5/2", 2)), "1/2", ctx)
+        want = pfq(PFQSpec(upper=(2, 1, 1), lower=("5/2", 2)), "1/2", ctx).value
         assert agrees(got, want, 24)
 
     def test_x_zero_reduces_to_single_series(self, ctx):
         spec = THEOREM_SPECS["thm11_1"][0]
         got = kdf_full(spec, 0, "1/2", "integral_reduction", ctx).value
-        want = pfq(PFQSpec(upper=(2, "1/2", "1/2"), lower=("5/2", 1)), "1/2", ctx)
+        want = pfq(PFQSpec(upper=(2, "1/2", "1/2"), lower=("5/2", 1)), "1/2", ctx).value
         assert agrees(got, want, 24)
 
     @pytest.mark.parametrize("name", sorted(KDF_SPECS))
     def test_axis_estimates_cover_the_error(self, name):
-        # on an axis the value is one pFq, summed to 10^-(digits+2) relative
-        # to max(|value|, 1), not to the working precision
+        # on an axis the value is one pFq, with the estimate that pfq
+        # reports: its tail bound, not the working precision
         ctx, hot = PrecisionContext(digits=20), PrecisionContext(digits=50)
         for x, y in [(1, 0), (0, 1), ("1/2", 0)]:
             r = kdf_full(KDF_SPECS[name], x, y, "integral_reduction", ctx)

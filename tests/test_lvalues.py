@@ -41,6 +41,12 @@ def ctx():
     return PrecisionContext(digits=20)
 
 
+@pytest.fixture(scope="module")
+def g3_hot():
+    # Mellin of g at 70 digits, a route independent of the 5F4 closed form
+    return mellin("g", 3, PrecisionContext(digits=70)).value
+
+
 def oracles():
     # L(f,4)'s closed form vouches for ~63 digits at 50, so its zeta oracle
     # runs at 80; mpmath's own 5F4 at z = 1 costs seconds past 55
@@ -80,20 +86,20 @@ QID_TO_PAIR = {
 class TestDirichletBlocks:
     def test_chi4_closed_values(self, ctx):
         with mp.workdps(40):
-            assert agrees(l_chi4(3, ctx), mp.pi**3 / 32, 30)
-            assert agrees(l_chi4(1, ctx), mp.pi / 4, 30)
-            assert agrees(l_chi4(2, ctx), mp.catalan, 30)
+            assert agrees(l_chi4(3, ctx).value, mp.pi**3 / 32, 30)
+            assert agrees(l_chi4(1, ctx).value, mp.pi / 4, 30)
+            assert agrees(l_chi4(2, ctx).value, mp.catalan, 30)
 
     def test_chi4_at_4_frozen(self, ctx):
         with mp.workdps(35):
             ref = mp.mpf("0.9889445517411053361084226")
-        assert agrees(l_chi4(4, ctx), ref, 24)
+        assert agrees(l_chi4(4, ctx).value, ref, 24)
 
     def test_psi_closed_values(self, ctx):
         with mp.workdps(40):
-            assert agrees(l_psi(1, ctx), mp.log(2), 30)
-            assert agrees(l_psi(2, ctx), mp.pi**2 / 12, 30)
-            assert agrees(l_psi(3, ctx), mp.mpf(3) / 4 * mp.zeta(3), 30)
+            assert agrees(l_psi(1, ctx).value, mp.log(2), 30)
+            assert agrees(l_psi(2, ctx).value, mp.pi**2 / 12, 30)
+            assert agrees(l_psi(3, ctx).value, mp.mpf(3) / 4 * mp.zeta(3), 30)
 
     def test_domain(self, ctx):
         with pytest.raises(DomainError):
@@ -109,7 +115,7 @@ class TestDirichletBlocks:
         # alternating decreasing terms bracket the limit between consecutive
         # partial sums: 1 - 3^-s < value < 1
         ctx = PrecisionContext(digits=15)
-        v = l_chi4(s, ctx)
+        v = l_chi4(s, ctx).value
         with mp.workdps(25):
             lo = 1 - mp.mpf(3) ** (-mp.mpf(s))
             assert lo < v < 1
@@ -118,7 +124,7 @@ class TestDirichletBlocks:
     @given(st.floats(min_value=1.0, max_value=12))
     def test_psi_partial_sum_bracket(self, s):
         ctx = PrecisionContext(digits=15)
-        v = l_psi(s, ctx)
+        v = l_psi(s, ctx).value
         with mp.workdps(25):
             sv = mp.mpf(s)
             assert 1 - mp.mpf(2) ** (-sv) < v < 1 - mp.mpf(2) ** (-sv) + mp.mpf(3) ** (-sv)
@@ -243,7 +249,7 @@ def _divisor_tail_loop(n_terms, s1, ctx):
     powers = np.arange(0, n_terms + 1, dtype=np.float64)
     powers[0] = 1.0
     partial = float(np.dot(d[1:], powers[1:] ** (-s1)))
-    zv = lvalues.zeta(mp.mpf(s1), ctx)
+    zv = lvalues.zeta(mp.mpf(s1), ctx).value
     return max(float(zv * zv) - partial, 0.0) + 1e-13
 
 
@@ -318,9 +324,11 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("digits", (20, 30, 50))
     @pytest.mark.parametrize("which,pair", [("lf4", ("f", 4)), ("lg3", ("g", 3))])
-    def test_estimate_bounds_the_error(self, which, pair, digits):
+    def test_estimate_bounds_the_error(self, which, pair, digits, g3_hot):
+        # TRUTH["g", 3] is mpmath's 5F4 at 55 digits, too cold to judge 50
+        ref = g3_hot if pair == ("g", 3) else TRUTH[pair]
         v, e, _ = closed_form(which, PrecisionContext(digits=digits))
-        assert abs(v - TRUTH[pair]) <= e
+        assert abs(v - ref) <= e
 
 
 def _available_methods(form, n):

@@ -141,10 +141,11 @@ SERIES = {
 
 @pytest.mark.parametrize("name", list(SERIES))
 def test_every_budgeted_sum_gives_up_with_its_best(name):
-    # three terms cannot settle any of these sums at q = 0.9
+    # three terms cannot settle any of these sums at q = 0.9; alpha_qderiv
+    # sums at the partner nome above e^-pi, so it is run just past the cut
     ctx = PrecisionContext(digits=20, max_terms=3)
     with pytest.raises(BudgetError) as info:
-        SERIES[name]("0.9", ctx)
+        SERIES[name]("0.05" if name == "alpha_qderiv" else "0.9", ctx)
     with ctx.working():
         assert info.value.best is not None and mp.isfinite(info.value.best)
 
@@ -252,27 +253,29 @@ def test_fixed_point_kernel_near_one(digits):
 
 # The largest max_terms at which each sum still raises BudgetError, as the
 # per-term mpf loops gave them; the fixed-point kernel keeps every stop rule
-# and budget term for term.
+# and budget term for term.  Every nome here lies above e^-pi, where
+# alpha_qderiv sums at the partner nome e^(-pi/u), so its pins are those
+# of that shorter sum.
 BUDGET_PINS = {
     ("0.1", 20): dict(
         theta2=5, theta3=5, theta4=5, lam1=32, lam2=17, lemma22_1=15,
         lemma22_2=31, ram_lhs=29, eis384=18, cube=18,
-        eisenstein_M=36, alpha_qderiv=5,
+        eisenstein_M=36, alpha_qderiv=4,
     ),
     ("0.29", 50): dict(
         theta2=10, theta3=10, theta4=10, lam1=116, lam2=60, lemma22_1=56,
         lemma22_2=112, ram_lhs=108, eis384=62, cube=63,
-        eisenstein_M=127, alpha_qderiv=10,
+        eisenstein_M=127, alpha_qderiv=4,
     ),
     ("0.55", 20): dict(
         theta2=10, theta3=11, theta4=11, lam1=125, lam2=66, lemma22_1=59,
         lemma22_2=116, ram_lhs=109, eis384=71, cube=72,
-        eisenstein_M=144, alpha_qderiv=11,
+        eisenstein_M=144, alpha_qderiv=2,
     ),
     ("0.9", 30): dict(
         theta2=29, theta3=30, theta4=30, lam1=917, lam2=482, lemma22_1=429,
         lemma22_2=845, ram_lhs=803, eis384=528, cube=520,
-        eisenstein_M=1033, alpha_qderiv=30,
+        eisenstein_M=1033, alpha_qderiv=1,
     ),
 }
 
@@ -307,6 +310,19 @@ def test_alpha_qderiv_central_difference(ctx30):
         h = mp.mpf(10) ** -12
         slope = (alpha(q + h, ctx30) - alpha(q - h, ctx30)) / (2 * h)
         assert agrees(alpha_qderiv(q, ctx30), q * slope, 12)
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("q", ["0.7", "0.9", "0.95"])
+def test_alpha_qderiv_near_one(q, digits):
+    # alpha (1 - alpha) theta3^4 is down to 1e-79 here, where the quotients
+    # of the derivative series at q itself cancel to nothing
+    got = alpha_qderiv(q, PrecisionContext(digits=digits))
+    hot = PrecisionContext(digits=digits + 20)
+    with hot.working():
+        a, ca = alpha_pair(q, hot)
+        want = a * ca * theta3(q, hot) ** 4
+        assert abs(got - want) <= mp.mpf(10) ** -(digits + 10) * want
 
 
 def test_forms_small_q(ctx30):
