@@ -10,10 +10,11 @@ modular-parameter integral is that reduction before its termwise Beta
 integration, so the two names read one evaluation.  Every route reports an
 honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
-one tanh-sinh pass that evaluates each node's costly factors once: the
-Mellin transform at s = 3 and 4 (per form), the four nome integrals, and
-the six double-series reductions.  The registry never plays two members of
-one pass against each other, so each still faces a route computed apart.
+tanh-sinh passes that evaluate each node's costly factors once: Mellin at
+s = 3 and 4 (per form) and the four nome integrals, each in two halves over
+u = -log(q)/pi, and the six double-series reductions.  The registry never
+plays two members of one pass against each other, so each still faces a
+route computed apart.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
 shared with the command line and the registry.
@@ -233,25 +234,51 @@ def lambert_closed(name: str, a, ca):
 _Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
 
 
-# id: pi power, exact factor, theta weight tag, Lambert id, left exponent
+def _u_halves(integrand, U, decay, ctx: PrecisionContext):
+    """(lower, upper) :func:`integrate01` results of int F(u) du over u =
+    -log(q)/pi cut at U, integrand(u, jac) giving F's members at u times jac
+    (or :func:`isolated` errors).  The upper half takes u = U - log(v)/pi.
+    Members die like exp(-pi/(decay u)) as q -> 1, flat zero to tanh-sinh,
+    so the lower half takes 1/u = 1/U - decay log(v)/(2 pi), where that
+    decay is sqrt(v) and the integrand v^(-1/2) times powers of log v.  The
+    upper half must go like v^(p-1), p >= 1/2, too."""
+
+    def lower(v, cv):
+        u = 1 / (1 / U - decay * mp.log(v) / (2 * mp.pi))
+        return integrand(u, decay * u * u / (2 * mp.pi * v))
+
+    def upper(v, cv):
+        return integrand(U - mp.log(v) / mp.pi, 1 / (mp.pi * v))
+
+    return tuple(integrate01(f, ctx, left_exponent=0.5) for f in (lower, upper))
+
+
+def _joined(halves, ctx: PrecisionContext):
+    with ctx.working():  # each member's halves summed, or the error one met
+        return tuple(
+            next((r for r in pair if isinstance(r, Exception)), None)
+            or Estimate(*(a + b for a, b in zip(*pair))) for pair in zip(*halves)
+        )
+
+
+# id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/2
 _Q_INTEGRALS = {
-    "prop21_1": (2, Fraction(1, 8), "wt3", "lemma22_1", 2.0),
-    "prop21_2": (2, Fraction(1, 16), "wt3", "lemma22_2", 1.5),
-    "prop31_1": (3, Fraction(1, 48), "wt4_f", "ram_lhs", 0.5),
-    "prop31_2": (3, Fraction(1, 48), "wt4_g", "ram_lhs", 0.5),
+    "prop21_1": (2, Fraction(1, 8), "wt3", "lemma22_1"),
+    "prop21_2": (2, Fraction(1, 16), "wt3", "lemma22_2"),
+    "prop31_1": (3, Fraction(1, 48), "wt4_f", "ram_lhs"),
+    "prop31_2": (3, Fraction(1, 48), "wt4_g", "ram_lhs"),
 }
 
 
 @lru_cache(maxsize=4)  # a registry pass at one precision fills one
 def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
-    """The nome integrals q_ids by one tuple :func:`integrate01`.  A node
-    evaluates each theta and Lambert sum once for all of them, fetched in
-    each one's own order, so a failing one meets the error it meets alone."""
+    """The nome integrals q_ids over u cut at 1 (each weight dies like
+    exp(-pi/(2u)) or faster).  A node evaluates each theta and Lambert sum
+    once for all, fetched in each one's order, so one fails as it would alone."""
 
-    def integrand(x, cx):
-        # u = -log(q)/pi from whichever side of q stays well conditioned
-        u = -mp.log(x) / mp.pi if x <= 0.5 else -mp.log1p(-cx) / mp.pi
-        below = x < _Q_SERIES_CUT
+    def integrand(u, jac):
+        q = mp.exp(-mp.pi * u)
+        below = q < _Q_SERIES_CUT
 
         @cache
         def at_u():
@@ -265,7 +292,7 @@ def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
         @cache
         def lam(name):
             if below:
-                return lambert_series(name, x, ctx)
+                return lambert_series(name, q, ctx)
             t = at_u()
             return lambert_closed(name, (t[2] / t[3]) ** 4, (t[4] / t[3]) ** 4)
 
@@ -278,12 +305,11 @@ def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
                 weight = 2 * theta4(2) ** 8 - t[4] ** 8
             else:  # wt4_g: one level down
                 weight = 2 * theta4(4) ** 8 - theta4(2) ** 8
-            return weight * lam_v / x
+            return weight * lam_v * jac
 
-        return isolated(partial(member, *_Q_INTEGRALS[q][2:4]) for q in q_ids)
+        return isolated(partial(member, *_Q_INTEGRALS[q][2:]) for q in q_ids)
 
-    left = min(_Q_INTEGRALS[q][4] for q in q_ids)
-    return dict(zip(q_ids, integrate01(integrand, ctx, left_exponent=left)))
+    return dict(zip(q_ids, _joined(_u_halves(integrand, 1, 2, ctx), ctx)))
 
 
 def q_integral(q_id: str, ctx: PrecisionContext):
@@ -295,7 +321,7 @@ def q_integral(q_id: str, ctx: PrecisionContext):
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
     val, est, calls = settled(_q_family(ctx)[q_id])
     with ctx.working():
-        factor = _pi_factor(power, pref)
+        factor = _pi_factor(power + 1, pref)  # dq/q = -pi du
         return floored(val * factor, est * factor, calls, ctx, "nome integral")
 
 
@@ -315,38 +341,29 @@ def _theta_product_at(form: str, u, ctx: PrecisionContext):
 
 @lru_cache(maxsize=4)  # a registry pass at one precision fills two
 def _mellin_halves(form: str, svs, split, ctx: PrecisionContext):
-    """Both halves' :func:`integrate01` results for every exponent in svs,
-    which share h(e^-t) at each node."""
+    """Both halves' :func:`_u_halves` results of int h(e^(-pi u)) u^(s-1) du
+    for every exponent in svs, which share h at each node."""
     with ctx.working():
-        split_v = mp.pi if split is None else as_real(split)
-        # below this t the inverse-nome leading term alone is under tolerance
-        cut = mp.pi**2 / (4 * (mp.log(10) * (mp.mp.dps + 15) + 20))
+        U = mp.mpf(1) if split is None else as_real(split) / mp.pi
 
-    def lower(x, cx):
-        t = split_v * x
-        if t < cut:
-            return (mp.mpf(0),) * len(svs)
-        h = _theta_product_at(form, t / mp.pi, ctx)
-        return tuple(h * x ** (sv - 1) for sv in svs)
+    def integrand(u, jac):
+        h = _theta_product_at(form, u, ctx)
+        return tuple(h * u ** (sv - 1) * jac for sv in svs)
 
-    def upper(v, cv):
-        t = split_v - mp.log(v)
-        h = _theta_product_at(form, t / mp.pi, ctx)
-        return tuple(h * t ** (sv - 1) / v for sv in svs)
-
-    return integrate01(lower, ctx), integrate01(upper, ctx)
+    return _u_halves(integrand, U, 2 if form == "f" else 4, ctx)
 
 
 def mellin(form: str, s, ctx: PrecisionContext, split=None):
     """L(form, s) = (1/Gamma(s)) int_0^inf h(e^-t) t^(s-1) dt.
 
-    The integral is cut at ``split`` (default pi).  Both halves map onto
-    (0, 1): the lower one by scaling, the upper one by t = split - log v.
-    Since a_0 = 0 the integrand dies double-exponentially at t -> 0 and
-    exponentially at t -> inf, so the result must not depend on the cut;
-    the split-invariance gate in tests/test_acceptance.py moves it by a
-    factor of two in both directions and checks that.  s = 3 and 4 at the
-    default split share one pass per form; others run the same code alone.
+    The integral runs over u = t/pi by :func:`_u_halves`, cut at ``split``
+    (default pi): the upper half by t = split - log v, the lower one from
+    the involuted side, where h(e^-t) ~ exp(-pi^2/(2t)) for f and
+    exp(-pi^2/(4t)) for g (a_0 = 0) become powers of v.  The result must
+    not depend on the cut; the split-invariance gate in
+    tests/test_acceptance.py moves it by a factor of two in both directions
+    and checks that.  s = 3 and 4 at the default split share one pass per
+    form; others run the same code alone.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")
@@ -354,18 +371,13 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         sv = as_real(s)
         if not sv > 0:
             raise DomainError("the transform needs s > 0")
-        split_v = mp.pi if split is None else as_real(split)
-        if not split_v > 0:
+        if split is not None and not as_real(split) > 0:
             raise DomainError("split point must be positive")
         svs = (mp.mpf(3), mp.mpf(4)) if split is None and sv in (3, 4) else (sv,)
-        lows, ups = _mellin_halves(form, svs, split, ctx)
-        lo_val, lo_est, lo_calls = settled(lows[svs.index(sv)])
-        up_val, up_est, up_calls = settled(ups[svs.index(sv)])
-        gv = gamma(sv, ctx)
-        scale = split_v**sv
-        value = (scale * lo_val + up_val) / gv
-        est = (scale * lo_est + up_est) / gv
-        return floored(value, est, lo_calls + up_calls, ctx, "mellin transform")
+        joined = _joined(_mellin_halves(form, svs, split, ctx), ctx)
+        val, est, calls = settled(joined[svs.index(sv)])
+        scale = mp.pi**sv / gamma(sv, ctx)
+        return floored(scale * val, scale * est, calls, ctx, "mellin transform")
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,14 @@ def _reciprocal(x, wp):
     return (1 << (wp - exp)) // man
 
 
+class _Cancelled(NumericsError):
+    def __init__(self, what, lost):
+        super().__init__(f"{what} lost {lost} bits to cancellation")
+        self.lost = lost
+
+
 def _fixed_sum(
-    terms, what, max_terms, wp, lead=1, floor=0, running=True, alternate=False
+    terms, what, max_terms, wp, lead=1, floor=0, running=True, alternate=False, spare=0
 ):
     """The one summation kernel: (even, odd) partial sums of a q-series.
 
@@ -98,7 +104,9 @@ def _fixed_sum(
     even + odd, or even - odd if ``alternate``.  The sum stops at the first
     t_k with |t_k| < 10^-(dps-2) max(|s|, floor), or |t_k| < 10^-(dps-2)
     floor if not ``running``.  A t_k past k = max_terms that does not stop
-    it raises BudgetError carrying lead * s.
+    it raises BudgetError carrying lead * s.  As every t_k >= 0, a running
+    s more than _GUARD_BITS + ``spare`` bits below max(even, odd) lost them
+    to cancellation; it raises a NumericsError that counts them.
     """
     ten = 10 ** (mp.mp.dps - 2)
     even = odd = 0
@@ -109,6 +117,9 @@ def _fixed_sum(
             even += t
         s = even - odd if alternate else even + odd
         if abs(t) * ten < (max(abs(s), floor) if running else floor):
+            big = max(even, odd)
+            if running and big >> (_GUARD_BITS + spare) > abs(s):
+                raise _Cancelled(what, big.bit_length() - abs(s).bit_length())
             return even, odd
         if k >= max_terms:
             raise BudgetError(
@@ -365,28 +376,31 @@ def lambert_series(name: str, q, ctx: PrecisionContext):
     the first term under 10^-(dps-2) max(|s|, floor), with floor the larger
     of the first term and 10^-dps.  Cost grows like digits / -log(q) as
     q -> 1; the identity grid and the nome integrals, which switch to theta
-    closed forms above q = 0.3, stay well inside that.
+    closed forms above q = 0.3, stay well inside that.  A pass that cancels
+    (eis384 as q -> 1) reruns with the bits it lost added to precision and
+    budget alike, up to twice the working bits.
     """
     if name not in _LAMBERT:
         raise DomainError(f"unknown Lambert series id {name!r}")
     c, e, plus, half, alternate = _LAMBERT[name]
+    what = f"Lambert series {name}"
     with ctx.working():
-        qv = _nome_value(q)
-        wp, Q = _fixed_nome(qv)
-        lead = mp.sqrt(qv) if half else qv
-        terms = _odd_lambert_terms(Q if half else Q * Q >> wp, c, e, plus, wp)
-        first = next(terms)
-        floor = max(first, _reciprocal(lead, wp) // 10**mp.mp.dps)
-        what = f"Lambert series {name}"
-        even, odd = _fixed_sum(
-            chain((first,), terms),
-            what,
-            ctx.max_terms,
-            wp,
-            lead,
-            floor,
-            alternate=alternate,
-        )
+        qv, prec, extra, even = _nome_value(q), mp.mp.prec, 0, None
+        while even is None:
+            with mp.workprec(prec + extra):
+                wp, Q = _fixed_nome(qv)
+                lead = mp.sqrt(qv) if half else qv
+                terms = _odd_lambert_terms(Q if half else Q * Q >> wp, c, e, plus, wp)
+                first = next(terms)
+                floor = max(first, _reciprocal(lead, wp) // 10**mp.mp.dps)
+                budget = ctx.max_terms * (prec + extra) // prec
+                sums = (chain((first,), terms), what, budget, wp, lead, floor)
+                try:
+                    even, odd = _fixed_sum(*sums, alternate=alternate, spare=extra)
+                except _Cancelled as exc:
+                    if exc.lost > 2 * prec:
+                        raise
+                    extra = exc.lost
         s = even - odd if alternate else even + odd
         return ensure_finite(lead * mp.mpf((s, -wp)), what)
 

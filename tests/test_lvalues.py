@@ -223,6 +223,16 @@ class TestMellin:
             v, e, _ = mellin("f", 3, ctx, split=sp)
             assert abs(v - base) <= max(e, be)
 
+    def test_split_invariance_g(self, ctx):
+        # g dies half as fast as f toward q -> 1, so its lower half maps
+        # with its own constant, scaled with the split
+        base, be, _ = mellin("g", 4, ctx)
+        with ctx.working():
+            splits = (mp.pi / 2, 2 * mp.pi)
+        for sp in splits:
+            v, e, _ = mellin("g", 4, ctx, split=sp)
+            assert abs(v - base) <= max(e, be), sp
+
     def test_domain(self, ctx):
         with pytest.raises(DomainError):
             mellin("h", 3, ctx)
@@ -441,6 +451,32 @@ class TestEveryEstimateHolds:
             res = l_value(form, n, method, ctx)
             with mp.workdps(60):
                 assert abs(res.value - ref) <= res.error_estimate, method
+
+
+class TestInvolutedHalves:
+    """Mellin and the nome integrals run over u = -log(q)/pi, the flat
+    q -> 1 end of each integrand from the involuted side."""
+
+    # integrand calls repeat exactly: these maps take 310 per member at 20
+    # digits and 686 to 1,030 at 50, where mapping t or q straight onto
+    # (0, 1) takes 619 to 3,088
+    @pytest.mark.parametrize("digits,most", [(20, 466), (50, 1030)])
+    def test_effort(self, digits, most):
+        ctx = PrecisionContext(digits=digits)
+        for q_id, (form, n) in QID_TO_PAIR.items():
+            assert mellin(form, n, ctx).effort <= most, (form, n)
+            assert q_integral(q_id, ctx).effort <= most, q_id
+
+    @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
+    def test_estimates_hold_at_50_digits(self, form, n):
+        # references 15 digits hotter by another route: the factorization
+        # for f, and for g each integral judges the other
+        ctx, hot = PrecisionContext(digits=50), PrecisionContext(digits=65)
+        for route, other in (("mellin", "q_integral"), ("q_integral", "mellin")):
+            res = l_value(form, n, route, ctx)
+            ref = l_value(form, n, "factorized" if form == "f" else other, hot)
+            with mp.workdps(90):
+                assert abs(res.value - ref.value) <= res.error_estimate, route
 
 
 def _mpfs(result):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from thetal.context import BudgetError, DomainError, PrecisionContext
+from thetal.lvalues import lambert_closed
 from thetal.theta import (
     _thetas,
     alpha,
@@ -195,7 +196,14 @@ def _ref_lambert(name, q, tol, tiny):
         "cube": lambda m: m**3 * q**m / (1 - q ** (2 * m)),
     }[name]
     floor = max(abs(term(1)), tiny)
-    return _ref_sum((term(m) for m in count(1, 2)), tol, floor), floor
+    seen = []
+    ref = _ref_sum((seen.append(t) or t for t in map(term, count(1, 2))), tol, floor)
+    pos, neg = sum(t for t in seen if t > 0), -sum(t for t in seen if t < 0)
+    if max(pos, neg) > abs(ref) * 2**20:
+        # past the kernel's guard bits it sums again until the cancelled
+        # value is as good as any other: eis384 as q -> 1
+        ref = _ref_sum(map(term, count(1, 2)), tol * mp.mpf(10) ** -HOT)
+    return ref, floor
 
 
 def _ref_alpha_qderiv(q, tol):
@@ -244,11 +252,38 @@ def test_fixed_point_kernel_accuracy(digits, q):
     assert not _kernel_misses(KERNEL_NOMES[q], digits, SERIES)
 
 
+def _lambert_closed_forms(q, ctx):
+    """Every Lambert sum at q from theta products, or for the three behind
+    the nome integrals from their modular closed forms in alpha."""
+    t2 = lambda x: theta2(x, ctx)
+    q2 = q * q
+    closed = {
+        "lam1": t2(q) ** 2,
+        "lam2": t2(q) ** 4,
+        "eis384": t2(q2) ** 2 * theta4(q2, ctx) ** 4 / 4,
+        "cube": (t2(mp.sqrt(q)) ** 8 - 8 * t2(q) ** 8) / 256,
+    }
+    a, ca = alpha_pair(q, ctx)
+    for name in ("lemma22_1", "lemma22_2", "ram_lhs"):
+        closed[name] = lambert_closed(name, a, ca)
+    return closed
+
+
 @pytest.mark.parametrize("digits", [20, 50])
 def test_fixed_point_kernel_near_one(digits):
     # the raw theta series at q = 0.999, where terms step ~300 times
     names = ("theta2", "theta3", "theta4")
     assert not _kernel_misses(mp.mpf(0.999), digits, names)
+    # every Lambert sum, relative to its value: at q = 0.97 eis384 is
+    # 2.4e-65, far below its terms, which cancel to it
+    hot = PrecisionContext(digits=digits + 20)
+    for q in ("0.9", "0.97"):
+        got = {n: lambert_series(n, q, PrecisionContext(digits=digits)) for n in LAMBERT_IDS}
+        with hot.working():
+            want = _lambert_closed_forms(mp.mpf(q), hot)
+            for name in LAMBERT_IDS:
+                err = abs(got[name] - want[name])
+                assert err <= mp.mpf(10) ** -(digits + 10) * abs(want[name]), (q, name)
 
 
 # The largest max_terms at which each sum still raises BudgetError, as the
