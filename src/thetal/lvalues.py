@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import count
+from itertools import compress, count
 
 import mpmath as mp
 import numpy as np
@@ -449,14 +449,13 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
         mass = sum(map(abs, coeffs))
         wp = mp.mp.prec + mass.bit_length()
         one, k = 1 << wp, int(sv)
-        acc = 0
-        with mp.workprec(wp):
-            for m, am in enumerate(coeffs, 1):
-                if am:
-                    if k == sv:
-                        acc += am * (one // m**k)
-                    else:
-                        acc += am * to_fixed((mp.mpf(m) ** -sv)._mpf_, wp)
+        terms = zip(compress(count(1), coeffs), filter(None, coeffs))  # a_m != 0
+        if k == sv:
+            acc = sum([am * (one // m**k) for m, am in terms])
+        else:
+            with mp.workprec(wp):
+                acc = sum([am * to_fixed((mp.mpf(m) ** -sv)._mpf_, wp)
+                           for m, am in terms])
         value = mp.mpf((acc, -wp))
         tail = _divisor_tail(int(n_terms), float(sv) - 1.0, ctx)
         est = mp.mpf(tail) + noise_floor(value, ctx) + mp.mpf((2 * mass, -wp))

@@ -6,8 +6,10 @@ public evaluator reroutes through the half-period involution u -> 1/u so the
 truncation depth stays O(sqrt(digits)) uniformly on (0, 1).  The module also
 carries the weight-3 products f and g, the modular parameter alpha, the
 Eisenstein sum M, the Lambert-type reorganized double sums, and exact integer
-q-expansion coefficients for f and g: products of the lacunary theta series,
-multiplied one sparse factor at a time in int64 arithmetic.
+q-expansion coefficients for f and g by two routes in int64 arithmetic: the
+product of the lacunary theta series, seeded with A^2 by one bincount and then
+multiplied one sparse factor at a time, and for f the divisor sum, split at
+sqrt N into about 2 sqrt N strided vector adds.
 
 Every q-series -- the thetas, the seven Lambert sums, M and the theta
 derivatives behind alpha_qderiv -- goes through one fixed-point kernel,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
+from math import isqrt
 
 import mpmath as mp
 import numpy as np
@@ -80,10 +83,18 @@ def _fixed_nome(qv):
     return wp, to_fixed(qv._mpf_, wp)
 
 
-def _reciprocal(x, wp):
-    """1/x in fixed point at wp bits, for a positive mpf x <= 2^wp."""
-    _, man, exp, _ = x._mpf_
-    return (1 << (wp - exp)) // man
+def _reciprocal(x, wp, cap):
+    """min(1/x, cap) in fixed point at wp bits, for a positive mpf x <= 2^wp.
+
+    Callers cap a summation floor at 10^dps times the sum's first term, a
+    floor at which that term already stops the sum, so the cap changes no
+    sum.  1/x is not formed when it lies far above the cap, so a nome far
+    below 2^-wp costs no 2^(wp - exp) integer.
+    """
+    _, man, exp, bc = x._mpf_
+    if wp - exp - bc >= cap.bit_length():  # 1/x >= 2^(wp - exp - bc) > cap
+        return cap
+    return min((1 << (wp - exp)) // man, cap)
 
 
 class _Cancelled(NumericsError):
@@ -289,7 +300,7 @@ def alpha_qderiv(q, ctx: PrecisionContext):
         s2 = _fixed_sum(d2_terms, "theta2 derivative", ctx.max_terms, wp, lead2)
         d2 = lead2 * mp.mpf((sum(s2), -wp))
         d3_terms = ((n + 1) ** 2 * t for n, t in enumerate(_gaussian_powers(Q, 2, wp)))
-        floor3 = _reciprocal(qv, wp)  # 1 over the lead q
+        floor3 = _reciprocal(qv, wp, 10**mp.mp.dps << wp)  # 1 over the lead q
         s3 = _fixed_sum(d3_terms, "theta3 derivative", ctx.max_terms, wp, lead3, floor3)
         d3 = lead3 * mp.mpf((sum(s3), -wp))
         thetas = _theta_series((2, 3), qv, ctx.max_terms)
@@ -321,7 +332,9 @@ def eisenstein_M(q, ctx: PrecisionContext):
         qv = _nome_value(q)
         wp, Q = _fixed_nome(qv)
         terms = _eisenstein_terms(Q, wp)
-        floor = _reciprocal(qv, wp)  # 1 over the lead q
+        first = next(terms)
+        floor = _reciprocal(qv, wp, first * 10**mp.mp.dps)  # 1 over the lead q
+        terms = chain((first,), terms)
         s = _fixed_sum(terms, "Eisenstein sum", ctx.max_terms, wp, qv, floor)
         return ensure_finite(1 + 240 * qv * mp.mpf((sum(s), -wp)), "Eisenstein M")
 
@@ -392,7 +405,8 @@ def lambert_series(name: str, q, ctx: PrecisionContext):
                 lead = mp.sqrt(qv) if half else qv
                 terms = _odd_lambert_terms(Q if half else Q * Q >> wp, c, e, plus, wp)
                 first = next(terms)
-                floor = max(first, _reciprocal(lead, wp) // 10**mp.mp.dps)
+                ten = 10**mp.mp.dps
+                floor = max(first, _reciprocal(lead, wp, first * ten * ten) // ten)
                 budget = ctx.max_terms * (prec + extra) // prec
                 sums = (chain((first,), terms), what, budget, wp, lead, floor)
                 try:
@@ -420,23 +434,31 @@ class CoeffStream:
 
 def _int64_bound(dense, terms) -> int:
     """A-priori bound on |dense * sparse| coefficients: max|dense| sum|c|."""
-    return int(np.abs(dense).max()) * sum(abs(c) for _, c in terms)
+    peak = max(int(dense.max()), -int(dense.min()))  # no |dense| copy
+    return peak * sum(abs(c) for _, c in terms)
 
 
 def _times_sparse(dense, terms):
     """dense * sum c q^e truncated to len(dense), one shifted add per term
-    (every exponent e must be below len(dense)).
+    (every exponent e must be below len(dense), every |c| 1 or 2).
 
-    The int64 arithmetic cannot wrap because every output coefficient is
-    bounded by _int64_bound, which is checked before any add.
+    The terms with |c| = 2 are added first and their sum doubled in place,
+    then the unit terms are added, so no scaled copy of dense is made.
+    Every partial sum is bounded by _int64_bound, which is checked before
+    any add, so the int64 arithmetic cannot wrap.
     """
     if _int64_bound(dense, terms) >= 1 << 63:
         raise NumericsError("int64 headroom exceeded in theta product")
     n = len(dense)
     out = np.zeros(n, dtype=np.int64)
-    scaled = {c: c * dense for c in {c for _, c in terms}}  # c is 1 or +-2
-    for e, c in terms:
-        out[e:] += scaled[c][: n - e]
+    for magnitude in (2, 1):
+        for e, c in terms:
+            if c == magnitude:
+                out[e:] += dense[: n - e]
+            elif c == -magnitude:
+                out[e:] -= dense[: n - e]
+        if magnitude == 2 and any(abs(c) == 2 for _, c in terms):
+            out *= 2
     return out
 
 
@@ -454,10 +476,12 @@ def coeffs_convolution(form: str, N: int) -> CoeffStream:
     """a_1..a_N by exact products of lacunary theta series.
 
     With A = sum q^{n(n+1)}, theta2^4/16 = q A^4, so f = q A^4 theta4(q)^2
-    and g = q A^4 theta4(q^2)^2.  Each factor has only O(sqrt N) nonzero
-    terms, so the product is built by multiplying a dense int64 series by one
-    sparse factor at a time: O(N sqrt N) adds in all, with the signs of
-    theta4 carried directly.
+    and g = q A^4 theta4(q^2)^2.  A^2 is seeded by one bincount over the
+    pair sums of A's O(sqrt N) exponents; each count is at most their
+    number, as an exponent has one partner per sum.  The dense int64 series
+    is then multiplied by one sparse factor at a time, A twice and theta4
+    twice: O(N sqrt N) adds in all, with the signs of theta4 carried
+    directly.
     """
     if N < 1:
         raise DomainError("need N >= 1")
@@ -470,28 +494,49 @@ def coeffs_convolution(form: str, N: int) -> CoeffStream:
         a_terms.append((n * (n + 1), 1))
         n += 1
     theta_terms = _theta_terms(n_max, 1 if form == "f" else 2)
-    dense = np.zeros(N, dtype=np.int64)
-    dense[0] = 1
-    for terms in (a_terms,) * 4 + (theta_terms,) * 2:
+    exps = np.array([e for e, _ in a_terms], dtype=np.int64)
+    dense = np.bincount(np.add.outer(exps, exps).ravel(), minlength=N)[:N]
+    for terms in (a_terms,) * 2 + (theta_terms,) * 2:
         dense = _times_sparse(dense, terms)
-    return CoeffStream(form, tuple(dense.tolist()))
+    coeffs = dense.tolist()
+    del dense
+    return CoeffStream(form, tuple(coeffs))
 
 
 def coeffs_lambert(form: str, N: int) -> CoeffStream:
     """a_m = sum_{nk=m} psi(n) n^2 chi_{-4}(k) with psi(n) = (-1)^{n-1}.
 
-    Only f has this twisted-Eisenstein shape; asking for g is a caller bug.
+    Dirichlet's hyperbola split of the pairs nk <= N at S = isqrt(N), in
+    int64 strided adds.  Each n <= S adds psi(n) n^2 at every multiple nk
+    with k = 1 mod 4 and subtracts it at every one with k = 3 mod 4; each
+    odd k <= N // (S + 1) adds chi_{-4}(k) psi(n) n^2 over all n > S at
+    once.  That is about 2 sqrt N vector adds, none with a temporary.
+    |a_m| <= sigma_2(m) < 2 m^2 bounds every partial sum too, so N with
+    2 N^2 >= 2^63 is refused before anything is allocated.  Only f has this
+    twisted-Eisenstein shape; asking for g is a caller bug.
     """
     if form != "f":
         raise DomainError("the divisor-sum expansion is defined for f only")
     if N < 1:
         raise DomainError("need N >= 1")
-    chi = (0, 1, 0, -1)
-    a = [0] * (N + 1)
-    for n in range(1, N + 1):
-        psi = n * n if n % 2 == 1 else -n * n
-        for k in range(1, N // n + 1):
-            c = chi[k & 3]
-            if c:
-                a[n * k] += psi * c
-    return CoeffStream("f", tuple(a[1:]))
+    if 2 * N * N >= 1 << 63:
+        raise NumericsError("int64 headroom exceeded in divisor sum")
+    S = isqrt(N)
+    a = np.zeros(N + 1, dtype=np.int64)
+    for n in range(1, S + 1):
+        w = n * n if n & 1 else -n * n
+        a[n :: 4 * n] += w
+        a[3 * n :: 4 * n] -= w
+    weight = np.arange(S + 1, N + 1, dtype=np.int64)  # psi(n) n^2 for n > S
+    weight *= weight
+    weight[(S + 1) & 1 :: 2] *= -1
+    for k in range(1, N // (S + 1) + 1, 2):
+        view, w = a[k * (S + 1) :: k], weight[: N // k - S]
+        if k & 2:
+            view -= w
+        else:
+            view += w
+    del weight
+    coeffs = a[1:].tolist()
+    del a  # the int64 arrays go before the tuple is built
+    return CoeffStream("f", tuple(coeffs))

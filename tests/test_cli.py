@@ -30,6 +30,13 @@ class TestThetaCommand:
         _, out2, _ = run(capsys, "theta", "--fn", "theta2", "--u", "1")
         assert out4.split("=")[1] == out2.split("=")[1]
 
+    def test_tiny_nome(self, capsys):
+        # a nome far below 2^-wp: M's summation floor is capped, not 2^(wp - exp)
+        code, out, err = run(capsys, "theta", "--fn", "M", "--q",
+                             "1e-1000000000000")
+        assert (code, err) == (0, "")
+        assert "= 1.0000000000000000000" in out
+
     def test_u_rejected_for_products(self, capsys):
         code, _, err = run(capsys, "theta", "--fn", "f", "--u", "1")
         assert code == 2

@@ -24,6 +24,49 @@ def test_g_small_coefficients():
     assert cs.coeffs == (1, 0, 0, 0, -6, 0, 0, 0, 9, 0)
 
 
+def _naive_lambert(N):
+    """The divisor sum as the plain double loop over the pairs nk <= N."""
+    chi = (0, 1, 0, -1)
+    a = [0] * (N + 1)
+    for n in range(1, N + 1):
+        psi = n * n if n % 2 == 1 else -n * n
+        for k in range(1, N // n + 1):
+            c = chi[k & 3]
+            if c:
+                a[n * k] += psi * c
+    return tuple(a[1:])
+
+
+def test_lambert_matches_naive_divisor_sum():
+    # every small N, then both sides of each perfect square, where the
+    # hyperbola split moves its cut isqrt(N)
+    squares = {s * s + d for s in range(2, 101) for d in (-1, 0, 1)}
+    for N in sorted(set(range(1, 41)) | squares | {2000, 12345}):
+        assert coeffs_lambert("f", N).coeffs == _naive_lambert(N), N
+
+
+def test_convolution_matches_naive_divisor_sum_small():
+    # the A^2 seed at the smallest N, where A has one or two terms
+    for N in range(1, 41):
+        assert coeffs_convolution("f", N).coeffs == _naive_lambert(N), N
+
+
+def test_lambert_int64_headroom_refused(monkeypatch):
+    # |a_m| < 2 m^2, so 2 N^2 >= 2^63 must be refused before any allocation
+    class Allocated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    for name in ("zeros", "arange"):
+        monkeypatch.setattr(theta.np, name, refuse)
+    with pytest.raises(NumericsError):
+        coeffs_lambert("f", 2**31)
+    with pytest.raises(Allocated):  # the largest N inside the bound goes on
+        coeffs_lambert("f", 2**31 - 1)
+
+
 def test_lambert_divisor_sum_small():
     cs = coeffs_lambert("f", 4)
     # a_2: only the divisor pair (n,k) = (2,1) contributes, psi(2) 2^2 = -4
@@ -51,8 +94,12 @@ def test_int64_bound_checked_at_1e5(monkeypatch):
     monkeypatch.setattr(theta, "_int64_bound", spy)
     coeffs_convolution("f", 10**5)
     coeffs_convolution("g", 10**5)
-    # four factors of A and two of theta4 per form, each checked first
-    assert len(bounds) == 12
+    # after the A^2 seed, two factors of A and two of theta4 per form, each
+    # checked first.  A has 316 terms below 10^5, so the seed's pair counts
+    # sum to 316^2, and each is at most 316 (one partner per exponent): the
+    # first bound of each form is at most that times A's 316 unit terms
+    assert len(bounds) == 8
+    assert bounds[0] <= 316 * 316 and bounds[4] <= 316 * 316
     assert max(bounds) < 2**63
 
 

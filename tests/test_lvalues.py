@@ -301,6 +301,37 @@ class TestDirichletSum:
         assert e < mp.mpf("1e-3")
         assert 0 < v < 2
 
+    def test_real_exponent_against_hot_sum(self, ctx):
+        # the non-integer branch floors each m^-s computed at wp bits; its
+        # partial sum must sit within the estimate's 2 mass 2^-wp term of the
+        # same partial sum 30 digits hotter, plus the value's last rounding
+        n = 2000
+        v, _, _ = dirichlet_sum("g", "7/2", ctx, n_terms=n)
+        coeffs = coeffs_convolution("g", n).coeffs
+        mass = sum(map(abs, coeffs))
+        with ctx.working():
+            prec = mp.mp.prec
+        wp = prec + mass.bit_length()
+        with mp.workdps(ctx.workdigits + 30):
+            s = mp.mpf(7) / 2
+            hot = mp.fsum(am * mp.mpf(m) ** -s for m, am in enumerate(coeffs, 1) if am)
+            bound = mp.mpf((2 * mass, -wp)) + abs(v) * mp.mpf(2) ** -prec
+            assert abs(v - hot) <= bound
+
+    @pytest.mark.parametrize("s, value, estimate", [
+        (3, (0, 1281633860205133880827830298262380625, -120, 120),
+         (0, 372057009570507401778167028063410351, -131, 119)),
+        (4, (0, 1318355667180269441212310261283681289, -120, 120),
+         (0, 939776372595093458390197367726602495, -150, 120)),
+        ("7/2", (0, 653127089613607080432880754071957599, -119, 119),
+         (0, 97949593045912417031188125599060675, -138, 117)),
+    ])
+    def test_estimates_are_pinned(self, ctx, s, value, estimate):
+        # recorded from a per-term accumulation: the sum is exact in
+        # integers, so how its terms are gathered may not move a bit
+        v, e, used = dirichlet_sum("g", s, ctx)
+        assert (v._mpf_, e._mpf_, used) == (value, estimate, 100000)
+
     def test_domain(self, ctx):
         with pytest.raises(DomainError):
             dirichlet_sum("f", 4, ctx)

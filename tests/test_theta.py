@@ -1,4 +1,5 @@
 from itertools import chain, count
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,25 @@ def test_alpha_qderiv_near_one(q, digits):
         a, ca = alpha_pair(q, hot)
         want = a * ca * theta3(q, hot) ** 4
         assert abs(got - want) <= mp.mpf(10) ** -(digits + 10) * want
+
+
+def test_tiny_nome_floors(ctx20):
+    # q far below 2^-wp: each summation floor is capped where the first term
+    # already stops the sum, so none builds 2^(wp - exp), and each value is
+    # its leading order
+    leads = {"lam1": (4, True), "lam2": (16, False), "lemma22_1": (1, False),
+             "lemma22_2": (1, True), "ram_lhs": (1, True), "eis384": (1, False),
+             "cube": (1, False)}
+    start = perf_counter()
+    with ctx20.working():
+        q = mp.mpf("1e-1000000000000")
+        assert eisenstein_M(q, ctx20) == 1  # 1 + 240 q
+        assert agrees(alpha_qderiv(q, ctx20), 16 * q, 18)  # alpha = 16 q + O(q^2)
+        for name in LAMBERT_IDS:
+            c, half = leads[name]
+            want = c * (mp.sqrt(q) if half else q)
+            assert agrees(lambert_series(name, q, ctx20), want, 18), name
+    assert perf_counter() - start < 1
 
 
 def test_forms_small_q(ctx30):
