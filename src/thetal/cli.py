@@ -249,9 +249,11 @@ def _cmd_lvalue(args):
 def _cmd_coeffs(args):
     if args.n < 1:
         raise DomainError("need n >= 1")
-    stream = (coeffs_lambert if args.route == "lambert" else coeffs_convolution)(
-        args.form, args.n
-    )
+    route = coeffs_lambert if args.route == "lambert" else coeffs_convolution
+    try:
+        stream = route(args.form, args.n)
+    except MemoryError:  # numpy's ArrayMemoryError included
+        raise NumericsError(f"not enough memory for {args.n} coefficients") from None
     _emit(args, [" ".join(str(a) for a in stream.coeffs)],
           {"form": args.form, "n": args.n, "route": args.route,
            "coeffs": list(stream.coeffs)})

@@ -9,7 +9,8 @@ accelerator.
 The double series come in three independent flavors: a rigorous truncated
 square, an iterated sum with tail extrapolation (float64 vector engine), and
 a Beta-kernel reduction to a one-dimensional integral of closed-form kernels,
-which is the full-precision reference.
+which is the full-precision reference.  Its AGM and 3F2 kernels run in fixed
+point, on Python integers scaled by 2^wp with wp = prec + 20 guard bits.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .context import (
     BudgetError,
@@ -309,18 +311,26 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
 # ---------------------------------------------------------------------------
 # closed-form kernels for the series groups appearing in the double sums
 
+_GUARD_BITS = 20  # bits the fixed-point kernels keep below the result's last
+
 
 def _agm_ambient(x, y):
+    """agm(x, y) for positive mpf x, y, in fixed point: Python integers with
+    the larger argument just below 2^wp step (x + y) >> 1, isqrt(x y) until
+    |x - y| <= 2^(8 - prec) x.  wp is prec + _GUARD_BITS + log2(x/y), so y
+    keeps prec + _GUARD_BITS bits; the far-apart cut bounds log2(x/y)."""
+    x, y = max(x, y), min(x, y)
     # far apart, agm(x, y) = pi x / (2 log(4x/y)) to a relative O((y/x)^2),
     # the complete elliptic integral's K(k) = log(4/k') + O(k'^2 log k')
-    if y < mp.ldexp(x, -(mp.mp.prec // 2 + 8)):
+    prec = mp.mp.prec
+    if y < mp.ldexp(x, -(prec // 2 + 8)):
         return mp.pi * x / (2 * mp.log(4 * x / y))
-    eps = mp.mpf(2) ** (8 - mp.mp.prec)
-    for _ in range(10000):
-        if abs(x - y) <= eps * x:
-            break
-        x, y = (x + y) / 2, mp.sqrt(x * y)
-    return (x + y) / 2
+    top = mp.mag(x)
+    wp = prec + _GUARD_BITS + top - mp.mag(y)
+    X, Y = to_fixed(x._mpf_, wp - top), to_fixed(y._mpf_, wp - top)
+    while abs(X - Y) << (prec - 8) > X:
+        X, Y = (X + Y) >> 1, math.isqrt(X * Y)
+    return mp.mpf(((X + Y) >> 1, top - wp))
 
 
 def _require_inside(cz):
@@ -363,9 +373,10 @@ _IB_PRECISIONS = 8
 
 
 def _ib_coeffs():
-    """a_0 .. a_{n-1} in 3F2(1,1,1;3/2,3/2;z) = A(e) + log(e) B(e), e = 1 - z.
+    """a_m 2^wp, wp = prec + _GUARD_BITS, as integers for m < n, where
+    3F2(1,1,1;3/2,3/2;z) = A(e) + log(e) B(e), e = 1 - z, A = sum a_m e^m.
 
-    B(e) = -pi/4 2F1(1/2,1/2;1;e)/sqrt(1-e) = sum b_m e^m and A = sum a_m e^m
+    B(e) = -pi/4 2F1(1/2,1/2;1;e)/sqrt(1-e) = sum b_m e^m and A
     solve the Frobenius recurrence of the 3F2 equation at z = 1 (Buhring,
     Proc. AMS 114, 1992):
         (m+2)^2 s_{m+2} = (8m^2+24m+19)/4 s_{m+1} - (m+1)^2 s_m - r_m/(m+1),
@@ -373,8 +384,8 @@ def _ib_coeffs():
         r_m = (m+2)(3m+4) b_{m+2} - (24m^2+64m+43)/4 b_{m+1} + 3(m+1)^2 b_m.
     Seeds: b_0 = -pi/4, b_1 = -3pi/16, a_0 = pi log 2 - 2G (from the integral
     of theta/sin(theta) over [0, pi/2], which is 2G), a_1 = 3a_0/4 + 1/4 - pi/8.
-    Both characteristic roots are 1, so forward recursion loses only
-    polynomially many bits; 20 guard bits absorb them.
+    Both characteristic roots are 1, so forward recursion, run in mpf at wp
+    bits, loses only polynomially many bits; the guard bits absorb them.
     """
     key = mp.mp.prec
     cached = _IB_CACHE.get(key)
@@ -382,7 +393,8 @@ def _ib_coeffs():
         return cached
     # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
     n = int(mp.mp.dps / 0.34) + 10
-    with mp.workprec(key + 20):
+    wp = key + _GUARD_BITS
+    with mp.workprec(wp):
         pi = mp.pi
         a0 = pi * mp.log(2) - 2 * mp.catalan
         a = [a0, 3 * a0 / 4 + mp.mpf(1) / 4 - pi / 8]
@@ -398,42 +410,46 @@ def _ib_coeffs():
             a.append((p1 * a[m + 1] - (m + 1) ** 2 * a[m] - r / (m + 1)) / (m + 2) ** 2)
     if len(_IB_CACHE) >= _IB_PRECISIONS:
         del _IB_CACHE[next(iter(_IB_CACHE))]
-    _IB_CACHE[key] = a
-    return a
+    _IB_CACHE[key] = fixed = [to_fixed(am._mpf_, wp) for am in a]
+    return fixed
 
 
 def _kernel_treble(z, cz):
-    # 3F2(1,1,1;3/2,3/2;z): direct series up to 0.55, then the expansion
-    # about z = 1, whose log-singular part is 2F1(1/2,1/2;1;cz), one AGM
+    """3F2(1,1,1;3/2,3/2;z), z in (-0.9, 1), in integers scaled by 2^wp, wp =
+    prec + _GUARD_BITS: the series t_(n+1) = t_n z (2n+2)^2/(2n+3)^2 up to
+    z = 0.55, then Horner's rule over :func:`_ib_coeffs` in cz, plus the
+    log-singular part 2F1(1/2,1/2;1;cz), one AGM.  Each step truncates by
+    one unit at most; the guard bits cover ~2000 steps."""
     if z == 0:
         return mp.mpf(1)
+    wp = mp.mp.prec + _GUARD_BITS
+    one = 1 << wp
+    zf = to_fixed(z._mpf_, wp)
     # trust cz on the right: z itself may round to 1 at extreme nodes
-    if not (cz > 0 and z > -mp.mpf("0.9")):
+    if not (cz > 0 and 10 * zf > -9 * one):
         raise DomainError("treble kernel wants z in (-0.9, 1)")
-    if z <= mp.mpf("0.55"):
-        az = abs(z)
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-        t = mp.mpf(1)
-        s = t
-        n = 0
-        while True:
-            r = z * ((n + 1) / (n + mp.mpf("1.5"))) ** 2
-            t *= r
+    if 20 * zf <= 11 * one:
+        ten = 10 ** (mp.mp.dps - 2)
+        az = abs(zf)
+        t = s = one
+        for n in count():
+            t = (t * zf >> wp) * (2 * n + 2) ** 2 // (2 * n + 3) ** 2
             s += t
-            n += 1
-            if abs(t) * az / (1 - az) < tol * abs(s):
-                return s
+            # |t| |z|/(1 - |z|) < 10^-(dps-2) |s|, cleared of fractions
+            if abs(t) * az * ten < abs(s) * (one - az):
+                return mp.mpf((s, -wp))
     # terms with cz^m below 2^-(prec+8) cannot move the sum; mag(cz) bounds
     # log2(cz) from above, so the cut keeps every term that can
     coeffs = _ib_coeffs()
     mag = mp.mag(cz)
     if mag < 0:
         coeffs = coeffs[: -((mp.mp.prec + 8) // mag)]
-    s = mp.mpf(0)
+    czf = to_fixed(cz._mpf_, wp)
+    s = 0
     for a in reversed(coeffs):
-        s = s * cz + a
+        s = (s * czf >> wp) + a
     rz = mp.sqrt(z)
-    return s - mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))
+    return mp.mpf((s, -wp)) - mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))
 
 
 _KERNELS = {

@@ -270,11 +270,24 @@ _Q_INTEGRALS = {
 }
 
 
+def _q_weight(tag: str, t2, t3, t4):
+    """A nome integral's theta weight from theta2, theta3, theta4 at q: wt3
+    = theta2^4 theta4^2, and wt4_f = 2 theta4(q^2)^8 - theta4^8 and wt4_g =
+    2 theta4(q^4)^8 - theta4(q^2)^8 by the doubling identities theta4(q^2)^2
+    = theta3 theta4, theta3(q^2)^2 = (theta3^2 + theta4^2)/2 (I16, I15)."""
+    if tag == "wt3":
+        return t2**4 * t4**2
+    if tag == "wt4_f":
+        return t4**4 * (2 * t3**4 - t4**4)
+    return (t3 * t4) ** 2 * (t3**4 + t4**4) / 2  # wt4_g
+
+
 @lru_cache(maxsize=4)  # a registry pass at one precision fills one
 def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
     """The nome integrals q_ids over u cut at 1 (each weight dies like
-    exp(-pi/(2u)) or faster).  A node evaluates each theta and Lambert sum
-    once for all, fetched in each one's order, so one fails as it would alone."""
+    exp(-pi/(2u)) or faster).  A node evaluates the thetas at u, whence every
+    :func:`_q_weight`, and each Lambert sum once for all, fetched in each
+    one's order, so one fails as it would alone."""
 
     def integrand(u, jac):
         q = mp.exp(-mp.pi * u)
@@ -282,30 +295,17 @@ def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
 
         @cache
         def at_u():
-            which = (2, 4) if below else (2, 3, 4)
-            return dict(zip(which, theta_involution(u, which, ctx)))
-
-        @cache
-        def theta4(k):  # at k u
-            return theta_involution(k * u, 4, ctx)
+            return theta_involution(u, (2, 3, 4), ctx)
 
         @cache
         def lam(name):
             if below:
                 return lambert_series(name, q, ctx)
-            t = at_u()
-            return lambert_closed(name, (t[2] / t[3]) ** 4, (t[4] / t[3]) ** 4)
+            t2, t3, t4 = at_u()
+            return lambert_closed(name, (t2 / t3) ** 4, (t4 / t3) ** 4)
 
         def member(tag, name):
-            t = None if below and tag == "wt4_g" else at_u()
-            lam_v = lam(name)
-            if tag == "wt3":
-                weight = t[2] ** 4 * t[4] ** 2
-            elif tag == "wt4_f":
-                weight = 2 * theta4(2) ** 8 - t[4] ** 8
-            else:  # wt4_g: one level down
-                weight = 2 * theta4(4) ** 8 - theta4(2) ** 8
-            return weight * lam_v * jac
+            return _q_weight(tag, *at_u()) * lam(name) * jac
 
         return isolated(partial(member, *_Q_INTEGRALS[q][2:]) for q in q_ids)
 
@@ -330,13 +330,10 @@ def q_integral(q_id: str, ctx: PrecisionContext):
 
 
 def _theta_product_at(form: str, u, ctx: PrecisionContext):
-    # h(e^{-pi u}) for h = f, g; the involuted evaluators keep both ends cheap
-    if form == "f":
-        t2, t4 = theta_involution(u, (2, 4), ctx)
-    else:
-        t2 = theta_involution(u, 2, ctx)
-        t4 = theta_involution(2 * u, 4, ctx)
-    return t2**4 * t4**2 / 16
+    # h(e^{-pi u}) for h = f, g; the involuted evaluators keep both ends cheap.
+    # g's theta4(q^2)^2 is theta3 theta4 by the doubling identity (registry I16)
+    t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
+    return t2**4 * t4 * (t4 if form == "f" else t3) / 16
 
 
 @lru_cache(maxsize=4)  # a registry pass at one precision fills two

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from conftest import agrees
-from thetal import cli
+from thetal import cli, theta
 from thetal.cli import main
 from thetal.context import MIN_DIGITS, QuadratureError
 
@@ -170,6 +170,20 @@ class TestCoeffsCommand:
                         "--format", "json")
         payload = json.loads(out)
         assert payload["coeffs"] == [1, 0, 0, 0, -6]
+
+    @pytest.mark.parametrize("route", ["convolution", "lambert"])
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, route):
+        # numpy refusing the arrays of N = 3e8 (gigabytes each) is stood in
+        # for, so no test allocates them
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        for name in ("array", "bincount", "zeros", "arange"):
+            monkeypatch.setattr(theta.np, name, refuse)
+        code, _, err = run(capsys, "coeffs", "--form", "f", "--n", "300000000",
+                           "--route", route)
+        assert code == 2
+        assert "error:" in err and "memory" in err
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Single-series hypergeometrics: summation routes, kernels, classification."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import mpmath as mp
@@ -37,6 +38,41 @@ def pfq_term(spec, n, z, ctx):
 @pytest.fixture(scope="module")
 def ctx():
     return PrecisionContext(digits=25)
+
+
+@cache
+def _frobenius_rationals(n: int):
+    """p_0..p_(n-1), q_0..q_(n-1) with the regular part of 3F2(1,1,1;3/2,3/2;
+    1 - e) = A(e) + log(e) B(e) split as A = a_0 beta(e) + pi P(e) + Q(e),
+    beta(e) = 2F1(1/2,1/2;1;e)/sqrt(1-e) = -4 B/pi: Buhring's recurrence
+    about z = 1 in exact rationals, a_0 = pi log 2 - 2G carried apart."""
+    beta = [Fraction(1), Fraction(3, 4)]
+    p, q = [Fraction(0), Fraction(-1, 8)], [Fraction(0), Fraction(1, 4)]
+    for m in range(n - 2):
+        c1, sq = Fraction(8 * m * m + 24 * m + 19, 4), (m + 1) ** 2
+        beta.append((c1 * beta[m + 1] - sq * beta[m]) / (m + 2) ** 2)
+        rho = (
+            (m + 2) * (3 * m + 4) * beta[m + 2]
+            - Fraction(24 * m * m + 64 * m + 43, 4) * beta[m + 1]
+            + 3 * sq * beta[m]
+        )
+        p.append((c1 * p[m + 1] - sq * p[m] + rho / (4 * (m + 1))) / (m + 2) ** 2)
+        q.append((c1 * q[m + 1] - sq * q[m]) / (m + 2) ** 2)
+    return p, q
+
+
+def treble_by_connection(e):
+    """3F2(1,1,1;3/2,3/2;1 - e) at the precision in force for small e, with
+    beta from mpmath's 2F1 and 60 exact terms of P and Q, which leave about
+    e^60 (10^-180 at e = 10^-3)."""
+    p, q = (  # highest power first, as polyval wants
+        [mp.mpf(c.numerator) / c.denominator for c in reversed(cs)]
+        for cs in _frobenius_rationals(60)
+    )
+    beta = mp.hyp2f1(0.5, 0.5, 1, e) / mp.sqrt(1 - e)
+    regular = mp.pi * mp.polyval(p, e) + mp.polyval(q, e)
+    a0 = mp.pi * mp.log(2) - 2 * mp.catalan
+    return a0 * beta + regular - mp.pi / 4 * mp.log(e) * beta
 
 
 class TestSpecValidation:
@@ -312,6 +348,35 @@ class TestKernels:
                     want = mp.hyp3f2(1, 1, 1, 1.5, 1.5, z)
                 assert agrees(got, want, 98), zs
 
+    @pytest.mark.parametrize("dps", (20, 50, 100))
+    def test_treble_kernel_sweep(self, dps):
+        # the stop tolerance on both branches and at z = 1 - 10^-k as close
+        # to 1 as dps resolves, against references 20 digits hotter; mpmath's
+        # hyp3f2 takes seconds a point past z = 0.99, so the connection
+        # formula in exact rationals stands in for it there
+        x3 = series_kernel((1, 1, 1), ("3/2", "3/2"))
+        with mp.workdps(dps):
+            zs = [mp.mpf(v) for v in ("-0.89", "-0.5", "0.1", "0.54", "0.55",
+                                      "0.56", "0.75", "0.95")]
+            zs += [1 - mp.mpf(10) ** -k for k in range(1, dps - 2)]
+            for z in zs:
+                got = x3(z, 1 - z)
+                with mp.workdps(dps + 20):
+                    e = 1 - z
+                    if e >= mp.mpf("0.01"):
+                        want = mp.hyp3f2(1, 1, 1, 1.5, 1.5, z)
+                    else:
+                        want = treble_by_connection(e)
+                    assert abs(got - want) <= mp.mpf(10) ** (3 - dps) * abs(want), z
+
+    def test_connection_reference_meets_mpmath(self):
+        # the stand-in for hyp3f2 near z = 1, where both are affordable
+        with mp.workdps(60):
+            for es in ("0.01", "0.02"):
+                e = mp.mpf(es)
+                want = mp.hyp3f2(1, 1, 1, 1.5, 1.5, 1 - e)
+                assert agrees(treble_by_connection(e), want, 58), es
+
     def test_treble_kernel_across_precisions(self):
         # too few expansion terms show first at the far end, cz = 0.44, and
         # a lost log term at cz -> 0; 70 digits judges the 35-digit value
@@ -353,6 +418,22 @@ class TestKernels:
 
 
 class TestAgmLimit:
+    @pytest.mark.parametrize("dps", (20, 50, 100))
+    def test_sweep_down_to_the_cut(self, dps):
+        # every binary and decimal order of y/x above the far-apart cut,
+        # where working bits that did not grow with log2(x/y) would be lost
+        with mp.workdps(dps):
+            cut = mp.ldexp(1, -(mp.mp.prec // 2 + 8))
+            ys = [mp.ldexp(1, -j) for j in range(mp.mp.prec // 2 + 9)]
+            ys += [mp.mpf(10) ** -k for k in range(int(-mp.log10(cut)) + 1)]
+            ys += [mp.mpf("0.9"), mp.mpf("0.99"), 3 * cut]
+            for y in ys:
+                assert y >= cut
+                got = _agm_ambient(mp.mpf(1), y)
+                want = mp.agm(1, y)
+                ulp = mp.ldexp(1, mp.mag(want) - mp.mp.prec)
+                assert abs(got - want) <= 2 * ulp, y
+
     @pytest.mark.parametrize("dps", (25, 35, 65, 115))
     def test_within_two_ulps_of_mpmath(self, dps):
         with mp.workdps(dps):

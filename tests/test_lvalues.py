@@ -206,6 +206,30 @@ class TestQIntegrals:
                 assert agrees(near, direct, 22)
 
 
+class TestDoublingForms:
+    # the nome weights and g's Mellin product built from the thetas at u
+    # alone, against the same quantities from the thetas at 2u and 4u, on
+    # both sides of the involution u -> 1/u
+    @pytest.mark.parametrize("digits", [20, 50, 100])
+    def test_against_thetas_at_2u_and_4u(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.working():
+            tol = mp.ldexp(1, 8 - mp.mp.prec)
+            for us in ("0.05", "0.3", "0.99", "1", "1.7", "8"):
+                u = mp.mpf(us)
+                t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
+                t4_2u = theta_involution(2 * u, 4, ctx)
+                t4_4u = theta_involution(4 * u, 4, ctx)
+                pairs = (
+                    (lvalues._q_weight("wt4_f", t2, t3, t4), 2 * t4_2u**8 - t4**8),
+                    (lvalues._q_weight("wt4_g", t2, t3, t4),
+                     2 * t4_4u**8 - t4_2u**8),
+                    (lvalues._theta_product_at("g", u, ctx), t2**4 * t4_2u**2 / 16),
+                )
+                for new, old in pairs:
+                    assert abs(new - old) <= tol * abs(old), us
+
+
 class TestMellin:
     @pytest.mark.parametrize("form,n", [("f", 3), ("g", 3), ("f", 4), ("g", 4)])
     def test_against_oracles(self, form, n, ctx):
