@@ -26,6 +26,7 @@ import mpmath as mp
 
 __all__ = [
     "MIN_DIGITS",
+    "GUARD_BITS",
     "PrecisionContext",
     "Estimate",
     "noise_floor",
@@ -41,6 +42,8 @@ __all__ = [
 
 
 MIN_DIGITS = 10  # the floor of every requested precision: API, registry, CLI
+
+GUARD_BITS = 20  # bits the fixed-point kernels keep below the result's last
 
 
 class NumericsError(Exception):

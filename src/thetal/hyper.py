@@ -30,6 +30,7 @@ from .context import (
     BudgetError,
     DomainError,
     Estimate,
+    GUARD_BITS,
     PrecisionContext,
     as_real,
     ensure_finite,
@@ -311,14 +312,12 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
 # ---------------------------------------------------------------------------
 # closed-form kernels for the series groups appearing in the double sums
 
-_GUARD_BITS = 20  # bits the fixed-point kernels keep below the result's last
-
 
 def _agm_ambient(x, y):
     """agm(x, y) for positive mpf x, y, in fixed point: Python integers with
     the larger argument just below 2^wp step (x + y) >> 1, isqrt(x y) until
-    |x - y| <= 2^(8 - prec) x.  wp is prec + _GUARD_BITS + log2(x/y), so y
-    keeps prec + _GUARD_BITS bits; the far-apart cut bounds log2(x/y)."""
+    |x - y| <= 2^(8 - prec) x.  wp is prec + GUARD_BITS + log2(x/y), so y
+    keeps prec + GUARD_BITS bits; the far-apart cut bounds log2(x/y)."""
     x, y = max(x, y), min(x, y)
     # far apart, agm(x, y) = pi x / (2 log(4x/y)) to a relative O((y/x)^2),
     # the complete elliptic integral's K(k) = log(4/k') + O(k'^2 log k')
@@ -326,7 +325,7 @@ def _agm_ambient(x, y):
     if y < mp.ldexp(x, -(prec // 2 + 8)):
         return mp.pi * x / (2 * mp.log(4 * x / y))
     top = mp.mag(x)
-    wp = prec + _GUARD_BITS + top - mp.mag(y)
+    wp = prec + GUARD_BITS + top - mp.mag(y)
     X, Y = to_fixed(x._mpf_, wp - top), to_fixed(y._mpf_, wp - top)
     while abs(X - Y) << (prec - 8) > X:
         X, Y = (X + Y) >> 1, math.isqrt(X * Y)
@@ -373,7 +372,7 @@ _IB_PRECISIONS = 8
 
 
 def _ib_coeffs():
-    """a_m 2^wp, wp = prec + _GUARD_BITS, as integers for m < n, where
+    """a_m 2^wp, wp = prec + GUARD_BITS, as integers for m < n, where
     3F2(1,1,1;3/2,3/2;z) = A(e) + log(e) B(e), e = 1 - z, A = sum a_m e^m.
 
     B(e) = -pi/4 2F1(1/2,1/2;1;e)/sqrt(1-e) = sum b_m e^m and A
@@ -393,7 +392,7 @@ def _ib_coeffs():
         return cached
     # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
     n = int(mp.mp.dps / 0.34) + 10
-    wp = key + _GUARD_BITS
+    wp = key + GUARD_BITS
     with mp.workprec(wp):
         pi = mp.pi
         a0 = pi * mp.log(2) - 2 * mp.catalan
@@ -416,13 +415,13 @@ def _ib_coeffs():
 
 def _kernel_treble(z, cz):
     """3F2(1,1,1;3/2,3/2;z), z in (-0.9, 1), in integers scaled by 2^wp, wp =
-    prec + _GUARD_BITS: the series t_(n+1) = t_n z (2n+2)^2/(2n+3)^2 up to
+    prec + GUARD_BITS: the series t_(n+1) = t_n z (2n+2)^2/(2n+3)^2 up to
     z = 0.55, then Horner's rule over :func:`_ib_coeffs` in cz, plus the
     log-singular part 2F1(1/2,1/2;1;cz), one AGM.  Each step truncates by
     one unit at most; the guard bits cover ~2000 steps."""
     if z == 0:
         return mp.mpf(1)
-    wp = mp.mp.prec + _GUARD_BITS
+    wp = mp.mp.prec + GUARD_BITS
     one = 1 << wp
     zf = to_fixed(z._mpf_, wp)
     # trust cz on the right: z itself may round to 1 at extreme nodes

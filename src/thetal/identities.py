@@ -30,6 +30,7 @@ from .hyper import PFQSpec, series_kernel
 from .lvalues import (
     KDF_SPECS,
     LF4_ALT,
+    ROUTE_IDS,
     SAMART_5F4,
     kdf_theorem_rhs,
     kdf_weighted_sum,
@@ -250,16 +251,9 @@ def _euler(zv, ctx):
 # ---------------------------------------------------------------------------
 # value identities
 
-_L_PAIR = {
-    "thm11_1": ("f", 3, "factorized"),
-    "thm11_2": ("g", 3, "mellin"),
-    "thm12_1": ("f", 4, "factorized"),
-    "thm12_2": ("g", 4, "mellin"),
-}
-
-
-def _ev_theorem(rhs_id):
-    form, n, method = _L_PAIR[rhs_id]
+def _ev_theorem(form, n, method):
+    # L(form, n)'s double-series side against its value by method
+    rhs_id = ROUTE_IDS[form, n][0]
 
     def ev(config, ctx):
         v, e, _ = kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
@@ -274,17 +268,19 @@ def _less(c, res):  # the Estimate of c - res for an exactly known c
     return res._replace(value=c - res.value)
 
 
-# each corollary scales its theorem's weighted double series and replaces
-# the L-value by a closed form: label, then (scale, closed Estimate) at ctx
+# each corollary scales the weighted double series of L(form, n)'s theorem
+# and replaces the L-value by a closed form: label, then (scale, closed
+# Estimate) at ctx
 _COROLLARY = {
-    "thm11_1": ("F(1,1)", lambda ctx: (1, Estimate(3 * mp.pi * mp.log(2), 0))),
-    "thm11_2": ("8 F(1,1)", lambda ctx: (8, _less(48 * mp.log(2), pfq(SAMART_5F4, 1, ctx)))),
-    "thm12_1": ("pi/24 weighted", lambda ctx: (mp.pi / 24, pfq(LF4_ALT, -1, ctx))),
+    ("f", 3): ("F(1,1)", lambda ctx: (1, Estimate(3 * mp.pi * mp.log(2), 0))),
+    ("g", 3): ("8 F(1,1)", lambda ctx: (8, _less(48 * mp.log(2), pfq(SAMART_5F4, 1, ctx)))),
+    ("f", 4): ("pi/24 weighted", lambda ctx: (mp.pi / 24, pfq(LF4_ALT, -1, ctx))),
 }
 
 
-def _ev_corollary(rhs_id):
-    label, sides = _COROLLARY[rhs_id]
+def _ev_corollary(form, n):
+    label, sides = _COROLLARY[form, n]
+    rhs_id = ROUTE_IDS[form, n][0]
 
     def ev(config, ctx):
         acc, err, _ = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
@@ -316,16 +312,9 @@ def _ev_lf4_triple(config, ctx):
     return EvalOutcome(tuple(pairs))
 
 
-_Q_PAIR = {
-    "prop21_1": ("f", 3, "factorized"),
-    "prop21_2": ("g", 3, "alpha_integral"),
-    "prop31_1": ("f", 4, "factorized"),
-    "prop31_2": ("g", 4, "alpha_integral"),
-}
-
-
-def _ev_q_route(q_id):
-    form, n, method = _Q_PAIR[q_id]
+def _ev_q_route(form, n, method):
+    # L(form, n)'s nome integral against its value by method
+    q_id = ROUTE_IDS[form, n][1]
 
     def ev(config, ctx):
         v = l_value(form, n, "q_integral", ctx).value
@@ -483,30 +472,30 @@ _REGISTRY_ENTRIES = (
     Identity("I17", "thm11-1", "value",
              "weight-3 double-series reduction for L(f,3)",
              "pi^2/96 * KdF at (1,1)", "l_psi(1) * l_chi4(3)",
-             _ev_theorem("thm11_1")),
+             _ev_theorem("f", 3, "factorized")),
     Identity("I18", "thm11-2", "value",
              "weight-3 double-series reduction for L(g,3)",
              "pi^3/128 * KdF at (1,1)", "Mellin transform of g at s=3",
-             _ev_theorem("thm11_2")),
+             _ev_theorem("g", 3, "mellin")),
     Identity("I19", "thm12-1", "value",
              "weight-4 double-series reduction for L(f,4)",
              "pi^3/288 * weighted KdF pair", "l_psi(2) * l_chi4(4)",
-             _ev_theorem("thm12_1")),
+             _ev_theorem("f", 4, "factorized")),
     Identity("I20", "thm12-2", "value",
              "weight-4 double-series reduction for L(g,4)",
              "pi^4/768 * weighted KdF pair", "Mellin transform of g at s=4",
-             _ev_theorem("thm12_2")),
+             _ev_theorem("g", 4, "mellin")),
     Identity("I21", "cor-1", "value",
              "first reduction corollary: the double series collapses to 3 pi log 2",
-             "KdF at (1,1)", "3 pi log 2", _ev_corollary("thm11_1")),
+             "KdF at (1,1)", "3 pi log 2", _ev_corollary("f", 3)),
     Identity("I22", "cor-2", "value",
              "second reduction corollary against the quadruple-2 5F4",
              "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)",
-             _ev_corollary("thm11_2")),
+             _ev_corollary("g", 3)),
     Identity("I23", "cor-3", "value",
              "third reduction corollary against the alternating 5F4",
              "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)",
-             _ev_corollary("thm12_1")),
+             _ev_corollary("f", 4)),
     Identity("I24", "factorization", "value",
              "Dirichlet factorization of L(f,s) against the Mellin route, s in {3,4}",
              "l_psi(s-2) * l_chi4(s)", "Mellin transform of f", _ev_factorization),
@@ -515,16 +504,20 @@ _REGISTRY_ENTRIES = (
              "alternating 5F4", "positive split 5F4 / character sum", _ev_lf4_triple),
     Identity("I26a", "prop21-1", "value",
              "weight-3 nome-space integral for L(f,3)",
-             "q_integral(prop21_1)", "l_psi(1) * l_chi4(3)", _ev_q_route("prop21_1")),
+             "q_integral(prop21_1)", "l_psi(1) * l_chi4(3)",
+             _ev_q_route("f", 3, "factorized")),
     Identity("I26b", "prop21-2", "value",
              "weight-3 nome-space integral for L(g,3)",
-             "q_integral(prop21_2)", "alpha-space integral", _ev_q_route("prop21_2")),
+             "q_integral(prop21_2)", "alpha-space integral",
+             _ev_q_route("g", 3, "alpha_integral")),
     Identity("I26c", "prop31-1", "value",
              "weight-4 nome-space integral for L(f,4)",
-             "q_integral(prop31_1)", "l_psi(2) * l_chi4(4)", _ev_q_route("prop31_1")),
+             "q_integral(prop31_1)", "l_psi(2) * l_chi4(4)",
+             _ev_q_route("f", 4, "factorized")),
     Identity("I26d", "prop31-2", "value",
              "weight-4 nome-space integral for L(g,4)",
-             "q_integral(prop31_2)", "alpha-space integral", _ev_q_route("prop31_2")),
+             "q_integral(prop31_2)", "alpha-space integral",
+             _ev_q_route("g", 4, "alpha_integral")),
     Identity("I27", "pochhammer", "exact",
              "Pochhammer quotient closed forms 2n+1, 4n+1, 4n+3 in exact rationals",
              "incremental rising-factorial quotient", "linear closed form",

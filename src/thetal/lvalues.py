@@ -7,7 +7,7 @@ Dirichlet L-values (f only), the Mellin transform of the q-expansion, nome
 integral representations, reductions to two-variable hypergeometric double
 series at the corner (1, 1), and single 5F4 closed forms.  The
 modular-parameter integral is that reduction before its termwise Beta
-integration, so the two names read one evaluation.  Every route reports an
+integration, so one evaluation serves both.  Every route reports an
 honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
 tanh-sinh passes that evaluate each node's costly factors once: Mellin at
@@ -17,7 +17,8 @@ plays two members of one pass against each other, so each still faces a
 route computed apart.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
-shared with the command line and the registry.
+shared with the command line and the registry; :data:`ROUTE_IDS` alone says
+which of them reaches which L(form, s).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .theta import coeffs_convolution, lambert_series, theta_involution
 __all__ = [
     "FORMS",
     "L_VALUE_METHODS",
+    "ROUTE_IDS",
     "KDF_SPECS",
     "KDF_RHS_IDS",
     "SAMART_5F4",
@@ -69,9 +71,17 @@ L_VALUE_METHODS = (
     "mellin",
     "alpha_integral",
     "q_integral",
-    "kdf_theorem",
     "closed_form",
 )
+
+# (form, s): the double-series, nome-integral and closed-form ids of
+# L(form, s), the last None where no closed form is on the books
+ROUTE_IDS = {
+    ("f", 3): ("thm11_1", "prop21_1", "lf3"),
+    ("g", 3): ("thm11_2", "prop21_2", "lg3"),
+    ("f", 4): ("thm12_1", "prop31_1", "lf4"),
+    ("g", 4): ("thm12_2", "prop31_2", None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +528,8 @@ def closed_form(which: str, ctx: PrecisionContext):
 # ---------------------------------------------------------------------------
 # the dispatcher
 
-_RHS_BY_FORM = {
-    ("f", 3): "thm11_1",
-    ("g", 3): "thm11_2",
-    ("f", 4): "thm12_1",
-    ("g", 4): "thm12_2",
-}
 
-_QINT_BY_FORM = {
-    ("f", 3): "prop21_1",
-    ("g", 3): "prop21_2",
-    ("f", 4): "prop31_1",
-    ("g", 4): "prop31_2",
-}
-
-_CLOSED_BY_FORM = {("f", 3): "lf3", ("f", 4): "lf4", ("g", 3): "lg3"}
-
-
-@lru_cache(maxsize=64)  # a registry pass at one precision fills six
+@lru_cache(maxsize=64)  # a registry pass at one precision fills twelve
 def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
     if method == "factorized":
         if form != "f":
@@ -549,15 +543,15 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
         return dirichlet_sum(form, n, ctx)
     if method == "mellin":
         return mellin(form, n, ctx)
-    if method in ("alpha_integral", "kdf_theorem"):
-        return alpha_integral(_RHS_BY_FORM[form, n], ctx)
+    kdf_id, q_id, closed_id = ROUTE_IDS[form, n]
+    if method == "alpha_integral":
+        return alpha_integral(kdf_id, ctx)
     if method == "q_integral":
-        return q_integral(_QINT_BY_FORM[form, n], ctx)
+        return q_integral(q_id, ctx)
     # closed_form
-    key = (form, n)
-    if key not in _CLOSED_BY_FORM:
+    if closed_id is None:
         raise DomainError(f"no closed form is on the books for L({form}, {n})")
-    return closed_form(_CLOSED_BY_FORM[key], ctx)
+    return closed_form(closed_id, ctx)
 
 
 def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
@@ -566,12 +560,12 @@ def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
     Route availability: ``factorized`` and the lf* closed forms are f only,
     ``dirichlet_sum`` and lg3 are g only (and there is no closed form for
     L(g, 4) at all); the integral, Mellin and double-series routes cover all
-    four (form, n) pairs.  The error estimate is an honest bound for the
-    route as run; the raw series, the one coarse route, does not sharpen when
-    the context asks for more digits.  The effort is whatever figure the
-    route reports: series terms for the sums, integrand evaluations for the
-    quadrature routes (``alpha_integral`` and ``kdf_theorem`` report the same
-    count, being one evaluation), and 0 for the closed forms.
+    four (form, n) pairs, by the ids :data:`ROUTE_IDS` names.  The error
+    estimate is an honest bound for the route as run; the raw series, the one
+    coarse route, does not sharpen when the context asks for more digits.
+    The effort is whatever figure the route reports: series terms for the
+    sums, integrand evaluations for the quadrature routes, and 0 for the
+    closed forms.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")

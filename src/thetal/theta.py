@@ -34,6 +34,7 @@ from mpmath.libmp import to_fixed
 from .context import (
     BudgetError,
     DomainError,
+    GUARD_BITS,
     NumericsError,
     PrecisionContext,
     as_real,
@@ -67,19 +68,16 @@ def _nome_value(q):
     return qv
 
 
-_GUARD_BITS = 20
-
-
 def _fixed_nome(qv):
     """(wp, q 2^wp): the bits a sum over powers of q works at, and q at them.
 
-    wp is mp.prec plus _GUARD_BITS plus 2 log2(1/(1-q)): one log2(1/(1-q))
+    wp is mp.prec plus GUARD_BITS plus 2 log2(1/(1-q)): one log2(1/(1-q))
     for the denominators 1 -+ q^m, which lose that many bits as q -> 1, and
     one for the rounding that term stepping piles up over ~1/(1-q) terms.
     """
     prec = mp.mp.prec
     gap = (1 << prec) - to_fixed(qv._mpf_, prec)  # (1 - q) 2^prec
-    wp = prec + _GUARD_BITS + 2 * max(0, prec - gap.bit_length())
+    wp = prec + GUARD_BITS + 2 * max(0, prec - gap.bit_length())
     return wp, to_fixed(qv._mpf_, wp)
 
 
@@ -116,7 +114,7 @@ def _fixed_sum(
     t_k with |t_k| < 10^-(dps-2) max(|s|, floor), or |t_k| < 10^-(dps-2)
     floor if not ``running``.  A t_k past k = max_terms that does not stop
     it raises BudgetError carrying lead * s.  As every t_k >= 0, a running
-    s more than _GUARD_BITS + ``spare`` bits below max(even, odd) lost them
+    s more than GUARD_BITS + ``spare`` bits below max(even, odd) lost them
     to cancellation; it raises a NumericsError that counts them.
     """
     ten = 10 ** (mp.mp.dps - 2)
@@ -129,7 +127,7 @@ def _fixed_sum(
         s = even - odd if alternate else even + odd
         if abs(t) * ten < (max(abs(s), floor) if running else floor):
             big = max(even, odd)
-            if running and big >> (_GUARD_BITS + spare) > abs(s):
+            if running and big >> (GUARD_BITS + spare) > abs(s):
                 raise _Cancelled(what, big.bit_length() - abs(s).bit_length())
             return even, odd
         if k >= max_terms:

@@ -327,3 +327,7 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        # and so is a method l_value does not serve
+        with pytest.raises(SystemExit) as exc:
+            main(["lvalue", "--form", "f", "--s", "3", "--method", "kdf_theorem"])
+        assert exc.value.code == 2

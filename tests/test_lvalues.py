@@ -17,6 +17,7 @@ from thetal.lvalues import (
     KDF_RHS_IDS,
     KDF_SPECS,
     L_VALUE_METHODS,
+    ROUTE_IDS,
     alpha_integral,
     closed_form,
     dirichlet_sum,
@@ -397,7 +398,7 @@ class TestClosedForms:
 
 
 def _available_methods(form, n):
-    out = ["mellin", "alpha_integral", "q_integral", "kdf_theorem"]
+    out = ["mellin", "alpha_integral", "q_integral"]
     if form == "f":
         out.append("factorized")
     if form == "g":
@@ -429,15 +430,26 @@ class TestLValueDispatch:
     @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
     def test_alpha_integral_is_the_integral_reduction(self, form, n, ctx):
         # termwise Beta integration turns the alpha-space integral into the
-        # double series, so both names read one evaluation and its effort
+        # double series, so the route reads that evaluation and its effort
+        rhs_id = next(r for r, pair in RHS_TO_PAIR.items() if pair == (form, n))
         a = l_value(form, n, "alpha_integral", ctx)
-        k = l_value(form, n, "kdf_theorem", ctx)
-        assert a.value._mpf_ == k.value._mpf_
-        assert a.error_estimate == k.error_estimate
-        assert a.effort == k.effort > 0
+        k = kdf_theorem_rhs(rhs_id, ctx)
+        assert _mpfs(a) == _mpfs(k)
+        assert a.effort > 0
+
+    def test_each_method_is_its_own_evaluation(self, ctx):
+        # no method name serves another's evaluation under an alias
+        for form, n in TRUTH:
+            served = []
+            for method in L_VALUE_METHODS:
+                try:
+                    served.append(_mpfs(l_value(form, n, method, ctx)))
+                except DomainError:
+                    continue
+            assert len(set(served)) == len(served), (form, n)
 
     def test_precise_routes_meet_the_context(self, ctx):
-        for method in ("factorized", "mellin", "alpha_integral", "kdf_theorem", "closed_form"):
+        for method in ("factorized", "mellin", "alpha_integral", "closed_form"):
             res = l_value("f", 3, method, ctx)
             assert res.error_estimate <= mp.mpf(10) ** (-ctx.digits)
 
@@ -462,15 +474,17 @@ class TestLValueDispatch:
 
     def test_surface_constants(self):
         assert FORMS == ("f", "g")
-        assert set(L_VALUE_METHODS) >= {
+        assert set(L_VALUE_METHODS) == {
             "dirichlet_sum",
             "factorized",
             "mellin",
             "alpha_integral",
             "q_integral",
-            "kdf_theorem",
             "closed_form",
         }
+        # the route table against the oracle tables' statement of it
+        assert {ids[0]: pair for pair, ids in ROUTE_IDS.items()} == RHS_TO_PAIR
+        assert {ids[1]: pair for pair, ids in ROUTE_IDS.items()} == QID_TO_PAIR
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +499,7 @@ class TestTrebleKernelRoutes:
     """The s = 4 routes that evaluate 3F2(1,1,1;3/2,3/2) keep their estimates."""
 
     @pytest.mark.parametrize("digits", [20, 30])
-    @pytest.mark.parametrize("method", ["alpha_integral", "kdf_theorem"])
+    @pytest.mark.parametrize("method", ["alpha_integral"])
     @pytest.mark.parametrize("form", FORMS)
     def test_error_within_estimate(self, form, method, digits, g4_hot):
         ref = TRUTH["f", 4] if form == "f" else g4_hot
