@@ -3,9 +3,9 @@ two-variable (Kampe de Feriet type) double series.
 
 Single series p+1Fp draw every term from one ratio recurrence and are
 summed directly inside the unit interval; at z = 1 a positive excess gives
-a power tail whose exact asymptotic expansion is summed through Hurwitz
-zeta, and at z = -1 the alternating structure feeds the Chebyshev
-accelerator.
+a power tail whose exact asymptotic expansion is summed as Hurwitz zeta
+values, all from one Euler-Maclaurin pass, and at z = -1 the alternating
+structure feeds the Chebyshev accelerator.
 The double series come in three independent flavors: a rigorous truncated
 square, an iterated sum with tail extrapolation (float64 vector engine), and
 a Beta-kernel reduction to a one-dimensional integral of closed-form kernels,
@@ -16,11 +16,11 @@ point, on Python integers scaled by 2^wp with wp = prec + 20 guard bits.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import count, islice
+from itertools import accumulate, chain, count, islice
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -172,48 +172,89 @@ def _pfq_interior(spec: PFQSpec, zv, ctx: PrecisionContext):
             raise BudgetError("pFq interior sum exhausted its budget", best=s)
 
 
-def _bernoulli_poly(n: int, x: Fraction, bernoulli) -> Fraction:
-    """B_n(x) exactly from B_0 .. B_n; the odd ones past B_1 vanish."""
-    return sum(
-        math.comb(n, j) * bernoulli[j] * x ** (n - j)
-        for j in range(n + 1)
-        if j < 2 or j % 2 == 0
-    )
-
-
 def _tail_coeffs(spec: PFQSpec, count: int) -> tuple:
-    """c_0 .. c_{count-1} of t_n = C n^(-1-e) sum_k c_k n^-k, exactly.
+    """c_0 .. c_{count-1} of t_n = C n^(-s) sum_k c_k n^-k, s = 1 + e, exactly.
 
-    t_n = C prod Gamma(n+a_i) / (prod Gamma(n+b_j) Gamma(n+1)), so Stirling's
-    series gives log(t_n / C) = -(1+e) log n + sum_k d_k n^-k with
-        d_k = (-1)^(k+1) [sum B_(k+1)(a_i) - sum B_(k+1)(b_j) - B_(k+1)(1)]
-              / (k (k+1)),
-    and the c_k exponentiate it: c_0 = 1, c_n = (1/n) sum_k k d_k c_(n-k).
-    Repeated parameters are weighted rather than evaluated again.
+    With x = 1/n and G = sum c_k x^k, t_(n+1)/t_n = A(n)/B(n), A = prod(n+a_i)
+    and B = (n+1) prod(n+b_j) give B~(x) G(x/(1+x)) = (1+x)^s A~(x) G(x), with
+    P~(x) = x^deg P(1/x); its order m fixes (m-1) c_(m-1) from c_0 .. c_(m-2).
+    c_k is an integer-valued polynomial of degree 2k in the parameters, so
+    g_k = c_k h^k is an integer for h = D^4, D their common denominator: each
+    series is scaled so, and G(x/(1+x)) comes from the differences (E - h)^i g.
     """
-    multiplicity = Counter(spec.upper)
-    multiplicity.subtract(spec.lower)
-    multiplicity[Fraction(1)] -= 1
-    weights = [(x, w) for x, w in multiplicity.items() if w]
-    bernoulli = [Fraction(*mp.bernfrac(j)) for j in range(count + 1)]
-    d = [Fraction(0)]
-    for k in range(1, count):
-        b = sum(w * _bernoulli_poly(k + 1, x, bernoulli) for x, w in weights)
-        d.append((-1) ** (k + 1) * b / (k * (k + 1)))
-    c = [Fraction(1)]
-    for n in range(1, count):
-        c.append(sum(k * d[k] * c[n - k] for k in range(1, n + 1)) / n)
-    return tuple(c)
+    s = 1 + pfq_excess(spec)
+    h = math.lcm(*(p.denominator for p in spec.upper + spec.lower)) ** 4
+
+    def scaled(roots):  # prod(1 + r x), coefficient i times h^i
+        poly = [1]
+        for r in roots:
+            poly = [lo + r * hi for lo, hi in zip(poly + [0], [0] + poly)]
+        return [int(c * h**i) for i, c in enumerate(poly)]
+
+    low, up, power = scaled(spec.lower + (Fraction(1),)), scaled(spec.upper), [1]
+    for i in range(count):  # (1+x)^s
+        power.append(int(power[-1] * (s - i) * h / (i + 1)))
+    rho = [sum(map(mul, up, reversed(power[: i + 1]))) for i in range(count + 1)]
+    g, u, diag = [1], [1], []  # diag[i] = ((E - h)^i g)(len(diag) - i)
+    for m in range(2, count + 1):
+        d1 = list(accumulate(diag, lambda a, d: a - h * d, initial=0))  # g_(m-1) = 0
+        res = sum(map(mul, low, chain((-h * sum(d1), d1[-1]), reversed(u))))
+        g.append((res - sum(map(mul, rho[2:], reversed(g)))) // ((m - 1) * h))
+        diag = [d + g[-1] for d in d1]
+        u.append(diag[-1])
+    return tuple(Fraction(gk, h**k) for k, gk in enumerate(g))
+
+
+def _hurwitz_family(coeffs, s: Fraction, n: int, size):
+    """[c_k zeta(s + k, n) for c_k in coeffs] and a bound on their summed
+    error: n <= j < L directly, then one Euler-Maclaurin pass at L >= s + k
+    (Johansson, Numer. Algorithms 69, 2015) for every k, with c_k L^(-s-k) in
+    floating point and the bracket of
+        zeta(s, L) = L^-s [L/(s-1) + 1/2 + sum_i B_2i/(2i)! (s)_(2i-1) L^(1-2i)]
+    in integers scaled by 2^wp, wp = prec + GUARD_BITS.  For x^-s a remainder
+    is at most the first term left out: each bracket stops at a term that moves
+    c_k zeta by less than size 2^-wp, or at its smallest, and the bound sums them.
+    """
+    wp = mp.mp.prec + GUARD_BITS
+    bern = []  # B_2i/(2i)! as (integer, shift) at wp bits
+
+    def term(i, u):
+        while len(bern) < i:
+            with mp.workprec(wp):
+                b = mp.bernoulli(2 * len(bern) + 2) / mp.factorial(2 * len(bern) + 2)
+                bern.append((to_fixed(b._mpf_, wp - mp.mag(b)), wp - mp.mag(b)))
+        return bern[i - 1][0] * u >> bern[i - 1][1]
+
+    top = max(n, math.ceil(s) + len(coeffs))
+    head = [mp.mpf(j) ** -as_real(s) for j in range(n, top)]  # j^(-s-k)
+    p, q = s.numerator, s.denominator  # p/q = s + k below
+    lead = mp.mpf(top) ** -as_real(s)
+    out, rem = [], mp.mpf(0)
+    for ck in coeffs:
+        w = ck * lead  # c_k L^(-s-k)
+        cut = int(size / abs(w)) if w else 0
+        acc = (top * q << wp) // (p - q) + (1 << (wp - 1))
+        u = (p << wp) // (q * top)  # (s+k)_(2i-1) L^(1-2i) 2^wp
+        t = term(1, u)
+        for i in count(2):
+            u = u * (p + q * (2 * i - 3)) * (p + q * (2 * i - 2)) // (q * q * top * top)
+            nxt = term(i, u)
+            if abs(t) <= cut or abs(nxt) >= abs(t):
+                break
+            acc, t = acc + t, nxt
+        out.append(w * mp.mpf((acc, -wp)) + ck * mp.fsum(head))
+        rem += abs(w) * abs(t)
+        lead, p, head = lead / top, p + q, [x / j for x, j in zip(head, count(n))]
+    return out, mp.ldexp(rem, -wp)
 
 
 def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     """p+1Fp at z = 1: N terms directly, the rest through Hurwitz zeta.
 
     The tail sum_{n>=N} t_n = C sum_k c_k zeta(1+e+k, N) is asymptotic in N
-    (Buhring, Proc. AMS 114, 1992); its last kept term is the estimate, and
-    N doubles until that meets the goal or would pass max_terms.  The effort
-    is N.  mp.zeta(s, N) is good to about 10^-(dps+9) absolutely, so each
-    zeta value takes log10 |C c_k| more digits.
+    (Buhring, Proc. AMS 114, 1992); its last kept term, plus the bound of
+    :func:`_hurwitz_family` on the zeta values, is the estimate, and N doubles
+    until that meets the goal or would pass max_terms.  The effort is N.
     """
     goal = ctx.goal()
     scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
@@ -221,7 +262,6 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     )
     exact = _tail_coeffs(spec, int(0.9 * ctx.digits) + 10)
     coeffs = [scale * as_real(ck) for ck in exact]
-    power = 1 + as_real(pfq_excess(spec))
     terms = _pfq_terms(spec, mp.mpf(1))
     s = mp.mpf(0)
     m = 0
@@ -230,12 +270,9 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
         n_head = min(n_head, ctx.max_terms)
         s = sum(islice(terms, n_head - m), s)
         m = n_head
-        tail = []
-        for k, ck in enumerate(coeffs):
-            with mp.workdps(mp.mp.dps + int(mp.log10(abs(ck) + 1))):
-                tail.append(ck * mp.zeta(power + k, n_head))
+        tail, bound = _hurwitz_family(coeffs, 1 + pfq_excess(spec), n_head, abs(s))
         value = s + mp.fsum(tail)
-        est = abs(tail[-1])
+        est = abs(tail[-1]) + bound
         if est <= goal * abs(value):
             return Estimate(value, est, n_head)
         if n_head >= ctx.max_terms:
@@ -257,11 +294,11 @@ def pfq(spec: PFQSpec, z, ctx: PrecisionContext):
 
     :func:`pfq_converges` decides the domain here and nowhere else: a
     boundary point the excess does not carry raises DomainError.  Interior
-    arguments use plain summation with a geometric tail bound;
-    z = 1 sums digits + 20 terms and adds the excess-driven power tail
-    through its exact expansion in Hurwitz zeta values; z = -1 uses the
-    alternating-series accelerator.  Each reports the bound it stopped on
-    and the terms it summed, as an :class:`Estimate`.
+    arguments use plain summation with a geometric tail bound; z = 1 sums
+    digits + 20 terms and adds the excess-driven power tail through its exact
+    expansion in Hurwitz zeta values, one Euler-Maclaurin pass for all; z = -1
+    uses the alternating-series accelerator.  Each reports the bound it
+    stopped on and the terms it summed, as an :class:`Estimate`.
     """
     with ctx.working():
         zv = as_real(z)

@@ -312,8 +312,8 @@ def _ev_lf4_triple(config, ctx):
     return EvalOutcome(tuple(pairs))
 
 
-def _ev_q_route(form, n, method):
-    # L(form, n)'s nome integral against its value by method
+def _q_route(id_, name, desc, form, n, rhs, method):
+    # L(form, n)'s nome integral, named by its route id, against its value by method
     q_id = ROUTE_IDS[form, n][1]
 
     def ev(config, ctx):
@@ -321,7 +321,7 @@ def _ev_q_route(form, n, method):
         ref = l_value(form, n, method, ctx).value
         return EvalOutcome(((f"q:{q_id}", v, ref),))
 
-    return ev
+    return Identity(id_, name, "value", desc, f"q_integral({q_id})", rhs, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +502,14 @@ _REGISTRY_ENTRIES = (
     Identity("I25", "lf4-triple", "value",
              "three series expressions for the weight-4 character sum agree pairwise",
              "alternating 5F4", "positive split 5F4 / character sum", _ev_lf4_triple),
-    Identity("I26a", "prop21-1", "value",
-             "weight-3 nome-space integral for L(f,3)",
-             "q_integral(prop21_1)", "l_psi(1) * l_chi4(3)",
-             _ev_q_route("f", 3, "factorized")),
-    Identity("I26b", "prop21-2", "value",
-             "weight-3 nome-space integral for L(g,3)",
-             "q_integral(prop21_2)", "alpha-space integral",
-             _ev_q_route("g", 3, "alpha_integral")),
-    Identity("I26c", "prop31-1", "value",
-             "weight-4 nome-space integral for L(f,4)",
-             "q_integral(prop31_1)", "l_psi(2) * l_chi4(4)",
-             _ev_q_route("f", 4, "factorized")),
-    Identity("I26d", "prop31-2", "value",
-             "weight-4 nome-space integral for L(g,4)",
-             "q_integral(prop31_2)", "alpha-space integral",
-             _ev_q_route("g", 4, "alpha_integral")),
+    _q_route("I26a", "prop21-1", "weight-3 nome-space integral for L(f,3)",
+             "f", 3, "l_psi(1) * l_chi4(3)", "factorized"),
+    _q_route("I26b", "prop21-2", "weight-3 nome-space integral for L(g,3)",
+             "g", 3, "alpha-space integral", "alpha_integral"),
+    _q_route("I26c", "prop31-1", "weight-4 nome-space integral for L(f,4)",
+             "f", 4, "l_psi(2) * l_chi4(4)", "factorized"),
+    _q_route("I26d", "prop31-2", "weight-4 nome-space integral for L(g,4)",
+             "g", 4, "alpha-space integral", "alpha_integral"),
     Identity("I27", "pochhammer", "exact",
              "Pochhammer quotient closed forms 2n+1, 4n+1, 4n+3 in exact rationals",
              "incremental rising-factorial quotient", "linear closed form",

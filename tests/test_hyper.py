@@ -1,5 +1,8 @@
 """Single-series hypergeometrics: summation routes, kernels, classification."""
 
+import math
+import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -10,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees, pochhammer
-from thetal.context import BudgetError, DomainError, PrecisionContext, as_real
+from thetal.context import (
+    BudgetError,
+    DomainError,
+    PrecisionContext,
+    as_real,
+    noise_floor,
+)
 from thetal.hyper import (
     PFQSpec,
     euler_2f1,
@@ -18,7 +27,9 @@ from thetal.hyper import (
     pfq_converges,
     pfq_excess,
     _agm_ambient,
+    _hurwitz_family,
     _pfq_terms,
+    _tail_coeffs,
     series_kernel,
 )
 from thetal.lvalues import LF4_POS1, LF4_POS3, SAMART_5F4
@@ -191,6 +202,11 @@ class TestPfqInterior:
             pfq(spec, -2, ctx)
 
 
+# 5F4(3/2,3/2,3/2,1,1; 2,2,2,2; 1) to 55 digits, where mpmath's own z = 1
+# summation costs seconds; the output of
+# python -c "import mpmath as mp; mp.mp.dps = 55; print(mp.hyper([mp.mpf(3)/2]*3 + [1, 1], [2]*4, 1))"
+SAMART_AT_ONE = "1.428001974526322504658836463058635380498246393758904999"
+
 # p+1Fp at z = 1 with exact values; 2F1(-1/2,1;2) has a sign change early
 UNIT_VALUES = {
     "3F2(1,1,1;2,2)": (PFQSpec((1, 1, 1), (2, 2)), lambda: mp.zeta(2)),
@@ -221,10 +237,9 @@ class TestPfqBoundary:
             assert abs(got - want) <= mp.mpf(10) ** -(digits + 2) * abs(want)
 
     def test_samart_5f4_at_one(self):
-        # mpmath's own z = 1 summation costs seconds, so one hot value
-        # judges both precisions
+        # one hot value judges both precisions
         with mp.workdps(55):
-            want = mp.hyper([mp.mpf(3) / 2] * 3 + [1, 1], [2] * 4, 1)
+            want = mp.mpf(SAMART_AT_ONE)
         for digits in (20, 50):
             got = pfq(SAMART_5F4, 1, PrecisionContext(digits=digits)).value
             with mp.workdps(55):
@@ -238,6 +253,28 @@ class TestPfqBoundary:
             pfq(SAMART_5F4, 1, ctx)
         assert mp.isfinite(info.value.best)
         assert info.value.estimate > 0
+
+    @pytest.mark.parametrize("max_terms", (4, 8))
+    @pytest.mark.parametrize(
+        "spec,exact",
+        ((SAMART_5F4, lambda: mp.mpf(SAMART_AT_ONE)), UNIT_VALUES["LF4_POS1"]),
+        ids=("SAMART_5F4", "LF4_POS1"),
+    )
+    def test_small_budget_is_prompt_and_honest(self, spec, exact, max_terms):
+        # N = max_terms leaves s + k far past 2 pi N, where an Euler-Maclaurin
+        # pass taken at N diverges; the sum must still end at once, and what
+        # it reports, returned or carried by BudgetError, must bound its error
+        ctx = PrecisionContext(digits=30, max_terms=max_terms)
+        start = time.perf_counter()
+        try:
+            value, est, _ = pfq(spec, 1, ctx)
+        except BudgetError as err:
+            # LF4_POS1's tail expansion converges for n > 1/4: N = 4 must do
+            assert spec is not LF4_POS1
+            value, est = err.best, err.estimate
+        assert time.perf_counter() - start < 5
+        with mp.workdps(55):
+            assert abs(value - exact()) <= est
 
     def test_divergent_at_one_raises(self, ctx):
         with pytest.raises(DomainError):
@@ -258,6 +295,79 @@ class TestPfqBoundary:
         s = PFQSpec(upper=("3/2", "3/2", "3/2"), lower=(1, "1/2"))
         with pytest.raises(DomainError):
             pfq(s, -1, ctx)
+
+
+def _stirling_tail_coeffs(spec, count):
+    """The c_k of hyper._tail_coeffs from Stirling's series, the slow
+    reference: log(t_n / C) = -(1+e) log n + sum_k d_k n^-k with
+        d_k = (-1)^(k+1) [sum B_(k+1)(a_i) - sum B_(k+1)(b_j) - B_(k+1)(1)]
+              / (k (k+1))
+    over Bernoulli polynomials, exponentiated by c_0 = 1, c_n = (1/n) sum_k
+    k d_k c_(n-k), all in Fractions; repeated parameters are weighted."""
+    multiplicity = Counter(spec.upper)
+    multiplicity.subtract(spec.lower)
+    multiplicity[Fraction(1)] -= 1
+    weights = [(x, w) for x, w in multiplicity.items() if w]
+    bernoulli = [Fraction(*mp.bernfrac(j)) for j in range(count + 1)]
+
+    def bernoulli_poly(n, x):  # B_n(x); the odd B_j past B_1 vanish
+        return sum(
+            math.comb(n, j) * bernoulli[j] * x ** (n - j)
+            for j in range(n + 1)
+            if j < 2 or j % 2 == 0
+        )
+
+    d = [Fraction(0)]
+    for k in range(1, count):
+        b = sum(w * bernoulli_poly(k + 1, x) for x, w in weights)
+        d.append((-1) ** (k + 1) * b / (k * (k + 1)))
+    c = [Fraction(1)]
+    for n in range(1, count):
+        c.append(sum(k * d[k] * c[n - k] for k in range(1, n + 1)) / n)
+    return tuple(c)
+
+
+# the unit-argument specs of the closed forms, and a 2F1 with integer
+# parameters, whose c_k are integers
+TAIL_SPECS = {
+    "SAMART_5F4": SAMART_5F4,
+    "LF4_POS1": LF4_POS1,
+    "LF4_POS3": LF4_POS3,
+    "2F1(1,3;5)": PFQSpec((1, 3), (5,)),
+}
+
+
+@pytest.mark.parametrize("spec", TAIL_SPECS.values(), ids=TAIL_SPECS.keys())
+def test_tail_coeffs_against_stirling(spec):
+    # 0.9 * 300 + 10 coefficients serve 300 digits; fewer are a prefix
+    want = _stirling_tail_coeffs(spec, 280)
+    for count in (28, 100, 280):
+        assert _tail_coeffs(spec, count) == want[:count]
+
+
+@pytest.mark.parametrize("digits", (20, 50, 100))
+@pytest.mark.parametrize("name", list(TAIL_SPECS)[:3])
+def test_hurwitz_family_against_mpmath_zeta(name, digits):
+    """One Euler-Maclaurin pass against one mp.zeta call per coefficient, 20
+    digits hotter; mp.zeta(s, N) is good to about 10^-(dps+9) absolutely, so
+    each value also takes log10 |c_k| digits.  N = 4 puts the pass past N,
+    and a size of 10^digits stops each bracket that many digits early, so
+    the remainder bound, not the noise floor, has to cover the error."""
+    ctx, spec = PrecisionContext(digits=digits), TAIL_SPECS[name]
+    exact = _tail_coeffs(spec, int(0.9 * digits) + 10)
+    s = 1 + pfq_excess(spec)
+    for n in (4, digits + 20):
+        want = []
+        for k, c in enumerate(exact):
+            with mp.workdps(ctx.workdigits + 20 + int(mp.log10(abs(as_real(c)) + 1))):
+                want.append(as_real(c) * mp.zeta(as_real(s) + k, n))
+        for size in (1, 10**digits):
+            with ctx.working():
+                coeffs = [as_real(c) for c in exact]
+                tail, bound = _hurwitz_family(coeffs, s, n, mp.mpf(size))
+            with mp.workdps(ctx.workdigits + 20):
+                err = abs(mp.fsum(tail) - mp.fsum(want))
+                assert err <= bound + noise_floor(mp.fsum(want), ctx), (n, size)
 
 
 @given(

@@ -51,6 +51,13 @@ class TestRegistryShape:
             assert e.description and e.lhs_method and e.rhs_method
             assert e.lhs_method != e.rhs_method
 
+    def test_q_routes_name_their_table_ids(self):
+        # I26a-d follow lvalues.ROUTE_IDS: each names the nome integral that
+        # l_value(form, s, "q_integral") runs
+        got = [REGISTRY[f"I26{c}"].lhs_method for c in "abcd"]
+        table = lvalues.ROUTE_IDS.values()
+        assert got == [f"q_integral({ids[1]})" for ids in table]
+
     def test_unknown_id(self, config):
         with pytest.raises(DomainError):
             identity_info("I99")
