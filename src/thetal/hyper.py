@@ -252,16 +252,18 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
     """p+1Fp at z = 1: N terms directly, the rest through Hurwitz zeta.
 
     The tail sum_{n>=N} t_n = C sum_k c_k zeta(1+e+k, N) is asymptotic in N
-    (Buhring, Proc. AMS 114, 1992); its last kept term, plus the bound of
-    :func:`_hurwitz_family` on the zeta values, is the estimate, and N doubles
-    until that meets the goal or would pass max_terms.  The effort is N.
+    (Buhring, Proc. AMS 114, 1992) and is cut at K terms.  Its terms can
+    alternate in size, so the estimate is its last kept term plus its first
+    omitted one, plus the bound of :func:`_hurwitz_family` on the zeta
+    values; N doubles until that meets the goal or would pass max_terms.
+    The effort is N.
     """
     goal = ctx.goal()
     scale = mp.fprod(mp.gamma(as_real(l)) for l in spec.lower) / mp.fprod(
         mp.gamma(as_real(u)) for u in spec.upper
     )
-    exact = _tail_coeffs(spec, int(0.9 * ctx.digits) + 10)
-    coeffs = [scale * as_real(ck) for ck in exact]
+    cut, s1 = int(0.9 * ctx.digits) + 10, 1 + pfq_excess(spec)
+    coeffs = [scale * as_real(ck) for ck in _tail_coeffs(spec, cut + 1)]
     terms = _pfq_terms(spec, mp.mpf(1))
     s = mp.mpf(0)
     m = 0
@@ -270,9 +272,10 @@ def _pfq_unit(spec: PFQSpec, ctx: PrecisionContext):
         n_head = min(n_head, ctx.max_terms)
         s = sum(islice(terms, n_head - m), s)
         m = n_head
-        tail, bound = _hurwitz_family(coeffs, 1 + pfq_excess(spec), n_head, abs(s))
+        tail, bound = _hurwitz_family(coeffs[:cut], s1, n_head, abs(s))
+        (omitted,), _ = _hurwitz_family(coeffs[cut:], s1 + cut, n_head, abs(s))
         value = s + mp.fsum(tail)
-        est = abs(tail[-1]) + bound
+        est = abs(tail[-1]) + abs(omitted) + bound
         if est <= goal * abs(value):
             return Estimate(value, est, n_head)
         if n_head >= ctx.max_terms:

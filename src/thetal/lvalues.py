@@ -10,8 +10,8 @@ modular-parameter integral is that reduction before its termwise Beta
 integration, so one evaluation serves both.  Every route reports an
 honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
-tanh-sinh passes that evaluate each node's costly factors once: Mellin at
-s = 3 and 4 (per form) and the four nome integrals, each in two halves over
+tanh-sinh passes that evaluate each node's costly factors once: the four
+nome integrals and Mellin at s = 3 and 4 for both forms, in two halves over
 u = -log(q)/pi, and the six double-series reductions.  The registry never
 plays two members of one pass against each other, so each still faces a
 route computed apart.
@@ -215,7 +215,7 @@ def alpha_integral(rhs_id: str, ctx: PrecisionContext):
 
 
 # ---------------------------------------------------------------------------
-# integrals over the nome
+# integrals over the half-period: the nome integrals and the Mellin transforms
 
 _KLOG = series_kernel((1, 1), (2,))
 _KATANH = series_kernel(("1/2", 1), ("3/2",))
@@ -243,34 +243,6 @@ def lambert_closed(name: str, a, ca):
 
 _Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
 
-
-def _u_halves(integrand, U, decay, ctx: PrecisionContext):
-    """(lower, upper) :func:`integrate01` results of int F(u) du over u =
-    -log(q)/pi cut at U, integrand(u, jac) giving F's members at u times jac
-    (or :func:`isolated` errors).  The upper half takes u = U - log(v)/pi.
-    Members die like exp(-pi/(decay u)) as q -> 1, flat zero to tanh-sinh,
-    so the lower half takes 1/u = 1/U - decay log(v)/(2 pi), where that
-    decay is sqrt(v) and the integrand v^(-1/2) times powers of log v.  The
-    upper half must go like v^(p-1), p >= 1/2, too."""
-
-    def lower(v, cv):
-        u = 1 / (1 / U - decay * mp.log(v) / (2 * mp.pi))
-        return integrand(u, decay * u * u / (2 * mp.pi * v))
-
-    def upper(v, cv):
-        return integrand(U - mp.log(v) / mp.pi, 1 / (mp.pi * v))
-
-    return tuple(integrate01(f, ctx, left_exponent=0.5) for f in (lower, upper))
-
-
-def _joined(halves, ctx: PrecisionContext):
-    with ctx.working():  # each member's halves summed, or the error one met
-        return tuple(
-            next((r for r in pair if isinstance(r, Exception)), None)
-            or Estimate(*(a + b for a, b in zip(*pair))) for pair in zip(*halves)
-        )
-
-
 # id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/2
 _Q_INTEGRALS = {
     "prop21_1": (2, Fraction(1, 8), "wt3", "lemma22_1"),
@@ -280,97 +252,122 @@ _Q_INTEGRALS = {
 }
 
 
-def _q_weight(tag: str, t2, t3, t4):
-    """A nome integral's theta weight from theta2, theta3, theta4 at q: wt3
-    = theta2^4 theta4^2, and wt4_f = 2 theta4(q^2)^8 - theta4^8 and wt4_g =
-    2 theta4(q^4)^8 - theta4(q^2)^8 by the doubling identities theta4(q^2)^2
-    = theta3 theta4, theta3(q^2)^2 = (theta3^2 + theta4^2)/2 (I16, I15)."""
+def _theta_weight(tag: str, t2, t3, t4):
+    """A pass member's theta factor from theta2, theta3, theta4 at q.  The
+    nome weights are wt3 = theta2^4 theta4^2, and wt4_f = 2 theta4(q^2)^8 -
+    theta4^8 and wt4_g = 2 theta4(q^4)^8 - theta4(q^2)^8 by the doubling
+    identities theta4(q^2)^2 = theta3 theta4, theta3(q^2)^2 = (theta3^2 +
+    theta4^2)/2 (I16, I15); the forms' theta products are f = theta2^4
+    theta4^2/16 and g = theta2^4 theta4(q^2)^2/16 = theta2^4 theta4 theta3/16."""
     if tag == "wt3":
         return t2**4 * t4**2
     if tag == "wt4_f":
         return t4**4 * (2 * t3**4 - t4**4)
-    return (t3 * t4) ** 2 * (t3**4 + t4**4) / 2  # wt4_g
+    if tag == "wt4_g":
+        return (t3 * t4) ** 2 * (t3**4 + t4**4) / 2
+    return t2**4 * t4 * (t4 if tag == "f" else t3) / 16
+
+
+# the default members of a half-period pass: the nome integrals by id, and
+# (form, s) for the Mellin transform of each form's theta product at s = 3, 4
+_PASS_MEMBERS = tuple(_Q_INTEGRALS) + tuple(
+    (form, mp.mpf(s)) for form in FORMS for s in (3, 4)
+)
+
+
+def _node(u, jac, members, ctx: PrecisionContext):
+    """Each member's integrand at half-period u times jac, or the error it
+    met (:func:`isolated`).  The thetas at u, each :func:`_theta_weight`,
+    power of u and Lambert sum are built once, on first use, in the members'
+    order, so one fails as it would alone."""
+
+    @cache
+    def at_u(kind, key=None):
+        if kind == "thetas":
+            return theta_involution(u, (2, 3, 4), ctx)
+        if kind == "nome":
+            return mp.exp(-mp.pi * u)
+        if kind == "weight":
+            return _theta_weight(key, *at_u("thetas"))
+        if kind == "power":
+            return u ** (key - 1)
+        if at_u("nome") < _Q_SERIES_CUT:  # a Lambert sum
+            return lambert_series(key, at_u("nome"), ctx)
+        t2, t3, t4 = at_u("thetas")
+        return lambert_closed(key, (t2 / t3) ** 4, (t4 / t3) ** 4)
+
+    def value(member):
+        if member in _Q_INTEGRALS:
+            tag, name = _Q_INTEGRALS[member][2:]
+            return at_u("weight", tag) * at_u("lambert", name) * jac
+        form, sv = member
+        return at_u("weight", form) * at_u("power", sv) * jac
+
+    return isolated(partial(value, m) for m in members)
 
 
 @lru_cache(maxsize=4)  # a registry pass at one precision fills one
-def _q_family(ctx: PrecisionContext, q_ids=tuple(_Q_INTEGRALS)):
-    """The nome integrals q_ids over u cut at 1 (each weight dies like
-    exp(-pi/(2u)) or faster).  A node evaluates the thetas at u, whence every
-    :func:`_q_weight`, and each Lambert sum once for all, fetched in each
-    one's order, so one fails as it would alone."""
+def _u_pass(ctx: PrecisionContext, U, members):
+    """{member: its integral over u = -log(q)/pi} for members as :func:`_node`
+    takes them, each an :class:`Estimate` or the error either half met.
 
-    def integrand(u, jac):
-        q = mp.exp(-mp.pi * u)
-        below = q < _Q_SERIES_CUT
+    The integral runs in two halves cut at U.  The upper half takes u = U -
+    log(v)/pi, on which each integrand must go like v^(p-1), p >= 1/2.  A
+    member dies like exp(-pi/(c u)) as q -> 1 (c = 4 for g's theta product,
+    2 for the rest), flat zero to tanh-sinh, so the lower half takes 1/u =
+    1/U - c log(v)/(2 pi), where that decay is sqrt(v) and the integrand
+    v^(-1/2) times powers of log v.  One upper pass serves every member and
+    one lower pass each c; a member freezes at its own level in each
+    (:func:`integrate01`), as in a pass of its own.
+    """
 
-        @cache
-        def at_u():
-            return theta_involution(u, (2, 3, 4), ctx)
+    def lower(c, v, cv):
+        u = 1 / (1 / U - c * mp.log(v) / (2 * mp.pi))
+        return _node(u, c * u * u / (2 * mp.pi * v), groups[c], ctx)
 
-        @cache
-        def lam(name):
-            if below:
-                return lambert_series(name, q, ctx)
-            t2, t3, t4 = at_u()
-            return lambert_closed(name, (t2 / t3) ** 4, (t4 / t3) ** 4)
+    def upper(v, cv):
+        return _node(U - mp.log(v) / mp.pi, 1 / (mp.pi * v), members, ctx)
 
-        def member(tag, name):
-            return _q_weight(tag, *at_u()) * lam(name) * jac
-
-        return isolated(partial(member, *_Q_INTEGRALS[q][2:]) for q in q_ids)
-
-    return dict(zip(q_ids, _joined(_u_halves(integrand, 1, 2, ctx), ctx)))
+    run = partial(integrate01, ctx=ctx, left_exponent=0.5)
+    groups, low = {}, {}
+    for m in members:
+        groups.setdefault(4 if m[0] == "g" else 2, []).append(m)
+    for c, group in groups.items():
+        low.update(zip(group, run(partial(lower, c))))
+    pairs = zip(map(low.get, members), run(upper))
+    with ctx.working():  # each member's halves summed, or the error one met
+        return {
+            m: next((r for r in pair if isinstance(r, Exception)), None)
+            or Estimate(*(a + b for a, b in zip(*pair)))
+            for m, pair in zip(members, pairs)
+        }
 
 
 def q_integral(q_id: str, ctx: PrecisionContext):
     """L-value as a nome integral of a theta weight against a Lambert sum,
-    at full working precision like the other quadrature routes."""
+    at full working precision like the other quadrature routes: a member of
+    the default :func:`_u_pass`, cut at u = 1, which holds Mellin at s = 3
+    and 4 too, so whichever of the two routes asks first runs all eight."""
     try:
         power, pref = _Q_INTEGRALS[q_id][:2]
     except KeyError:
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
-    val, est, calls = settled(_q_family(ctx)[q_id])
+    val, est, calls = settled(_u_pass(ctx, 1, _PASS_MEMBERS)[q_id])
     with ctx.working():
         factor = _pi_factor(power + 1, pref)  # dq/q = -pi du
         return floored(val * factor, est * factor, calls, ctx, "nome integral")
 
 
-# ---------------------------------------------------------------------------
-# Mellin transform
-
-
-def _theta_product_at(form: str, u, ctx: PrecisionContext):
-    # h(e^{-pi u}) for h = f, g; the involuted evaluators keep both ends cheap.
-    # g's theta4(q^2)^2 is theta3 theta4 by the doubling identity (registry I16)
-    t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
-    return t2**4 * t4 * (t4 if form == "f" else t3) / 16
-
-
-@lru_cache(maxsize=4)  # a registry pass at one precision fills two
-def _mellin_halves(form: str, svs, split, ctx: PrecisionContext):
-    """Both halves' :func:`_u_halves` results of int h(e^(-pi u)) u^(s-1) du
-    for every exponent in svs, which share h at each node."""
-    with ctx.working():
-        U = mp.mpf(1) if split is None else as_real(split) / mp.pi
-
-    def integrand(u, jac):
-        h = _theta_product_at(form, u, ctx)
-        return tuple(h * u ** (sv - 1) * jac for sv in svs)
-
-    return _u_halves(integrand, U, 2 if form == "f" else 4, ctx)
-
-
 def mellin(form: str, s, ctx: PrecisionContext, split=None):
     """L(form, s) = (1/Gamma(s)) int_0^inf h(e^-t) t^(s-1) dt.
 
-    The integral runs over u = t/pi by :func:`_u_halves`, cut at ``split``
-    (default pi): the upper half by t = split - log v, the lower one from
-    the involuted side, where h(e^-t) ~ exp(-pi^2/(2t)) for f and
-    exp(-pi^2/(4t)) for g (a_0 = 0) become powers of v.  The result must
-    not depend on the cut; the split-invariance gate in
-    tests/test_acceptance.py moves it by a factor of two in both directions
-    and checks that.  s = 3 and 4 at the default split share one pass per
-    form; others run the same code alone.
+    The integral runs over u = t/pi in :func:`_u_pass`, cut at ``split``
+    (default pi), where h(e^-t) ~ exp(-pi^2/(2t)) for f and exp(-pi^2/(4t))
+    for g (a_0 = 0).  The result must not depend on the cut; the
+    split-invariance gate in tests/test_acceptance.py moves it by a factor
+    of two in both directions and checks that.  s = 3 and 4 at the default
+    cut read the default pass, with the nome integrals of :func:`q_integral`;
+    any other s or cut runs the same pass with that one member.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")
@@ -380,9 +377,9 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
             raise DomainError("the transform needs s > 0")
         if split is not None and not as_real(split) > 0:
             raise DomainError("split point must be positive")
-        svs = (mp.mpf(3), mp.mpf(4)) if split is None and sv in (3, 4) else (sv,)
-        joined = _joined(_mellin_halves(form, svs, split, ctx), ctx)
-        val, est, calls = settled(joined[svs.index(sv)])
+        U = 1 if split is None else as_real(split) / mp.pi
+        members = _PASS_MEMBERS if split is None and sv in (3, 4) else ((form, sv),)
+        val, est, calls = settled(_u_pass(ctx, U, members)[form, sv])
         scale = mp.pi**sv / gamma(sv, ctx)
         return floored(scale * val, scale * est, calls, ctx, "mellin transform")
 

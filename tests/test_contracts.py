@@ -90,8 +90,7 @@ def test_module_caches_stay_bounded_across_precisions():
     assert info.maxsize is not None and info.currsize <= info.maxsize
     # the shared-pass memos: one more context than each holds, at 10 digits
     passes = {
-        lvalues._mellin_halves: lambda ctx: lvalues.mellin("f", 3, ctx),
-        lvalues._q_family: lvalues._q_family,
+        lvalues._u_pass: lambda ctx: lvalues.mellin("f", 3, ctx),
         lvalues._kdf_family: lvalues._kdf_family,
     }
     for memo, fill in passes.items():

@@ -1,7 +1,8 @@
 """Every sum that reports an Estimate holds its own bound.
 
 pfq inside the unit interval and at z = +-1 (the four 5F4 specs of the
-closed forms among them), euler_2f1, the alternating accelerator and the
+closed forms among them, and at z = 1 also under budgets that cap its
+head, returned or raised), euler_2f1, the alternating accelerator and the
 zeta and Dirichlet L-values built on it, each against a reference 20 digits
 hotter that does not come from the route under test.  The unit-argument
 references are Hurwitz zeta values and a Mellin transform: mpmath's own
@@ -13,7 +14,7 @@ from itertools import count
 import mpmath as mp
 import pytest
 
-from thetal.context import Estimate, PrecisionContext
+from thetal.context import BudgetError, Estimate, PrecisionContext
 from thetal.hyper import PFQSpec, euler_2f1, pfq
 from thetal.lvalues import LF4_ALT, LF4_POS1, LF4_POS3, SAMART_5F4, l_chi4, l_psi, mellin
 from thetal.special import alternating_sum, zeta
@@ -82,6 +83,46 @@ def test_pfq(name, digits):
     res = pfq(spec, z, PrecisionContext(digits=digits))
     _holds(res, reference, digits)
     assert res.effort > 0
+
+
+# unit-argument sums whose tail terms c_k zeta(1+e+k, N) alternate in size:
+# when max_terms caps N, the last kept term alone fell below the error
+CAPPED_CASES = {
+    "2F1(-1/2,1;2;1)": (PFQSpec(("-1/2", 1), (2,)), lambda d: mp.mpf(2) / 3),
+    "2F1(1/2,1/2;3/2;1)": (PFQSpec(("1/2", "1/2"), ("3/2",)), lambda d: mp.pi / 2),
+}
+
+
+def _capped(name, digits, max_terms):
+    """pfq at z = 1 under max_terms, and whether it returned: a BudgetError's
+    best value and estimate stand in for the result it could not give."""
+    spec = CAPPED_CASES[name][0]
+    try:
+        return pfq(spec, 1, PrecisionContext(digits=digits, max_terms=max_terms)), True
+    except BudgetError as exc:
+        return Estimate(exc.best, exc.estimate), False
+
+
+@pytest.mark.parametrize(
+    "name,digits,max_terms", [("2F1(-1/2,1;2;1)", 30, 15), ("2F1(1/2,1/2;3/2;1)", 35, 27)]
+)
+def test_pfq_unit_capped_by_max_terms(name, digits, max_terms):
+    res, returned = _capped(name, digits, max_terms)
+    assert returned
+    _holds(res, CAPPED_CASES[name][1], digits)
+
+
+@pytest.mark.parametrize("digits", (10, 15, 30, 35))
+@pytest.mark.parametrize("name", list(CAPPED_CASES))
+def test_pfq_unit_budget_scan(name, digits):
+    # N = max_terms below the default digits + 20: returned values and
+    # BudgetError payloads alike bound their error
+    outcomes = set()
+    for max_terms in range(3, 58, 3):
+        res, returned = _capped(name, digits, max_terms)
+        _holds(res, CAPPED_CASES[name][1], digits)
+        outcomes.add(returned)
+    assert outcomes == {True, False}
 
 
 # name: (a, b, c, z), reference; 2F1(1/2,1;3/2;z) = atanh(sqrt z)/sqrt z

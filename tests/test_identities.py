@@ -1,6 +1,8 @@
 """Registry integrity, report semantics, and the verification driver."""
 
+import hashlib
 from dataclasses import replace
+from types import CodeType
 
 import mpmath as mp
 import pytest
@@ -57,6 +59,26 @@ class TestRegistryShape:
         got = [REGISTRY[f"I26{c}"].lhs_method for c in "abcd"]
         table = lvalues.ROUTE_IDS.values()
         assert got == [f"q_integral({ids[1]})" for ids in table]
+
+    def test_no_value_identity_plays_mellin_against_a_nome_integral(self):
+        # Mellin at s = 3, 4 and the four nome integrals are members of one
+        # shared pass (lvalues._u_pass), so no identity may compare the two.
+        # Each evaluator's l_value methods are read from its declaration: the
+        # names it closes over and the string constants of its code.
+        def methods(evaluate):
+            names = [c.cell_contents for c in evaluate.__closure__ or ()]
+            codes = [evaluate.__code__]
+            while codes:
+                consts = codes.pop().co_consts
+                names += consts
+                codes += [c for c in consts if isinstance(c, CodeType)]
+            return {n for n in names if n in lvalues.L_VALUE_METHODS}
+
+        used = {id_: methods(REGISTRY[id_].evaluate) for id_ in VALUE}
+        assert any("mellin" in m for m in used.values())
+        assert any("q_integral" in m for m in used.values())
+        for id_, m in used.items():
+            assert not {"mellin", "q_integral"} <= m, id_
 
     def test_unknown_id(self, config):
         with pytest.raises(DomainError):
@@ -298,6 +320,13 @@ class TestDriver:
         assert [r.id for r in reports] == list(ids)
         verify_all(replace(config, ids=ids, jobs=2))
         assert sizes == [3, 2]
+
+    def test_report_bytes_are_pinned(self):
+        # the 20-digit JSON of every identity, hashed; a change that moves
+        # report bytes on purpose updates the hash and lists the moved fields
+        text = reports_to_json(verify_all(RunConfig(digits=20)))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "fef36af32b02478df09ea43a0f36cee97e08afbad12d5a04bdd9ba01f3e75351"
 
     def test_reports_are_plain_data(self, config):
         r = verify("I27", config)

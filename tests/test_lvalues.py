@@ -222,10 +222,10 @@ class TestDoublingForms:
                 t4_2u = theta_involution(2 * u, 4, ctx)
                 t4_4u = theta_involution(4 * u, 4, ctx)
                 pairs = (
-                    (lvalues._q_weight("wt4_f", t2, t3, t4), 2 * t4_2u**8 - t4**8),
-                    (lvalues._q_weight("wt4_g", t2, t3, t4),
+                    (lvalues._theta_weight("wt4_f", t2, t3, t4), 2 * t4_2u**8 - t4**8),
+                    (lvalues._theta_weight("wt4_g", t2, t3, t4),
                      2 * t4_4u**8 - t4_2u**8),
-                    (lvalues._theta_product_at("g", u, ctx), t2**4 * t4_2u**2 / 16),
+                    (lvalues._theta_weight("g", t2, t3, t4), t2**4 * t4_2u**2 / 16),
                 )
                 for new, old in pairs:
                     assert abs(new - old) <= tol * abs(old), us
@@ -557,23 +557,26 @@ class TestSharedPasses:
     """Sibling integrals share one pass over their nodes.  Each member must
     come out of it as from a pass of its own, and fail alone."""
 
+    @staticmethod
+    def _lone(member, ctx):
+        return _mpfs(lvalues._u_pass(ctx, 1, (member,))[member])
+
     @pytest.mark.parametrize("digits", [20, 50])
     def test_mellin_members_match_lone_passes(self, digits):
         ctx = PrecisionContext(digits=digits)
+        shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
         for form in FORMS:
-            family = lvalues._mellin_halves(form, (mp.mpf(3), mp.mpf(4)), None, ctx)
-            for i, s in enumerate((3, 4)):
-                lone = lvalues._mellin_halves(form, (mp.mpf(s),), None, ctx)
-                for joint, alone in zip(family, lone):
-                    assert _mpfs(joint[i]) == _mpfs(alone[0]), (form, s)
+            for s in (3, 4):
+                member = (form, mp.mpf(s))
+                assert _mpfs(shared[member]) == self._lone(member, ctx), (form, s)
 
     @pytest.mark.parametrize("digits", [20, 50])
     def test_nome_members_match_lone_passes(self, digits):
         ctx = PrecisionContext(digits=digits)
-        family = lvalues._q_family(ctx)
-        assert tuple(family) == tuple(QID_TO_PAIR)
-        for q_id, joint in family.items():
-            assert _mpfs(joint) == _mpfs(lvalues._q_family(ctx, (q_id,))[q_id]), q_id
+        shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
+        assert tuple(shared)[:4] == tuple(QID_TO_PAIR)
+        for q_id in QID_TO_PAIR:
+            assert _mpfs(shared[q_id]) == self._lone(q_id, ctx), q_id
 
     @pytest.mark.parametrize("digits", [20, 50])
     def test_double_series_members_match_lone_passes(self, digits):
@@ -588,15 +591,23 @@ class TestSharedPasses:
     def test_a_failing_nome_integral_fails_alone(self, first):
         # the other three Lambert sums run out of terms below the series cut
         ctx = PrecisionContext(digits=20, max_terms=30)
-        lvalues._q_family.cache_clear()
+        lvalues._u_pass.cache_clear()
         # prop21_1 in a pass of its own, where no sibling can fail
-        lone = _mpfs(lvalues._q_family(ctx, ("prop21_1",))["prop21_1"])
+        lone = self._lone("prop21_1", ctx)
         order = [first] + [q for q in QID_TO_PAIR if q != first]
         for q_id in order:
             if q_id == "prop21_1":
                 q_integral(q_id, ctx)
-                assert _mpfs(lvalues._q_family(ctx)[q_id]) == lone
+                assert _mpfs(lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)[q_id]) == lone
                 continue
             lam = lvalues._Q_INTEGRALS[q_id][3]
             with pytest.raises(BudgetError, match=f"Lambert series {lam} exhausted"):
                 q_integral(q_id, ctx)
+        # the Mellin members of the same pass need no Lambert sum: they return,
+        # as from passes of their own
+        shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
+        for form in FORMS:
+            for s in (3, 4):
+                mellin(form, s, ctx)
+                member = (form, mp.mpf(s))
+                assert _mpfs(shared[member]) == self._lone(member, ctx), (form, s)
