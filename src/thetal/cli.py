@@ -234,7 +234,8 @@ def _cmd_lvalue(args):
             raise DomainError(
                 f"method {args.method} takes integer s, got {args.s!r}"
             ) from None
-        res = l_value(args.form, s_int, args.method, ctx)
+        # one value read: a half-period route runs its own member alone
+        res = l_value(args.form, s_int, args.method, ctx, shared=False)
     sv = _nstr(res.value, ctx.digits)
     se = _nstr(res.error_estimate, 3)
     _emit(args,

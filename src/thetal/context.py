@@ -159,14 +159,15 @@ def floored(value, error, effort, ctx: PrecisionContext, what="result") -> Estim
 def as_real(x):
     """Convert to mpf at the currently active precision.
 
-    Accepts mpf, int, Fraction, float and numeric strings.  Fractions go
-    through one division at working precision rather than decimal parsing.
+    Accepts mpf, int, Fraction, float, mpmath constants (mp.pi, mp.e, ...)
+    and numeric strings.  Fractions go through one division at working
+    precision rather than decimal parsing; a constant is evaluated at it.
     """
     if isinstance(x, mp.mpf):
         return x
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float, type(mp.pi))):
         return mp.mpf(x)
     if isinstance(x, str):
         try:

@@ -12,7 +12,8 @@ honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
 tanh-sinh passes that evaluate each node's costly factors once: the four
 nome integrals and Mellin at s = 3 and 4 for both forms, in two halves over
-u = -log(q)/pi, and the six double-series reductions.  The registry never
+u = -log(q)/pi, each node in fixed point from its thetas and Lambert sums to
+its theta weights, and the six double-series reductions.  The registry never
 plays two members of one pass against each other, so each still faces a
 route computed apart.
 
@@ -25,14 +26,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import compress, count
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import to_fixed
 
-from .context import DomainError, Estimate, PrecisionContext, as_real, ensure_finite
+from .context import DomainError, Estimate, GUARD_BITS, NumericsError, PrecisionContext
+from .context import as_real, ensure_finite
 from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
 from .quadrature import integrate01, isolated, settled
@@ -252,20 +254,45 @@ _Q_INTEGRALS = {
 }
 
 
-def _theta_weight(tag: str, t2, t3, t4):
-    """A pass member's theta factor from theta2, theta3, theta4 at q.  The
-    nome weights are wt3 = theta2^4 theta4^2, and wt4_f = 2 theta4(q^2)^8 -
-    theta4^8 and wt4_g = 2 theta4(q^4)^8 - theta4(q^2)^8 by the doubling
-    identities theta4(q^2)^2 = theta3 theta4, theta3(q^2)^2 = (theta3^2 +
-    theta4^2)/2 (I16, I15); the forms' theta products are f = theta2^4
-    theta4^2/16 and g = theta2^4 theta4(q^2)^2/16 = theta2^4 theta4 theta3/16."""
-    if tag == "wt3":
-        return t2**4 * t4**2
-    if tag == "wt4_f":
-        return t4**4 * (2 * t3**4 - t4**4)
-    if tag == "wt4_g":
-        return (t3 * t4) ** 2 * (t3**4 + t4**4) / 2
-    return t2**4 * t4 * (t4 if tag == "f" else t3) / 16
+# tag: powers a, b and the rest R(t3, t4) of theta2^a theta4^b R, R an
+# integer polynomial in t3, t4 at wp bits with its scale in bits
+_WEIGHTS = {
+    "wt3": (4, 2, lambda t3, t4, wp: (1, 0)),
+    "wt4_f": (0, 4, lambda t3, t4, wp: (2 * t3**4 - t4**4, 4 * wp)),
+    "wt4_g": (0, 2, lambda t3, t4, wp: (t3**2 * (t3**4 + t4**4), 6 * wp + 1)),
+    "f": (4, 2, lambda t3, t4, wp: (1, 4)),
+    "g": (4, 1, lambda t3, t4, wp: (t3, wp + 4)),
+}
+
+
+def _theta_weight(tags, t2, t3, t4, scale=1):
+    """Pass members' theta factors from theta2, theta3, theta4 at q, times
+    ``scale``: one tag gives its value, a sequence of tags a tuple in that
+    order.  The nome weights are wt3 = theta2^4 theta4^2, and wt4_f =
+    2 theta4(q^2)^8 - theta4^8 and wt4_g = 2 theta4(q^4)^8 - theta4(q^2)^8
+    by the doubling identities theta4(q^2)^2 = theta3 theta4, theta3(q^2)^2
+    = (theta3^2 + theta4^2)/2 (I16, I15); the forms' theta products are f =
+    theta2^4 theta4^2/16 and g = theta2^4 theta4(q^2)^2/16 = theta2^4
+    theta4 theta3/16.
+
+    Each is one integer product converted to mpf once: the O(1) thetas
+    enter at wp bits, and the small one (theta2 for u >= 1, theta4 below,
+    which may lie far under 2^-wp) and ``scale`` as exact powers of their
+    mantissas."""
+    wp = mp.mp.prec + GUARD_BITS
+    fixed = {w: to_fixed(t._mpf_, wp) for w, t in ((2, t2), (3, t3), (4, t4))}
+    small = 2 if fixed[2] <= fixed[4] else 4
+    _, man, exp, _ = (t2 if small == 2 else t4)._mpf_
+    sign, sman, sexp, _ = mp.mpf(scale)._mpf_
+    sman = -sman if sign else sman
+    out = []
+    for tag in (tags,) if isinstance(tags, str) else tags:
+        a, b, rest = _WEIGHTS[tag]
+        k, j = (a, b) if small == 2 else (b, a)  # powers of the small and the big
+        r, bits = rest(fixed[3], fixed[4], wp)
+        P = sman * man**k * fixed[6 - small] ** j * r
+        out.append(mp.mpf((P, sexp + k * exp - j * wp - bits)))
+    return out[0] if isinstance(tags, str) else tuple(out)
 
 
 # the default members of a half-period pass: the nome integrals by id, and
@@ -275,35 +302,50 @@ _PASS_MEMBERS = tuple(_Q_INTEGRALS) + tuple(
 )
 
 
-def _node(u, jac, members, ctx: PrecisionContext):
+def _plan(members):
+    """(members, the theta weight tags and the Lambert ids they read), each
+    tag and id once, in the members' order."""
+    nome = [_Q_INTEGRALS[m][2:] for m in members if isinstance(m, str)]
+    forms = [m[0] for m in members if not isinstance(m, str)]
+    tags = tuple(dict.fromkeys([tag for tag, _ in nome] + forms))
+    return tuple(members), tags, tuple(dict.fromkeys(name for _, name in nome))
+
+
+def _node(u, jac, plan, ctx: PrecisionContext):
     """Each member's integrand at half-period u times jac, or the error it
-    met (:func:`isolated`).  The thetas at u, each :func:`_theta_weight`,
-    power of u and Lambert sum are built once, on first use, in the members'
-    order, so one fails as it would alone."""
+    met, for members, tags and Lambert ids as :func:`_plan` gives them.
 
-    @cache
-    def at_u(kind, key=None):
-        if kind == "thetas":
-            return theta_involution(u, (2, 3, 4), ctx)
-        if kind == "nome":
-            return mp.exp(-mp.pi * u)
-        if kind == "weight":
-            return _theta_weight(key, *at_u("thetas"))
-        if kind == "power":
-            return u ** (key - 1)
-        if at_u("nome") < _Q_SERIES_CUT:  # a Lambert sum
-            return lambert_series(key, at_u("nome"), ctx)
-        t2, t3, t4 = at_u("thetas")
-        return lambert_closed(key, (t2 / t3) ** 4, (t4 / t3) ** 4)
-
-    def value(member):
-        if member in _Q_INTEGRALS:
-            tag, name = _Q_INTEGRALS[member][2:]
-            return at_u("weight", tag) * at_u("lambert", name) * jac
-        form, sv = member
-        return at_u("weight", form) * at_u("power", sv) * jac
-
-    return isolated(partial(value, m) for m in members)
+    One :func:`theta_involution` call gives the thetas at u, one
+    :func:`_theta_weight` call every weight with jac folded in and, below
+    the series cut, one :func:`lambert_series` call every sum; each power of
+    u is built once.  Each Lambert sum fails apart, and a member reads only
+    its own, so it fails as it would alone."""
+    members, tags, names = plan
+    try:
+        t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
+    except NumericsError as exc:
+        return (exc,) * len(members)
+    weights = dict(zip(tags, _theta_weight(tags, t2, t3, t4, jac)))
+    sums, powers, out = {}, {}, []
+    if names:
+        q = mp.exp(-mp.pi * u)
+        if q < _Q_SERIES_CUT:
+            sums = dict(zip(names, lambert_series(names, q, ctx)))
+        else:
+            a = (t2 / t3) ** 4, (t4 / t3) ** 4
+            closed = isolated(partial(lambert_closed, n, *a) for n in names)
+            sums = dict(zip(names, closed))
+    for m in members:
+        if isinstance(m, str):  # a nome integral
+            tag, name = _Q_INTEGRALS[m][2:]
+            term = sums[name]
+            out.append(term if isinstance(term, Exception) else weights[tag] * term)
+        else:
+            form, sv = m
+            if sv not in powers:
+                powers[sv] = u ** (sv - 1)
+            out.append(weights[form] * powers[sv])
+    return tuple(out)
 
 
 @lru_cache(maxsize=4)  # a registry pass at one precision fills one
@@ -320,18 +362,28 @@ def _u_pass(ctx: PrecisionContext, U, members):
     one lower pass each c; a member freezes at its own level in each
     (:func:`integrate01`), as in a pass of its own.
     """
+    held = {}  # by precision: pi, 2 pi and 1/U at the integrand's bits
+
+    def constants():
+        if mp.mp.prec not in held:
+            held[mp.mp.prec] = +mp.pi, 2 * mp.pi, 1 / U
+        return held[mp.mp.prec]
 
     def lower(c, v, cv):
-        u = 1 / (1 / U - c * mp.log(v) / (2 * mp.pi))
-        return _node(u, c * u * u / (2 * mp.pi * v), groups[c], ctx)
+        _, two_pi, inv_U = constants()
+        u = 1 / (inv_U - c * mp.log(v) / two_pi)
+        return _node(u, c * u * u / (two_pi * v), plans[c], ctx)
 
     def upper(v, cv):
-        return _node(U - mp.log(v) / mp.pi, 1 / (mp.pi * v), members, ctx)
+        pi = constants()[0]
+        return _node(U - mp.log(v) / pi, 1 / (pi * v), plans[0], ctx)
 
     run = partial(integrate01, ctx=ctx, left_exponent=0.5)
     groups, low = {}, {}
     for m in members:
         groups.setdefault(4 if m[0] == "g" else 2, []).append(m)
+    plans = {c: _plan(group) for c, group in groups.items()}
+    plans[0] = _plan(members)
     for c, group in groups.items():
         low.update(zip(group, run(partial(lower, c))))
     pairs = zip(map(low.get, members), run(upper))
@@ -343,22 +395,25 @@ def _u_pass(ctx: PrecisionContext, U, members):
         }
 
 
-def q_integral(q_id: str, ctx: PrecisionContext):
+def q_integral(q_id: str, ctx: PrecisionContext, shared=True):
     """L-value as a nome integral of a theta weight against a Lambert sum,
     at full working precision like the other quadrature routes: a member of
     the default :func:`_u_pass`, cut at u = 1, which holds Mellin at s = 3
-    and 4 too, so whichever of the two routes asks first runs all eight."""
+    and 4 too, so whichever of the two routes asks first runs all eight.
+    With ``shared`` false the pass holds this member alone, for a caller
+    that reads one value; the value is the same bit for bit."""
     try:
         power, pref = _Q_INTEGRALS[q_id][:2]
     except KeyError:
         raise DomainError(f"unknown nome integral id {q_id!r}") from None
-    val, est, calls = settled(_u_pass(ctx, 1, _PASS_MEMBERS)[q_id])
+    members = _PASS_MEMBERS if shared else (q_id,)
+    val, est, calls = settled(_u_pass(ctx, 1, members)[q_id])
     with ctx.working():
         factor = _pi_factor(power + 1, pref)  # dq/q = -pi du
         return floored(val * factor, est * factor, calls, ctx, "nome integral")
 
 
-def mellin(form: str, s, ctx: PrecisionContext, split=None):
+def mellin(form: str, s, ctx: PrecisionContext, split=None, shared=True):
     """L(form, s) = (1/Gamma(s)) int_0^inf h(e^-t) t^(s-1) dt.
 
     The integral runs over u = t/pi in :func:`_u_pass`, cut at ``split``
@@ -366,8 +421,9 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
     for g (a_0 = 0).  The result must not depend on the cut; the
     split-invariance gate in tests/test_acceptance.py moves it by a factor
     of two in both directions and checks that.  s = 3 and 4 at the default
-    cut read the default pass, with the nome integrals of :func:`q_integral`;
-    any other s or cut runs the same pass with that one member.
+    cut read the default pass, with the nome integrals of :func:`q_integral`,
+    unless ``shared`` is false; any other s or cut runs the same pass with
+    that one member.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")
@@ -378,7 +434,8 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None):
         if split is not None and not as_real(split) > 0:
             raise DomainError("split point must be positive")
         U = 1 if split is None else as_real(split) / mp.pi
-        members = _PASS_MEMBERS if split is None and sv in (3, 4) else ((form, sv),)
+        default = shared and split is None and sv in (3, 4)
+        members = _PASS_MEMBERS if default else ((form, sv),)
         val, est, calls = settled(_u_pass(ctx, U, members)[form, sv])
         scale = mp.pi**sv / gamma(sv, ctx)
         return floored(scale * val, scale * est, calls, ctx, "mellin transform")
@@ -527,7 +584,7 @@ def closed_form(which: str, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=64)  # a registry pass at one precision fills twelve
-def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
+def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext, shared):
     if method == "factorized":
         if form != "f":
             raise DomainError("the Dirichlet factorization is an f-only route")
@@ -539,19 +596,21 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext):
     if method == "dirichlet_sum":
         return dirichlet_sum(form, n, ctx)
     if method == "mellin":
-        return mellin(form, n, ctx)
+        return mellin(form, n, ctx, shared=shared)
     kdf_id, q_id, closed_id = ROUTE_IDS[form, n]
     if method == "alpha_integral":
         return alpha_integral(kdf_id, ctx)
     if method == "q_integral":
-        return q_integral(q_id, ctx)
+        return q_integral(q_id, ctx, shared=shared)
     # closed_form
     if closed_id is None:
         raise DomainError(f"no closed form is on the books for L({form}, {n})")
     return closed_form(closed_id, ctx)
 
 
-def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
+def l_value(
+    form: str, n: int, method: str, ctx: PrecisionContext, shared=True
+) -> Estimate:
     """L(form, n) for n in {3, 4} by the requested route, memoized per context.
 
     Route availability: ``factorized`` and the lf* closed forms are f only,
@@ -562,7 +621,10 @@ def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
     coarse route, does not sharpen when the context asks for more digits.
     The effort is whatever figure the route reports: series terms for the
     sums, integrand evaluations for the quadrature routes, and 0 for the
-    closed forms.
+    closed forms.  ``shared`` (the default) runs ``mellin`` and
+    ``q_integral`` in the one half-period pass of all eight, which a
+    registry pass reads whole; a caller that reads one value sets it false
+    and pays for that member alone, for the same value bit for bit.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")
@@ -570,4 +632,4 @@ def l_value(form: str, n: int, method: str, ctx: PrecisionContext) -> Estimate:
         raise DomainError("special values are computed at s = 3 and s = 4 only")
     if method not in L_VALUE_METHODS:
         raise DomainError(f"unknown method {method!r}")
-    return _l_value_cached(form, int(n), method, ctx)
+    return _l_value_cached(form, int(n), method, ctx, bool(shared))

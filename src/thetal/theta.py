@@ -18,12 +18,16 @@ the working precision plus 20 guard bits plus 2 log2(1/(1-q)) for q near 1;
 each term comes from the last by integer multiplications, and the sum goes
 back to mpf once.  Each series' leading power (2 q^{1/4}, q or sqrt q) is
 divided out first, so the fixed-point sum starts near 1 and keeps its
-relative accuracy however small q is.
+relative accuracy however small q is.  The routed thetas stay integers
+through the involution's 1/sqrt(u) too, and only the small theta, theta2
+or theta4, takes its lead as an mpf factor; :func:`lambert_series` sums a
+tuple of ids at one nome on one shared fixed-point nome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, count
 from math import isqrt
 
@@ -40,6 +44,7 @@ from .context import (
     as_real,
     ensure_finite,
 )
+from .quadrature import isolated
 
 __all__ = [
     "CoeffStream",
@@ -149,8 +154,9 @@ def _gaussian_powers(Q, b: int, wp: int):
         r = r * q2 >> wp
 
 
-def _theta_series(which, qv, max_terms: int):
-    """{w: theta_w(q)} for each index in ``which``, by the raw series.
+def _theta_sums(which, qv, lead, max_terms: int):
+    """(wp, {w: theta_w(q) 2^wp}) as Python integers for each index in
+    ``which``, theta2's with its lead ``lead`` = 2 q^{1/4} divided out.
 
     theta2 = 2 q^{1/4} sum_{n>=0} q^{n(n+1)}, and theta3, theta4 = 1 +
     2 sum_{n>=1} (+-1)^n q^{n^2} from one pass over the shared terms.  The
@@ -160,12 +166,10 @@ def _theta_series(which, qv, max_terms: int):
     fixed-point kernel at the bits :func:`_fixed_nome` picks for q.
     """
     wp, Q = _fixed_nome(qv)
-    vals = {}
+    sums = {}
     if 2 in which:
-        lead = 2 * mp.sqrt(mp.sqrt(qv))
         terms = _gaussian_powers(Q, 1, wp)
-        s = sum(_fixed_sum(terms, "theta2 series", max_terms, wp, lead))
-        vals[2] = lead * mp.mpf((s, -wp))
+        sums[2] = sum(_fixed_sum(terms, "theta2 series", max_terms, wp, lead))
     if 3 in which or 4 in which:
         terms = _gaussian_powers(Q, 0, wp)
         doubled = chain((next(terms),), (t << 1 for t in terms))
@@ -180,8 +184,17 @@ def _theta_series(which, qv, max_terms: int):
             running=False,
             alternate=3 not in which,
         )
-        vals[3] = mp.mpf((even + odd, -wp))
-        vals[4] = mp.mpf((even - odd, -wp))
+        sums[3], sums[4] = even + odd, even - odd
+    return wp, sums
+
+
+def _theta_series(which, qv, max_terms: int):
+    """{w: theta_w(q)} for each index in ``which``, by the raw series."""
+    lead = 2 * mp.sqrt(mp.sqrt(qv)) if 2 in which else None
+    wp, sums = _theta_sums(which, qv, lead, max_terms)
+    vals = {w: mp.mpf((s, -wp)) for w, s in sums.items()}
+    if 2 in vals:
+        vals[2] = lead * vals[2]
     return vals
 
 
@@ -202,20 +215,32 @@ def _thetas(u, which, max_terms: int, qv=None):
     """theta_w(e^{-pi u}) for w in ``which``, on the cheap side of u = 1.
 
     sqrt(u) theta4(e^{-pi u}) = theta2(e^{-pi/u}) and its u -> 1/u mirror;
-    theta3 maps to itself.  One exp and one sqrt serve every requested
-    value, and each side sums its thetas in one call.  A caller that holds the
-    nome passes it as ``qv``, and the direct side sums on that very q.
+    theta3 maps to itself.  One exp gives the quarter power r = q^{1/4} of
+    the nome summed on, and q = r^4; a caller that holds the nome passes it
+    as ``qv``, and the direct side sums on that very q.  Each side sums its
+    thetas in one call and converts each to mpf once: the small one (theta2
+    on the direct side, theta4 on the involuted) as its lead 2r times its
+    sum, so it keeps its relative accuracy however small it is, the O(1)
+    ones straight from their sums, times 1/sqrt(u) in fixed point on the
+    involuted side.
     """
-    if u >= 1:
-        qd = mp.exp(-mp.pi * u) if qv is None else qv
-        vals = _theta_series(which, qd, max_terms)
+    flip = u < 1
+    if qv is None or flip:
+        r = mp.exp(-mp.pi / (4 * u) if flip else -mp.pi * u / 4)
+        qv, lead = r**4, 2 * r
     else:
-        qt = mp.exp(-mp.pi / u)
-        su = mp.sqrt(u)
-        mirrored = _theta_series(
-            {_INVOLUTION_PARTNER[w] for w in which}, qt, max_terms
-        )
-        vals = {w: mirrored[_INVOLUTION_PARTNER[w]] / su for w in which}
+        lead = 2 * mp.sqrt(mp.sqrt(qv)) if 2 in which else None
+    partner = _INVOLUTION_PARTNER if flip else {w: w for w in which}
+    wp, sums = _theta_sums({partner[w] for w in which}, qv, lead, max_terms)
+    small, bits = 2, wp
+    if flip:  # times 1/sqrt(u) at wp bits: u = man 2^exp, 0 < u < 1
+        _, man, exp, _ = u._mpf_
+        root = isqrt((1 << (2 * wp - exp)) // man)
+        sums = {w: s * root for w, s in sums.items()}
+        small, bits = 4, 2 * wp
+    vals = {w: mp.mpf((sums[partner[w]], -bits)) for w in which}
+    if small in vals:
+        vals[small] = lead * vals[small]
     return tuple(vals[w] for w in which)
 
 
@@ -378,43 +403,67 @@ def _odd_lambert_terms(Y2, c: int, e: int, plus: bool, wp: int):
         power = power * y4 >> wp
 
 
-def lambert_series(name: str, q, ctx: PrecisionContext):
+def lambert_series(name, q, ctx: PrecisionContext):
     """One of the reorganized Lambert sums, summed with geometric control.
 
-    One pass of the fixed-point kernel over the series divided by its lead
-    y = sqrt(q) or q; the 2 log2(1/(1-q)) extra bits of :func:`_fixed_nome`
-    cover the denominators 1 - q^m that vanish as q -> 1.  The sum stops at
-    the first term under 10^-(dps-2) max(|s|, floor), with floor the larger
-    of the first term and 10^-dps.  Cost grows like digits / -log(q) as
-    q -> 1; the identity grid and the nome integrals, which switch to theta
-    closed forms above q = 0.3, stay well inside that.  A pass that cancels
-    (eis384 as q -> 1) reruns with the bits it lost added to precision and
-    budget alike, up to twice the working bits.
+    ``name`` is one id in :data:`LAMBERT_IDS`, or a sequence of them for
+    the sums at one nome, returned as a tuple in the order asked.  The ids
+    of a tuple share the nome at its bits, sqrt(q) and q^2, and each value
+    is the one its lone call returns; an id that fails leaves its
+    NumericsError in its slot (:func:`.quadrature.isolated`) and the others
+    their values.
+
+    Each sum is one pass of the fixed-point kernel over the series divided
+    by its lead y = sqrt(q) or q; the 2 log2(1/(1-q)) extra bits of
+    :func:`_fixed_nome` cover the denominators 1 - q^m that vanish as
+    q -> 1.  The sum stops at the first term under 10^-(dps-2) max(|s|,
+    floor), with floor the larger of the first term and 10^-dps.  Cost
+    grows like digits / -log(q) as q -> 1; the identity grid and the nome
+    integrals, which switch to theta closed forms above q = 0.3, stay well
+    inside that.  A pass that cancels (eis384 as q -> 1) reruns with the
+    bits it lost added to precision and budget alike, up to twice the
+    working bits.
     """
-    if name not in _LAMBERT:
-        raise DomainError(f"unknown Lambert series id {name!r}")
-    c, e, plus, half, alternate = _LAMBERT[name]
-    what = f"Lambert series {name}"
+    single = isinstance(name, str)
+    names = (name,) if single else tuple(name)
+    for n in names:
+        if n not in _LAMBERT:
+            raise DomainError(f"unknown Lambert series id {n!r}")
     with ctx.working():
-        qv, prec, extra, even = _nome_value(q), mp.mp.prec, 0, None
-        while even is None:
-            with mp.workprec(prec + extra):
-                wp, Q = _fixed_nome(qv)
-                lead = mp.sqrt(qv) if half else qv
-                terms = _odd_lambert_terms(Q if half else Q * Q >> wp, c, e, plus, wp)
-                first = next(terms)
-                ten = 10**mp.mp.dps
-                floor = max(first, _reciprocal(lead, wp, first * ten * ten) // ten)
-                budget = ctx.max_terms * (prec + extra) // prec
-                sums = (chain((first,), terms), what, budget, wp, lead, floor)
-                try:
-                    even, odd = _fixed_sum(*sums, alternate=alternate, spare=extra)
-                except _Cancelled as exc:
-                    if exc.lost > 2 * prec:
-                        raise
-                    extra = exc.lost
-        s = even - odd if alternate else even + odd
-        return ensure_finite(lead * mp.mpf((s, -wp)), what)
+        qv, prec = _nome_value(q), mp.mp.prec
+        fixed, roots = {}, {}  # by extra bits: (wp, q 2^wp, q^2 2^wp), sqrt(q)
+
+        def one(name):
+            c, e, plus, half, alternate = _LAMBERT[name]
+            what = f"Lambert series {name}"
+            extra, even = 0, None
+            while even is None:
+                with mp.workprec(prec + extra):
+                    if extra not in fixed:
+                        wp, Q = _fixed_nome(qv)
+                        fixed[extra] = wp, Q, Q * Q >> wp
+                    if half and extra not in roots:
+                        roots[extra] = mp.sqrt(qv)
+                    wp, Q, Q2 = fixed[extra]
+                    lead, Y2 = (roots[extra], Q) if half else (qv, Q2)
+                    terms = _odd_lambert_terms(Y2, c, e, plus, wp)
+                    first = next(terms)
+                    ten = 10**mp.mp.dps
+                    floor = max(first, _reciprocal(lead, wp, first * ten * ten) // ten)
+                    budget = ctx.max_terms * (prec + extra) // prec
+                    sums = (chain((first,), terms), what, budget, wp, lead, floor)
+                    try:
+                        even, odd = _fixed_sum(*sums, alternate=alternate, spare=extra)
+                    except _Cancelled as exc:
+                        if exc.lost > 2 * prec:
+                            raise
+                        extra = exc.lost
+            s = even - odd if alternate else even + odd
+            return ensure_finite(lead * mp.mpf((s, -wp)), what)
+
+        if single:
+            return one(name)
+        return isolated(partial(one, n) for n in names)
 
 
 @dataclass(frozen=True)

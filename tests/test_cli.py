@@ -147,6 +147,33 @@ class TestLvalueCommand:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("method", ["mellin", "q_integral"])
+    def test_half_period_value_runs_its_member_alone(self, capsys, monkeypatch, method):
+        # one printed value pays for its own member of the half-period pass,
+        # and prints what the registry's eight-member pass gives
+        from thetal import lvalues
+        from thetal.context import PrecisionContext
+
+        passes = []
+        shared_pass = lvalues._u_pass
+
+        def spy(ctx, U, members):
+            passes.append(members)
+            return shared_pass(ctx, U, members)
+
+        lvalues._l_value_cached.cache_clear()
+        monkeypatch.setattr(lvalues, "_u_pass", spy)
+        code, out, _ = run(capsys, "lvalue", "--form", "g", "--s", "4",
+                           "--method", method, "--format", "json")
+        assert code == 0
+        assert passes and all(len(members) == 1 for members in passes)
+        monkeypatch.undo()
+        lvalues._l_value_cached.cache_clear()
+        whole = lvalues.l_value("g", 4, method, PrecisionContext(digits=20))
+        assert json.loads(out)["value"] == cli._nstr(whole.value, 20)
+        assert json.loads(out)["terms_or_levels_used"] == whole.effort
+
+
 class TestCoeffsCommand:
     def test_convolution(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--form", "f", "--n", "8")

@@ -326,7 +326,7 @@ class TestDriver:
         # report bytes on purpose updates the hash and lists the moved fields
         text = reports_to_json(verify_all(RunConfig(digits=20)))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "fef36af32b02478df09ea43a0f36cee97e08afbad12d5a04bdd9ba01f3e75351"
+        assert digest == "e7d93419f8bfddbb2f2666c6e6ef25b39c0d9e998da0b1405d9735e543996380"
 
     def test_reports_are_plain_data(self, config):
         r = verify("I27", config)

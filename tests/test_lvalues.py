@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import agrees
 from thetal import lvalues
-from thetal.context import BudgetError, DomainError, Estimate, PrecisionContext
+from thetal.context import BudgetError, DomainError, Estimate, PrecisionContext, as_real
 from thetal.hyper import kdf_converges, kdf_full
 from thetal.lvalues import (
     FORMS,
@@ -231,6 +231,39 @@ class TestDoublingForms:
                     assert abs(new - old) <= tol * abs(old), us
 
 
+class TestThetaWeights:
+    # every tag against its mpf formula on the same thetas, 40 bits hotter;
+    # the small theta (theta4 below u = 1, theta2 above) enters as the exact
+    # power of its mantissa: 1.4e-6 at u = 0.05 and 3.0e-7 at 20, and far
+    # below 2^-wp at 0.005 and 200 (1.7e-67, 1.2e-68)
+    FORMULAS = {
+        "wt3": lambda t2, t3, t4: t2**4 * t4**2,
+        "wt4_f": lambda t2, t3, t4: t4**4 * (2 * t3**4 - t4**4),
+        "wt4_g": lambda t2, t3, t4: (t3 * t4) ** 2 * (t3**4 + t4**4) / 2,
+        "f": lambda t2, t3, t4: t2**4 * t4**2 / 16,
+        "g": lambda t2, t3, t4: t2**4 * t4 * t3 / 16,
+    }
+
+    @pytest.mark.parametrize("digits", [20, 50, 100])
+    def test_against_mpf_formulas(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        tags = tuple(self.FORMULAS)
+        for us in ("0.005", "0.05", "0.3", "0.99", "1", "1.7", "8", "20", "200"):
+            thetas = theta_involution(us, (2, 3, 4), ctx)
+            with ctx.working():
+                prec = mp.mp.prec
+                tol = mp.ldexp(1, 8 - prec)
+                jac = mp.mpf(us) / 3
+                joint = lvalues._theta_weight(tags, *thetas)
+                scaled = lvalues._theta_weight(tags, *thetas, jac)
+                for tag, value, times in zip(tags, joint, scaled):
+                    assert value._mpf_ == lvalues._theta_weight(tag, *thetas)._mpf_
+                    with mp.workprec(prec + 40):
+                        want = self.FORMULAS[tag](*thetas)
+                        assert abs(value - want) <= tol * want, (us, tag)
+                        assert abs(times - want * jac) <= tol * want * jac, (us, tag)
+
+
 class TestMellin:
     @pytest.mark.parametrize("form,n", [("f", 3), ("g", 3), ("f", 4), ("g", 4)])
     def test_against_oracles(self, form, n, ctx):
@@ -247,6 +280,15 @@ class TestMellin:
                 sp = mp.pi / 2 if split == "pi/2" else 2 * mp.pi
             v, e, _ = mellin("f", 3, ctx, split=sp)
             assert abs(v - base) <= max(e, be)
+
+    def test_split_takes_mpmath_constants(self, ctx):
+        # as_real evaluates a constant at the working precision, and a cut
+        # at pi is U = 1, the default pass's cut: the same value bit for bit
+        with ctx.working():
+            assert as_real(mp.pi) == +mp.pi
+        base = mellin("f", 3, ctx)
+        at_pi = mellin("f", 3, ctx, split=mp.pi)
+        assert _mpfs(at_pi) == _mpfs(base)
 
     def test_split_invariance_g(self, ctx):
         # g dies half as fast as f toward q -> 1, so its lower half maps
@@ -527,14 +569,18 @@ class TestInvolutedHalves:
     q -> 1 end of each integrand from the involuted side."""
 
     # integrand calls repeat exactly: these maps take 310 per member at 20
-    # digits and 686 to 1,030 at 50, where mapping t or q straight onto
-    # (0, 1) takes 619 to 3,088
-    @pytest.mark.parametrize("digits,most", [(20, 466), (50, 1030)])
-    def test_effort(self, digits, most):
+    # digits and 686, or 1,030 for g's Mellin members, at 50, where mapping
+    # t or q straight onto (0, 1) takes 619 to 3,088
+    EFFORT = {20: (310, 310), 50: (686, 1030)}  # (each member, g's Mellin)
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_effort(self, digits):
+        calls, g_mellin = self.EFFORT[digits]
         ctx = PrecisionContext(digits=digits)
         for q_id, (form, n) in QID_TO_PAIR.items():
-            assert mellin(form, n, ctx).effort <= most, (form, n)
-            assert q_integral(q_id, ctx).effort <= most, q_id
+            want = g_mellin if form == "g" else calls
+            assert mellin(form, n, ctx).effort == want, (form, n)
+            assert q_integral(q_id, ctx).effort == calls, q_id
 
     @pytest.mark.parametrize("form,n", [("f", 3), ("f", 4), ("g", 3), ("g", 4)])
     def test_estimates_hold_at_50_digits(self, form, n):

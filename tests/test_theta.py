@@ -77,6 +77,34 @@ def test_joint_thetas_match_single_q_form(ctx30, q):
         assert form_f(qv, ctx30)._mpf_ == (t2**4 * t4**2 / 16)._mpf_
 
 
+# half-periods on both sides of the cut; the small theta, which keeps an mpf
+# lead, is theta4 below u = 1 (1.4e-6 at 0.05, 1.7e-67 at 0.005) and theta2
+# above (3.0e-7 at 20, 1.2e-68 at 200), far below 2^-wp at the outer two
+LEAD_POINTS = ("0.005", "0.05", "0.3", "0.99", "1", "1.7", "8", "20", "200")
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+def test_joint_thetas_against_mpf_involution(digits):
+    # the integer leads and 1/sqrt(u) against the mpf involution formula,
+    # mpmath's jtheta at the cheap side's nome, 40 bits hotter
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        prec = mp.mp.prec
+        tol = mp.ldexp(1, 8 - prec)
+    for us in LEAD_POINTS:
+        got = theta_involution(us, (2, 3, 4), ctx)
+        with mp.workprec(prec + 40):
+            u = mp.mpf(us)
+            if u >= 1:
+                q = mp.exp(-mp.pi * u)
+                want = [mp.jtheta(w, 0, q) for w in (2, 3, 4)]
+            else:
+                q, root = mp.exp(-mp.pi / u), mp.sqrt(u)
+                want = [mp.jtheta(w, 0, q) / root for w in (4, 3, 2)]
+            for w, v, ref in zip((2, 3, 4), got, want):
+                assert abs(v - ref) <= tol * ref, (us, w)
+
+
 def test_leading_behavior(ctx20):
     q = mp.mpf("1e-12")
     with ctx20.working():
@@ -457,6 +485,62 @@ def test_lambert_ram_quotient(ctx30):
 def test_lambert_unknown_id(ctx20):
     with pytest.raises(DomainError):
         lambert_series("nope", "0.1", ctx20)
+
+
+@pytest.mark.parametrize("q", ["0.02", "0.29"])
+def test_lambert_tuple_matches_lone_calls(ctx20, q):
+    # the ids of a tuple share the nome, and each value is its lone call's
+    joint = lambert_series(LAMBERT_IDS, q, ctx20)
+    assert len(joint) == len(LAMBERT_IDS)
+    for name, value in zip(LAMBERT_IDS, joint):
+        assert value._mpf_ == lambert_series(name, q, ctx20)._mpf_, name
+    reordered = ("ram_lhs", "lemma22_1", "ram_lhs")
+    assert [v._mpf_ for v in lambert_series(reordered, q, ctx20)] == [
+        lambert_series(n, q, ctx20)._mpf_ for n in reordered
+    ]
+
+
+def test_lambert_tuple_retries_cancellation(ctx20, monkeypatch):
+    # eis384 at q = 0.97 cancels to 2.4e-65 and sums again with the lost
+    # bits added, inside a tuple as alone
+    from thetal import theta
+
+    lost = []
+    kernel = theta._fixed_sum
+
+    def spy(*args, **kwargs):
+        try:
+            return kernel(*args, **kwargs)
+        except theta._Cancelled as exc:
+            lost.append((args[1], exc.lost))
+            raise
+
+    monkeypatch.setattr(theta, "_fixed_sum", spy)
+    names = ("lemma22_1", "eis384", "cube")
+    joint = lambert_series(names, "0.97", ctx20)
+    assert lost and {what for what, _ in lost} == {"Lambert series eis384"}
+    for name, value in zip(names, joint):
+        assert value._mpf_ == lambert_series(name, "0.97", ctx20)._mpf_, name
+    hot = PrecisionContext(digits=40)
+    with hot.working():
+        want = _lambert_closed_forms(mp.mpf("0.97"), hot)["eis384"]
+        assert abs(joint[1] - want) <= mp.mpf(10) ** -30 * want
+
+
+def test_lambert_tuple_ids_fail_apart():
+    # at q = 0.1 and 20 digits lam1 and lemma22_2 need more than 30 terms
+    # (BUDGET_PINS), the other five fewer
+    ctx = PrecisionContext(digits=20, max_terms=30)
+    joint = lambert_series(LAMBERT_IDS, "0.1", ctx)
+    for name, value in zip(LAMBERT_IDS, joint):
+        if name in ("lam1", "lemma22_2"):
+            assert isinstance(value, BudgetError), name
+            with pytest.raises(BudgetError):
+                lambert_series(name, "0.1", ctx)
+        else:
+            assert value._mpf_ == lambert_series(name, "0.1", ctx)._mpf_, name
+    with pytest.raises(DomainError):
+        lambert_series(("lam1", "nope"), "0.1", ctx)
 
 
 def test_doubling_identities(ctx30):
