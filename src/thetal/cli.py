@@ -133,7 +133,6 @@ def _build_parser():
                    help="q sample grid for pointwise identities")
     v.add_argument("--target", type=int, default=None,
                    help="override every selected identity's target digits")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--strategy", choices=KDF_STRATEGIES,
                    default="integral_reduction",
                    help="double-series strategy for the reduction identities")
@@ -251,10 +250,7 @@ def _cmd_coeffs(args):
     if args.n < 1:
         raise DomainError("need n >= 1")
     route = coeffs_lambert if args.route == "lambert" else coeffs_convolution
-    try:
-        stream = route(args.form, args.n)
-    except MemoryError:  # numpy's ArrayMemoryError included
-        raise NumericsError(f"not enough memory for {args.n} coefficients") from None
+    stream = route(args.form, args.n)
     _emit(args, [" ".join(str(a) for a in stream.coeffs)],
           {"form": args.form, "n": args.n, "route": args.route,
            "coeffs": list(stream.coeffs)})
@@ -267,7 +263,6 @@ def _cmd_verify(args):
         digits=digits,
         ids=args.id,
         grid=args.grid if args.grid is not None else DEFAULT_GRID,
-        jobs=args.jobs,
         kdf_strategy=args.strategy,
         target_override=args.target,
         max_terms=args.max_terms,
@@ -324,6 +319,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's ArrayMemoryError included
+        print(f"error: not enough memory for this {args.command} request",
+              file=sys.stderr)
         return 2
 
 

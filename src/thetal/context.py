@@ -117,8 +117,8 @@ class PrecisionContext:
     def working(self):
         """Context manager setting the global mpmath precision.
 
-        mpmath keeps precision in module state, so evaluation is process-safe
-        but not thread-safe.  Parallel drivers use process pools.
+        mpmath keeps precision in module state, so evaluation is not
+        thread-safe.
         """
         return mp.workdps(self.workdigits)
 

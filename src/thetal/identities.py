@@ -17,7 +17,6 @@ Exact entries allow no error at all.
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -70,7 +69,6 @@ class RunConfig:
     digits: int = 20
     ids: Optional[tuple] = None
     grid: tuple = DEFAULT_GRID
-    jobs: int = 1
     kdf_strategy: str = "integral_reduction"
     target_override: Optional[int] = None
     max_terms: Optional[int] = None
@@ -78,8 +76,6 @@ class RunConfig:
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise DomainError(f"digits must be at least {MIN_DIGITS}")
-        if self.jobs < 1:
-            raise DomainError("parallelism degree must be positive")
         if self.kdf_strategy not in KDF_STRATEGIES:
             raise DomainError(f"unknown strategy {self.kdf_strategy!r}")
         if not self.grid:
@@ -94,7 +90,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one identity check, all numerics pre-rendered to strings
-    so reports serialize identically regardless of worker process."""
+    so reports serialize to the same bytes on every run."""
 
     id: str
     lhs: str
@@ -635,23 +631,13 @@ def verify(id_: str, config: RunConfig) -> VerificationReport:
     )
 
 
-def _verify_task(args):
-    id_, config = args
-    return verify(id_, config)
-
-
 def verify_all(config: RunConfig):
-    """Run the selected identities, in registry order, optionally across
-    processes.  The arbitrary-precision state is process-global, hence
-    processes rather than threads."""
+    """Run the selected identities in the order given, registry order by
+    default."""
     ids = config.ids if config.ids is not None else IDENTITY_IDS
     for id_ in ids:
         identity_info(id_)
-    if config.jobs == 1 or len(ids) <= 1:
-        return [verify(id_, config) for id_ in ids]
-    # the pool starts all of its workers at once: never more than there are ids
-    with ProcessPoolExecutor(max_workers=min(config.jobs, len(ids))) as pool:
-        return list(pool.map(_verify_task, [(id_, config) for id_ in ids]))
+    return [verify(id_, config) for id_ in ids]
 
 
 def reports_to_json(reports, timings: bool = False) -> str:

@@ -482,6 +482,15 @@ def _divisor_tail(n_terms: int, s1: float, ctx: PrecisionContext) -> float:
     return max(tail, 0.0) + 1e-13
 
 
+def _iroot(x: int, k: int) -> int:
+    """The largest r with r**k <= x, for x >= 1: Newton's step from above."""
+    bits = x.bit_length()
+    r = 1 << -(-bits // k) if k < bits else 1  # at least the root
+    while (t := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = t
+    return r
+
+
 def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     """Partial sum of a_m m^(-s) for g, with a rigorous divisor-bound tail.
 
@@ -510,7 +519,9 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
         mass = sum(map(abs, coeffs))
         wp = mp.mp.prec + mass.bit_length()
         one, k = 1 << wp, int(sv)
-        terms = zip(compress(count(1), coeffs), filter(None, coeffs))  # a_m != 0
+        # for integer s, one // m**k is 0 past the k-th root of one
+        kept = coeffs[: _iroot(one, k)] if k == sv else coeffs
+        terms = zip(compress(count(1), kept), filter(None, kept))  # a_m != 0
         if k == sv:
             acc = sum([am * (one // m**k) for m, am in terms])
         else:
@@ -620,11 +631,12 @@ def l_value(
     estimate is an honest bound for the route as run; the raw series, the one
     coarse route, does not sharpen when the context asks for more digits.
     The effort is whatever figure the route reports: series terms for the
-    sums, integrand evaluations for the quadrature routes, and 0 for the
-    closed forms.  ``shared`` (the default) runs ``mellin`` and
-    ``q_integral`` in the one half-period pass of all eight, which a
-    registry pass reads whole; a caller that reads one value sets it false
-    and pays for that member alone, for the same value bit for bit.
+    sums and the closed forms' hypergeometric sums (0 for the elementary
+    lf3), and integrand evaluations for the quadrature routes.  ``shared``
+    (the default) runs ``mellin`` and ``q_integral`` in the one half-period
+    pass of all eight, which a registry pass reads whole; a caller that
+    reads one value sets it false and pays for that member alone, for the
+    same value bit for bit.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")

@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import mpmath as mp
 
+from thetal import lvalues
 from thetal.context import DomainError, PrecisionContext
+from thetal.identities import report_to_dict, verify_all
 
 
 @pytest.fixture
@@ -24,6 +27,16 @@ def agrees(a, b, digits):
         if a == b:
             return True
         return abs(a - b) / max(abs(a), abs(b)) <= mp.mpf(10) ** (-digits)
+
+
+def cold_reports(config, ids):
+    """Each id's report dict from one verify_all over ids, in that order,
+    with the memos that identities share emptied first."""
+    for memo in (lvalues._u_pass, lvalues._kdf_family,
+                 lvalues.kdf_weighted_sum, lvalues._l_value_cached):
+        memo.cache_clear()
+    reports = verify_all(replace(config, ids=tuple(ids)))
+    return {r.id: report_to_dict(r) for r in reports}
 
 
 def pochhammer(a, n):

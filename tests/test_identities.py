@@ -7,6 +7,7 @@ from types import CodeType
 import mpmath as mp
 import pytest
 
+from conftest import cold_reports
 from thetal import identities, lvalues
 from thetal.context import DomainError
 from thetal.identities import (
@@ -90,7 +91,6 @@ class TestRegistryShape:
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(digits=3),
-        dict(jobs=0),
         dict(grid=("1.5",)),
         dict(grid=("-0.1",)),
         dict(grid=("zebra",)),
@@ -288,38 +288,11 @@ class TestDriver:
         reports = verify_all(replace(config, ids=("I21", "I22", "I23")))
         assert [r.id for r in reports] == ["I21", "I22", "I23"]
 
-    def test_parallel_equals_sequential(self, config):
-        ids = ("I1", "I4", "I15", "I27", "I30")
-        seq = verify_all(replace(config, ids=ids, jobs=1))
-        par = verify_all(replace(config, ids=ids, jobs=3))
-        assert reports_to_json(seq) == reports_to_json(par)
-        for a, b in zip(seq, par):
-            assert report_to_dict(a) == report_to_dict(b)
-
-    def test_pool_no_larger_than_id_list(self, config, monkeypatch):
-        # a stand-in pool records its size and runs the tasks in-process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
-        ids = ("I27", "I29", "I30")
-        reports = verify_all(replace(config, ids=ids, jobs=64))
-        assert sizes == [3]
-        assert [r.id for r in reports] == list(ids)
-        verify_all(replace(config, ids=ids, jobs=2))
-        assert sizes == [3, 2]
+    def test_reports_do_not_depend_on_order(self, config):
+        # which identity fills a shared memo first must not move a report
+        ids = ("I17", "I18", "I19", "I20", "I21", "I22", "I23", "I24",
+               "I26a", "I26b", "I26c", "I26d")
+        assert cold_reports(config, ids[::-1]) == cold_reports(config, ids)
 
     def test_report_bytes_are_pinned(self):
         # the 20-digit JSON of every identity, hashed; a change that moves

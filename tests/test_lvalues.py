@@ -399,6 +399,17 @@ class TestDirichletSum:
         v, e, used = dirichlet_sum("g", s, ctx)
         assert (v._mpf_, e._mpf_, used) == (value, estimate, 100000)
 
+    def test_large_integer_exponent(self, ctx):
+        # past m = 1 every weight floors to 0 at wp bits, so only a_1 = 1
+        # is summed, and no power m^20000 is formed
+        v, e, _ = dirichlet_sum("g", 20000, ctx)
+        assert v == 1
+        # L(g, 20000) = 1 - 6 5^-20000 + ..., well inside the estimate
+        assert 6 * mp.mpf(5) ** -20000 <= e
+        for x, k in ((1 << 200, 3), ((1 << 200) - 1, 4), (1 << 200, 20000)):
+            r = lvalues._iroot(x, k)
+            assert r**k <= x < (r + 1) ** k
+
     def test_domain(self, ctx):
         with pytest.raises(DomainError):
             dirichlet_sum("f", 4, ctx)
