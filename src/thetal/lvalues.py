@@ -39,7 +39,7 @@ from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
 from .quadrature import integrate01, isolated, settled
 from .special import alternating_sum, eta, gamma, zeta
-from .theta import coeffs_convolution, lambert_series, theta_involution
+from .theta import coeffs_lambert, lambert_series, theta_involution
 
 __all__ = [
     "FORMS",
@@ -447,7 +447,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None, shared=True):
 
 @lru_cache(maxsize=4)
 def _g_coeffs(n_terms: int):
-    return coeffs_convolution("g", n_terms)
+    return coeffs_lambert("g", n_terms)
 
 
 @lru_cache(maxsize=4)
@@ -494,10 +494,16 @@ def _iroot(x: int, k: int) -> int:
 def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     """Partial sum of a_m m^(-s) for g, with a rigorous divisor-bound tail.
 
-    |a_m| <= d(m) m (checked empirically in the suite well past the first
-    thousand coefficients) closes the tail for s > 5/2: good to ~9 digits at
-    s = 4 with the default budget, and only ~5 at s = 3, which is the point
-    of having the other routes.  f is not served here; its factorized route
+    |a_m| <= d(m) m closes the tail for s > 5/2: good to ~9 digits at s = 4
+    with the default budget, and only ~5 at s = 3, which is the point of
+    having the other routes.  The bound follows from g's binary theta
+    series: a_m = 1/2 sum (x^2 - y^2) over the representations m = x^2 + y^2
+    with x odd and y even, signs included.  There are at most r_2(m)/2 of
+    them, as swapping x and y maps them one-to-one onto representations
+    with x even; each term has |x^2 - y^2| <= x^2 + y^2 = m; and Jacobi's
+    r_2(m) = 4 sum_{d|m} chi_{-4}(d) is at most 4 d(m).  So |a_m| <=
+    1/2 (2 d(m)) m.  The suite also checks the bound well past the first
+    thousand coefficients.  f is not served here; its factorized route
     is strictly better and keeps this one an independent g check.  The
     effort is the terms summed.
 

@@ -8,8 +8,11 @@ carries the weight-3 products f and g, the modular parameter alpha, the
 Eisenstein sum M, the Lambert-type reorganized double sums, and exact integer
 q-expansion coefficients for f and g by two routes in int64 arithmetic: the
 product of the lacunary theta series, seeded with A^2 by one bincount and then
-multiplied one sparse factor at a time, and for f the divisor sum, split at
-sqrt N into about 2 sqrt N strided vector adds.
+multiplied one sparse factor at a time, and each form's arithmetic route:
+for f the divisor sum, split at sqrt N into about 2 sqrt N strided vector
+adds, and for g, the CM newform eta(4 tau)^6 of a Hecke character of Q(i)
+(Koehler, Eta Products and Theta Series Identities, 2011), its binary theta
+series, one O(N) pass over the lattice points x odd, y even.
 
 Every q-series -- the thetas, the seven Lambert sums, M and the theta
 derivatives behind alpha_qderiv -- goes through one fixed-point kernel,
@@ -550,24 +553,16 @@ def coeffs_convolution(form: str, N: int) -> CoeffStream:
     return CoeffStream(form, tuple(coeffs))
 
 
-def coeffs_lambert(form: str, N: int) -> CoeffStream:
-    """a_m = sum_{nk=m} psi(n) n^2 chi_{-4}(k) with psi(n) = (-1)^{n-1}.
+def _divisor_sum(N: int):
+    """f's a_0..a_N (a_0 = 0) as int64: a_m = sum_{nk=m} psi(n) n^2
+    chi_{-4}(k) with psi(n) = (-1)^{n-1}.
 
-    Dirichlet's hyperbola split of the pairs nk <= N at S = isqrt(N), in
-    int64 strided adds.  Each n <= S adds psi(n) n^2 at every multiple nk
-    with k = 1 mod 4 and subtracts it at every one with k = 3 mod 4; each
-    odd k <= N // (S + 1) adds chi_{-4}(k) psi(n) n^2 over all n > S at
-    once.  That is about 2 sqrt N vector adds, none with a temporary.
-    |a_m| <= sigma_2(m) < 2 m^2 bounds every partial sum too, so N with
-    2 N^2 >= 2^63 is refused before anything is allocated.  Only f has this
-    twisted-Eisenstein shape; asking for g is a caller bug.
+    Dirichlet's hyperbola split of the pairs nk <= N at S = isqrt(N).  Each
+    n <= S adds psi(n) n^2 at every multiple nk with k = 1 mod 4 and
+    subtracts it at every one with k = 3 mod 4; each odd k <= N // (S + 1)
+    adds chi_{-4}(k) psi(n) n^2 over all n > S at once.  That is about
+    2 sqrt N vector adds, none with a temporary.
     """
-    if form != "f":
-        raise DomainError("the divisor-sum expansion is defined for f only")
-    if N < 1:
-        raise DomainError("need N >= 1")
-    if 2 * N * N >= 1 << 63:
-        raise NumericsError("int64 headroom exceeded in divisor sum")
     S = isqrt(N)
     a = np.zeros(N + 1, dtype=np.int64)
     for n in range(1, S + 1):
@@ -583,7 +578,56 @@ def coeffs_lambert(form: str, N: int) -> CoeffStream:
             view -= w
         else:
             view += w
-    del weight
+    return a
+
+
+def _binary_theta(N: int):
+    """g's a_0..a_N (a_0 = 0) as int64: a_m = 1/2 sum (x^2 - y^2) over the
+    x odd, y even with x^2 + y^2 = m.
+
+    Each odd x > 0 stands for +-x, which cancels the 1/2, and each even
+    y > 0 for +-y, which doubles its term.  One odd x adds (x^2 - y^2)
+    (2 if y else 1) at x^2 + y^2 for every even y >= 0 that fits: the
+    indices of one x are distinct, so one fancy-index add is exact.  That is
+    about sqrt(N)/2 adds of about sqrt(N)/2 terms each, O(N) in all.
+    """
+    a = np.zeros(N + 1, dtype=np.int64)
+    y = np.arange(0, isqrt(N) + 1, 2, dtype=np.int64)
+    y *= y  # y^2 for even y
+    times = np.full(len(y), 2, dtype=np.int64)
+    times[0] = 1
+    for x in range(1, isqrt(N) + 1, 2):
+        k = isqrt(N - x * x) // 2 + 1  # the even y with x^2 + y^2 <= N
+        a[x * x + y[:k]] += (x * x - y[:k]) * times[:k]
+    return a
+
+
+def coeffs_lambert(form: str, N: int) -> CoeffStream:
+    """a_1..a_N by each form's arithmetic route, in int64.
+
+    f is the twisted Eisenstein series sum psi(n) n^2 chi_{-4}(k) q^{nk}
+    with psi(n) = (-1)^{n-1}: its a_m is the divisor sum
+    :func:`_divisor_sum` splits at sqrt N into about 2 sqrt N strided adds.
+    g = eta(4 tau)^6 is the weight-3 CM newform of level 16 of a Hecke
+    character of Q(i) (G. Koehler, Eta Products and Theta Series
+    Identities, Springer 2011), so it is the binary theta series
+    1/2 sum_{x odd, y even} (x^2 - y^2) q^(x^2 + y^2) that
+    :func:`_binary_theta` sums in one O(N) lattice pass.
+
+    Neither route multiplies theta series, so each is the independent check
+    of :func:`coeffs_convolution`.  Every partial sum adds part of the terms
+    of one a_m, whose absolute values sum to at most sigma_2(m) < 2 m^2 for
+    f and d(m) m <= 2 m isqrt(m) for g (see :func:`.lvalues.dirichlet_sum`),
+    so an N whose bound reaches 2^63 is refused before anything is
+    allocated: 2 N^2 for f, 2 N isqrt(N) for g.
+    """
+    if form not in ("f", "g"):
+        raise DomainError("form must be 'f' or 'g'")
+    if N < 1:
+        raise DomainError("need N >= 1")
+    if 2 * N * (N if form == "f" else isqrt(N)) >= 1 << 63:
+        raise NumericsError("int64 headroom exceeded in arithmetic coefficients")
+    a = (_divisor_sum if form == "f" else _binary_theta)(N)
     coeffs = a[1:].tolist()
-    del a  # the int64 arrays go before the tuple is built
-    return CoeffStream("f", tuple(coeffs))
+    del a  # the int64 array goes before the tuple is built
+    return CoeffStream(form, tuple(coeffs))

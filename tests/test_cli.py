@@ -180,17 +180,13 @@ class TestCoeffsCommand:
         assert code == 0
         assert out.strip() == "1 -4 8 -16 26 -32 48 -64"
 
-    def test_lambert_route_agrees(self, capsys):
-        _, conv, _ = run(capsys, "coeffs", "--form", "f", "--n", "50")
-        _, lam, _ = run(capsys, "coeffs", "--form", "f", "--n", "50",
-                        "--route", "lambert")
-        assert conv == lam
-
-    def test_g_has_no_lambert_route(self, capsys):
-        code, _, err = run(capsys, "coeffs", "--form", "g", "--n", "5",
+    @pytest.mark.parametrize("form", ["f", "g"])
+    def test_lambert_route_agrees(self, capsys, form):
+        _, conv, _ = run(capsys, "coeffs", "--form", form, "--n", "50")
+        code, lam, _ = run(capsys, "coeffs", "--form", form, "--n", "50",
                            "--route", "lambert")
-        assert code == 2
-        assert "error:" in err
+        assert code == 0
+        assert conv == lam
 
     def test_json_ints(self, capsys):
         _, out, _ = run(capsys, "coeffs", "--form", "g", "--n", "5",
@@ -201,9 +197,10 @@ class TestCoeffsCommand:
     @pytest.mark.parametrize("argv", [
         ("coeffs", "--form", "f", "--n", "300000000", "--route", "convolution"),
         ("coeffs", "--form", "f", "--n", "300000000", "--route", "lambert"),
+        ("coeffs", "--form", "g", "--n", "300000000", "--route", "lambert"),
         ("lvalue", "--form", "g", "--s", "3", "--method", "dirichlet_sum",
          "--max-terms", "10000000000"),
-    ], ids=["convolution", "lambert", "lvalue"])
+    ], ids=["convolution", "lambert", "lambert-g", "lvalue"])
     def test_out_of_memory_exits_2(self, capsys, monkeypatch, argv):
         # numpy refusing the arrays of N = 3e8 or 1e10 (gigabytes each) is
         # stood in for, so no test allocates them

@@ -37,12 +37,19 @@ def _naive_lambert(N):
     return tuple(a[1:])
 
 
+_ORACLES = {"f": _naive_lambert, "g": g_binary_theta}
+
+
 def test_lambert_matches_naive_divisor_sum():
     # every small N, then both sides of each perfect square, where the
-    # hyperbola split moves its cut isqrt(N)
+    # hyperbola split moves its cut isqrt(N) and the lattice pass gains an x
+    # or a y; both routes of each form are held to its plain loop
     squares = {s * s + d for s in range(2, 101) for d in (-1, 0, 1)}
-    for N in sorted(set(range(1, 41)) | squares | {2000, 12345}):
-        assert coeffs_lambert("f", N).coeffs == _naive_lambert(N), N
+    for form, oracle in _ORACLES.items():
+        for N in sorted(set(range(1, 41)) | squares | {2000, 12345}):
+            want = oracle(N)
+            assert coeffs_lambert(form, N).coeffs == want, (form, N)
+            assert coeffs_convolution(form, N).coeffs == want, (form, N)
 
 
 def test_convolution_matches_naive_divisor_sum_small():
@@ -52,7 +59,9 @@ def test_convolution_matches_naive_divisor_sum_small():
 
 
 def test_lambert_int64_headroom_refused(monkeypatch):
-    # |a_m| < 2 m^2, so 2 N^2 >= 2^63 must be refused before any allocation
+    # |a_m| < 2 m^2 for f and |a_m| <= d(m) m <= 2 m isqrt(m) for g, so
+    # 2 N^2 >= 2^63, or 2 N isqrt(N) >= 2^63, must be refused before any
+    # allocation; 2770596763269 is the smallest N with the latter
     class Allocated(Exception):
         pass
 
@@ -61,10 +70,11 @@ def test_lambert_int64_headroom_refused(monkeypatch):
 
     for name in ("zeros", "arange"):
         monkeypatch.setattr(theta.np, name, refuse)
-    with pytest.raises(NumericsError):
-        coeffs_lambert("f", 2**31)
-    with pytest.raises(Allocated):  # the largest N inside the bound goes on
-        coeffs_lambert("f", 2**31 - 1)
+    for form, first in (("f", 2**31), ("g", 2770596763269)):
+        with pytest.raises(NumericsError):
+            coeffs_lambert(form, first)
+        with pytest.raises(Allocated):  # the largest N inside the bound goes on
+            coeffs_lambert(form, first - 1)
 
 
 def test_lambert_divisor_sum_small():
@@ -75,7 +85,8 @@ def test_lambert_divisor_sum_small():
 
 def test_convolution_equals_lambert_exactly():
     N = 10**5
-    assert coeffs_convolution("f", N).coeffs == coeffs_lambert("f", N).coeffs
+    for form in ("f", "g"):
+        assert coeffs_convolution(form, N).coeffs == coeffs_lambert(form, N).coeffs
 
 
 def test_g_equals_binary_theta_series():
@@ -136,6 +147,8 @@ def test_bad_arguments():
     with pytest.raises(DomainError):
         coeffs_convolution("f", 0)
     with pytest.raises(DomainError):
-        coeffs_lambert("g", 10)
+        coeffs_lambert("h", 10)
+    with pytest.raises(DomainError):
+        coeffs_lambert("g", 0)
     with pytest.raises(DomainError):
         CoeffStream("f", (1, -4)).a(3)
