@@ -5,6 +5,8 @@ For each (form, s) pair the script runs all applicable routes at the
 requested precision, prints value / reported error / effort / wall time,
 and closes the block with the mutual agreement of the routes, which is the
 number every other table in this package is ultimately judged against.
+Each route runs alone (``shared=False``, as ``thetal lvalue`` does), so a
+half-period route's time is its own member's, not the whole shared pass.
 
     python3 scripts/lvalue_table.py --digits 25
     python3 scripts/lvalue_table.py --forms g --s 4 --digits 40
@@ -25,7 +27,7 @@ def run_pair(form, s, ctx, digits):
     for method in L_VALUE_METHODS:
         t0 = time.perf_counter()
         try:
-            res = l_value(form, s, method, ctx)
+            res = l_value(form, s, method, ctx, shared=False)
         except DomainError as exc:
             print(f"  {method:<14} -- {exc}")
             continue
@@ -59,14 +61,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     forms = tuple(w.strip() for w in args.forms.split(","))
-    svals = tuple(int(w) for w in args.s.split(","))
+    svals = tuple(w.strip() for w in args.s.split(","))
     for form in forms:
         if form not in FORMS:
             ap.error(f"unknown form {form!r}")
+    for s in svals:
+        if s not in ("3", "4"):
+            ap.error(f"s must be 3 or 4, not {s!r}")
     ctx = PrecisionContext(digits=args.digits)
     for form in forms:
         for s in svals:
-            run_pair(form, s, ctx, args.digits)
+            run_pair(form, int(s), ctx, args.digits)
     return 0
 
 

@@ -9,10 +9,12 @@ status against its target.
 
 Registry ids are stable opaque names.  Pointwise entries register a pair
 function, which the driver sweeps over the configured nome grid, reporting
-the worst sample; value entries compare one or a few pairs of numbers.
-Both must agree to two digits short of the requested precision, except the
-double-series entries under the coarse strategies (``_STRATEGY_TARGETS``).
-Exact entries allow no error at all.
+the worst sample.  Value entries declare pairs of :class:`Side` s as data,
+and one evaluator computes each distinct side once, so the registry alone
+says which routes an identity plays and, with :data:`lvalues.ROUTE_IDS`,
+which shared passes they read.  Both kinds must agree to two digits short
+of the requested precision, except the double-series entries under the
+coarse strategies (``_STRATEGY_TARGETS``).  Exact entries allow no error.
 """
 
 import json
@@ -28,14 +30,17 @@ from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
     KDF_SPECS,
+    L_VALUE_METHODS,
     LF4_ALT,
+    LF4_POS1,
+    LF4_POS3,
     ROUTE_IDS,
     SAMART_5F4,
     kdf_theorem_rhs,
     kdf_weighted_sum,
+    l_chi4,
     l_value,
     lambert_closed,
-    lf4_triple,
 )
 from .theta import (
     alpha_pair,
@@ -53,6 +58,7 @@ from .theta import (
 __all__ = [
     "DEFAULT_GRID",
     "RunConfig",
+    "Side",
     "VerificationReport",
     "IDENTITY_IDS",
     "identity_info",
@@ -116,11 +122,6 @@ def report_to_dict(report: VerificationReport, timings: bool = False) -> dict:
     out["sample_points"] = list(report.sample_points)
     out["wall_time_s"] = f"{report.wall_time_s:.3f}" if timings else "0"
     return out
-
-
-class EvalOutcome(NamedTuple):
-    pairs: tuple
-    promised: Optional[int] = None  # a double-series route's own digits
 
 
 def _ctx_for(config: RunConfig) -> PrecisionContext:
@@ -245,79 +246,67 @@ def _euler(zv, ctx):
 
 
 # ---------------------------------------------------------------------------
-# value identities
-
-def _ev_theorem(form, n, method):
-    # L(form, n)'s double-series side against its value by method
-    rhs_id = ROUTE_IDS[form, n][0]
-
-    def ev(config, ctx):
-        v, e, _ = kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
-        ref = l_value(form, n, method, ctx)
-        label = f"L({form},{n})"
-        return EvalOutcome(((label, v, ref.value),), _promised_digits(v, e))
-
-    return ev
+# value identities: declared pairs of sides, one evaluator
 
 
-def _less(c, res):  # the Estimate of c - res for an exactly known c
-    return res._replace(value=c - res.value)
+class Side(NamedTuple):
+    """One side of a value pair: route is an ``l_value`` method,
+    "double_series" or a ``_CLOSED_FORMS`` name."""
+
+    route: str
+    form: Optional[str] = None
+    s: Optional[int] = None
+    # a double series's corollary scale, (pi power, Fraction); None for its
+    # theorem's own prefactor
+    scale: Optional[tuple] = None
 
 
-# each corollary scales the weighted double series of L(form, n)'s theorem
-# and replaces the L-value by a closed form: label, then (scale, closed
-# Estimate) at ctx
-_COROLLARY = {
-    ("f", 3): ("F(1,1)", lambda ctx: (1, Estimate(3 * mp.pi * mp.log(2), 0))),
-    ("g", 3): ("8 F(1,1)", lambda ctx: (8, _less(48 * mp.log(2), pfq(SAMART_5F4, 1, ctx)))),
-    ("f", 4): ("pi/24 weighted", lambda ctx: (mp.pi / 24, pfq(LF4_ALT, -1, ctx))),
+# name: the (pFq spec, z) sums it reads, and its Estimate from ctx and theirs
+_CLOSED_FORMS = {
+    "3 pi log 2": ((), lambda ctx: Estimate(3 * mp.pi * mp.log(2), 0)),
+    "48 log 2 - 5F4(1)": (((SAMART_5F4, 1),),
+                          lambda ctx, f: f._replace(value=48 * mp.log(2) - f.value)),
+    "5F4(-1)": (((LF4_ALT, -1),), lambda ctx, f: f),
+    "split 5F4(1)": (  # the even/odd split of L(chi_-4, 4)
+        ((LF4_POS1, 1), (LF4_POS3, 1)),
+        lambda ctx, a, b: Estimate(a.value - b.value / 81,
+                                   a.error_estimate + b.error_estimate / 81,
+                                   a.effort + b.effort),
+    ),
+    "L(chi_-4,4)": ((), lambda ctx: l_chi4(4, ctx)),
 }
 
 
-def _ev_corollary(form, n):
-    label, sides = _COROLLARY[form, n]
-    rhs_id = ROUTE_IDS[form, n][0]
-
-    def ev(config, ctx):
-        acc, err, _ = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
+def _side_value(side, config, ctx):
+    if side.route in L_VALUE_METHODS:
+        return l_value(side.form, side.s, side.route, ctx)
+    if side.route == "double_series":
+        rhs_id = ROUTE_IDS[side.form, side.s][0]
+        if side.scale is None:
+            return kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
+        acc, err, calls = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
+        power, frac = side.scale
         with ctx.working():
-            scale, closed = sides(ctx)
-            lhs = scale * acc
-        promised = _promised_digits(lhs, scale * err + closed.error_estimate)
-        return EvalOutcome(((label, lhs, closed.value),), promised)
-
-    return ev
-
-
-def _ev_factorization(config, ctx):
-    pairs = []
-    for s in (3, 4):
-        a = l_value("f", s, "factorized", ctx)
-        b = l_value("f", s, "mellin", ctx)
-        pairs.append((f"s={s}", a.value, b.value))
-    return EvalOutcome(tuple(pairs))
+            scale = mp.pi**power * mp.mpf(frac.numerator) / frac.denominator
+            return Estimate(scale * acc, scale * err, calls)
+    sums, closed = _CLOSED_FORMS[side.route]
+    with ctx.working():
+        return closed(ctx, *(pfq(spec, z, ctx) for spec, z in sums))
 
 
-def _ev_lf4_triple(config, ctx):
-    labels = ("alternating", "split", "character-sum")
-    variants = tuple(zip(labels, (t.value for t in lf4_triple(ctx))))
-    pairs = []
-    for i, (la, va) in enumerate(variants):
-        for lb, vb in variants[i + 1 :]:
-            pairs.append((f"{la}|{lb}", va, vb))
-    return EvalOutcome(tuple(pairs))
-
-
-def _q_route(id_, name, desc, form, n, rhs, method):
-    # L(form, n)'s nome integral, named by its route id, against its value by method
-    q_id = ROUTE_IDS[form, n][1]
-
-    def ev(config, ctx):
-        v = l_value(form, n, "q_integral", ctx).value
-        ref = l_value(form, n, method, ctx).value
-        return EvalOutcome(((f"q:{q_id}", v, ref),))
-
-    return Identity(id_, name, "value", desc, f"q_integral({q_id})", rhs, ev)
+def _evaluate_pairs(pairs, config, ctx):
+    """Each distinct side once, then every pair's values.  A pair with a
+    double-series side promises the digits both its sides' bounds vouch
+    for; the entry promises the least of those."""
+    sides = dict.fromkeys(side for _, *both in pairs for side in both)
+    got = {side: _side_value(side, config, ctx) for side in sides}
+    promised = [
+        _promised_digits(got[a].value, got[a].error_estimate + got[b].error_estimate)
+        for _, a, b in pairs
+        if "double_series" in (a.route, b.route)
+    ]
+    values = tuple((label, got[a].value, got[b].value) for label, a, b in pairs)
+    return values, min(promised, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +336,7 @@ def _exact_outcome(headline, checks, size=lambda v: v, flags=()):
     checks = tuple(checks)
     totals = (sum(size(p[side]) for p in checks) for side in (1, 2))
     misses = [p for p in checks + tuple(flags) if p[1] != p[2]]
-    return EvalOutcome(((headline, *totals), *misses[:3]))
+    return ((headline, *totals), *misses[:3])
 
 
 def _ev_pochhammer(config, ctx):
@@ -409,24 +398,32 @@ class Identity:
     description: str
     lhs_method: str
     rhs_method: str
-    evaluate: Callable
+    evaluate: Optional[Callable] = None  # a pointwise or exact entry's evaluator
+    pairs: tuple = ()  # a value entry's (label, Side, Side) pairs
 
 
 def _sweep(pair_at):
     # the evaluator of a pointwise entry: its pair function over the grid
     def evaluate(config, ctx):
-        pairs = []
         with ctx.working():
-            for label, qv in _grid_values(config, ctx):
-                lhs, rhs = pair_at(qv, ctx)
-                pairs.append((label, lhs, rhs))
-        return EvalOutcome(tuple(pairs))
+            return tuple((s, *pair_at(qv, ctx)) for s, qv in _grid_values(config, ctx))
 
     return evaluate
 
 
 def _pw(id_, name, desc, lhs, rhs, pair_at):
     return Identity(id_, name, "pointwise", desc, lhs, rhs, _sweep(pair_at))
+
+
+def _value(id_, name, desc, lhs, rhs, *pairs):
+    return Identity(id_, name, "value", desc, lhs, rhs, pairs=pairs)
+
+
+def _nome(id_, name, desc, form, s, rhs, method):
+    # L(form, s)'s nome integral, named by its route id, against method
+    q_id = ROUTE_IDS[form, s][1]
+    pair = (f"q:{q_id}", Side("q_integral", form, s), Side(method, form, s))
+    return _value(id_, name, desc, f"q_integral({q_id})", rhs, pair)
 
 
 _REGISTRY_ENTRIES = (
@@ -465,47 +462,44 @@ _REGISTRY_ENTRIES = (
         "2 theta3(q^2)^2", "theta3(q)^2 + theta4(q)^2", _doubling_33),
     _pw("I16", "doubling-44", "theta3 theta4 at q equals theta4^2 at q^2",
         "theta3(q) theta4(q)", "theta4(q^2)^2", _doubling_44),
-    Identity("I17", "thm11-1", "value",
-             "weight-3 double-series reduction for L(f,3)",
-             "pi^2/96 * KdF at (1,1)", "l_psi(1) * l_chi4(3)",
-             _ev_theorem("f", 3, "factorized")),
-    Identity("I18", "thm11-2", "value",
-             "weight-3 double-series reduction for L(g,3)",
-             "pi^3/128 * KdF at (1,1)", "Mellin transform of g at s=3",
-             _ev_theorem("g", 3, "mellin")),
-    Identity("I19", "thm12-1", "value",
-             "weight-4 double-series reduction for L(f,4)",
-             "pi^3/288 * weighted KdF pair", "l_psi(2) * l_chi4(4)",
-             _ev_theorem("f", 4, "factorized")),
-    Identity("I20", "thm12-2", "value",
-             "weight-4 double-series reduction for L(g,4)",
-             "pi^4/768 * weighted KdF pair", "Mellin transform of g at s=4",
-             _ev_theorem("g", 4, "mellin")),
-    Identity("I21", "cor-1", "value",
-             "first reduction corollary: the double series collapses to 3 pi log 2",
-             "KdF at (1,1)", "3 pi log 2", _ev_corollary("f", 3)),
-    Identity("I22", "cor-2", "value",
-             "second reduction corollary against the quadruple-2 5F4",
-             "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)",
-             _ev_corollary("g", 3)),
-    Identity("I23", "cor-3", "value",
-             "third reduction corollary against the alternating 5F4",
-             "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)",
-             _ev_corollary("f", 4)),
-    Identity("I24", "factorization", "value",
-             "Dirichlet factorization of L(f,s) against the Mellin route, s in {3,4}",
-             "l_psi(s-2) * l_chi4(s)", "Mellin transform of f", _ev_factorization),
-    Identity("I25", "lf4-triple", "value",
-             "three series expressions for the weight-4 character sum agree pairwise",
-             "alternating 5F4", "positive split 5F4 / character sum", _ev_lf4_triple),
-    _q_route("I26a", "prop21-1", "weight-3 nome-space integral for L(f,3)",
-             "f", 3, "l_psi(1) * l_chi4(3)", "factorized"),
-    _q_route("I26b", "prop21-2", "weight-3 nome-space integral for L(g,3)",
-             "g", 3, "alpha-space integral", "alpha_integral"),
-    _q_route("I26c", "prop31-1", "weight-4 nome-space integral for L(f,4)",
-             "f", 4, "l_psi(2) * l_chi4(4)", "factorized"),
-    _q_route("I26d", "prop31-2", "weight-4 nome-space integral for L(g,4)",
-             "g", 4, "alpha-space integral", "alpha_integral"),
+    _value("I17", "thm11-1", "weight-3 double-series reduction for L(f,3)",
+           "pi^2/96 * KdF at (1,1)", "l_psi(1) * l_chi4(3)",
+           ("L(f,3)", Side("double_series", "f", 3), Side("factorized", "f", 3))),
+    _value("I18", "thm11-2", "weight-3 double-series reduction for L(g,3)",
+           "pi^3/128 * KdF at (1,1)", "Mellin transform of g at s=3",
+           ("L(g,3)", Side("double_series", "g", 3), Side("mellin", "g", 3))),
+    _value("I19", "thm12-1", "weight-4 double-series reduction for L(f,4)",
+           "pi^3/288 * weighted KdF pair", "l_psi(2) * l_chi4(4)",
+           ("L(f,4)", Side("double_series", "f", 4), Side("factorized", "f", 4))),
+    _value("I20", "thm12-2", "weight-4 double-series reduction for L(g,4)",
+           "pi^4/768 * weighted KdF pair", "Mellin transform of g at s=4",
+           ("L(g,4)", Side("double_series", "g", 4), Side("mellin", "g", 4))),
+    _value("I21", "cor-1", "first reduction corollary: the double series collapses to 3 pi log 2",
+           "KdF at (1,1)", "3 pi log 2",
+           ("F(1,1)", Side("double_series", "f", 3, (0, Fraction(1))), Side("3 pi log 2"))),
+    _value("I22", "cor-2", "second reduction corollary against the quadruple-2 5F4",
+           "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)",
+           ("8 F(1,1)", Side("double_series", "g", 3, (0, Fraction(8))), Side("48 log 2 - 5F4(1)"))),
+    _value("I23", "cor-3", "third reduction corollary against the alternating 5F4",
+           "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)",
+           ("pi/24 weighted", Side("double_series", "f", 4, (1, Fraction(1, 24))), Side("5F4(-1)"))),
+    _value("I24", "factorization", "Dirichlet factorization of L(f,s) against the Mellin route, s in {3,4}",
+           "l_psi(s-2) * l_chi4(s)", "Mellin transform of f",
+           ("s=3", Side("factorized", "f", 3), Side("mellin", "f", 3)),
+           ("s=4", Side("factorized", "f", 4), Side("mellin", "f", 4))),
+    _value("I25", "lf4-triple", "three series expressions for the weight-4 character sum agree pairwise",
+           "alternating 5F4", "positive split 5F4 / character sum",
+           ("alternating|split", Side("5F4(-1)"), Side("split 5F4(1)")),
+           ("alternating|character-sum", Side("5F4(-1)"), Side("L(chi_-4,4)")),
+           ("split|character-sum", Side("split 5F4(1)"), Side("L(chi_-4,4)"))),
+    _nome("I26a", "prop21-1", "weight-3 nome-space integral for L(f,3)",
+          "f", 3, "l_psi(1) * l_chi4(3)", "factorized"),
+    _nome("I26b", "prop21-2", "weight-3 nome-space integral for L(g,3)",
+          "g", 3, "alpha-space integral", "alpha_integral"),
+    _nome("I26c", "prop31-1", "weight-4 nome-space integral for L(f,4)",
+          "f", 4, "l_psi(2) * l_chi4(4)", "factorized"),
+    _nome("I26d", "prop31-2", "weight-4 nome-space integral for L(g,4)",
+          "g", 4, "alpha-space integral", "alpha_integral"),
     Identity("I27", "pochhammer", "exact",
              "Pochhammer quotient closed forms 2n+1, 4n+1, 4n+3 in exact rationals",
              "incremental rising-factorial quotient", "linear closed form",
@@ -602,21 +596,23 @@ def verify(id_: str, config: RunConfig) -> VerificationReport:
     ctx = _ctx_for(config)
     t0 = time.perf_counter()
     try:
-        outcome = entry.evaluate(config, ctx)
-    except Exception as exc:
-        outcome, samples = None, (f"error: {exc}",)
-    elapsed = time.perf_counter() - t0
-    if outcome is None:
-        target, passed = _target(config, None), False
-        comparison = _Comparison("nan", "nan", "nan", "nan", 0)
-    else:
-        target = _target(config, outcome.promised)
-        samples = tuple(p[0] for p in outcome.pairs)
-        if entry.kind == "exact":
-            comparison = _compare_exact(config, outcome.pairs)
-            passed = all(a == b for _, a, b in outcome.pairs)
+        if entry.pairs:
+            pairs, promised = _evaluate_pairs(entry.pairs, config, ctx)
         else:
-            comparison = _compare(config, outcome.pairs)
+            pairs, promised = entry.evaluate(config, ctx), None
+    except Exception as exc:
+        pairs, promised, samples = None, None, (f"error: {exc}",)
+    elapsed = time.perf_counter() - t0
+    target = _target(config, promised)
+    if pairs is None:
+        passed, comparison = False, _Comparison("nan", "nan", "nan", "nan", 0)
+    else:
+        samples = tuple(p[0] for p in pairs)
+        if entry.kind == "exact":
+            comparison = _compare_exact(config, pairs)
+            passed = all(a == b for _, a, b in pairs)
+        else:
+            comparison = _compare(config, pairs)
             passed = comparison.digits_agreed >= target
     return VerificationReport(
         id=entry.id,

@@ -131,3 +131,18 @@ def test_scripts_start(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "routes agree" in done.stdout, done.stdout
+
+
+def test_lvalue_table_rejects_s_outside_3_4(tmp_path):
+    # values exist at s = 3 and 4 only, so any other s is a usage error
+    repo = PERFBENCH.parent
+    done = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "lvalue_table.py"), "--s", "3,5"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stdout
+    assert "s must be 3 or 4" in done.stderr
+    assert not done.stdout

@@ -2,7 +2,6 @@
 
 import hashlib
 from dataclasses import replace
-from types import CodeType
 
 import mpmath as mp
 import pytest
@@ -15,6 +14,7 @@ from thetal.identities import (
     IDENTITY_IDS,
     REGISTRY,
     RunConfig,
+    Side,
     VerificationReport,
     identity_info,
     report_to_dict,
@@ -26,6 +26,8 @@ from thetal.identities import (
 POINTWISE = tuple(i for i in IDENTITY_IDS if REGISTRY[i].kind == "pointwise")
 VALUE = tuple(i for i in IDENTITY_IDS if REGISTRY[i].kind == "value")
 EXACT = tuple(i for i in IDENTITY_IDS if REGISTRY[i].kind == "exact")
+THEOREMS = ("I17", "I18", "I19", "I20")
+COROLLARIES = ("I21", "I22", "I23")
 
 SCHEMA_KEYS = (
     "id", "lhs", "rhs", "abs_err", "rel_err", "digits_agreed", "lhs_method",
@@ -61,25 +63,32 @@ class TestRegistryShape:
         table = lvalues.ROUTE_IDS.values()
         assert got == [f"q_integral({ids[1]})" for ids in table]
 
-    def test_no_value_identity_plays_mellin_against_a_nome_integral(self):
-        # Mellin at s = 3, 4 and the four nome integrals are members of one
-        # shared pass (lvalues._u_pass), so no identity may compare the two.
-        # Each evaluator's l_value methods are read from its declaration: the
-        # names it closes over and the string constants of its code.
-        def methods(evaluate):
-            names = [c.cell_contents for c in evaluate.__closure__ or ()]
-            codes = [evaluate.__code__]
-            while codes:
-                consts = codes.pop().co_consts
-                names += consts
-                codes += [c for c in consts if isinstance(c, CodeType)]
-            return {n for n in names if n in lvalues.L_VALUE_METHODS}
+    def test_value_entries_declare_their_pairs(self):
+        # every value entry is (label, Side, Side) pairs as data, and only those
+        for id_ in IDENTITY_IDS:
+            e = REGISTRY[id_]
+            assert bool(e.pairs) == (e.kind == "value"), id_
+            assert (e.evaluate is None) == (e.kind == "value"), id_
+            for label, *sides in e.pairs:
+                assert isinstance(label, str)
+                assert len(sides) == 2 and all(isinstance(s, Side) for s in sides)
 
-        used = {id_: methods(REGISTRY[id_].evaluate) for id_ in VALUE}
-        assert any("mellin" in m for m in used.values())
-        assert any("q_integral" in m for m in used.values())
-        for id_, m in used.items():
-            assert not {"mellin", "q_integral"} <= m, id_
+    def test_no_pair_plays_two_readers_of_one_shared_pass(self):
+        # Mellin at s = 3, 4 and the four nome integrals are members of one
+        # half-period pass (lvalues._u_pass), and the double series and
+        # alpha_integral read one reduction pass (lvalues._kdf_family), so no
+        # pair may play two readers of one pass against each other
+        shared = {
+            "mellin": "_u_pass",
+            "q_integral": "_u_pass",
+            "double_series": "_kdf_family",
+            "alpha_integral": "_kdf_family",
+        }
+        played = [(id_, label, a.route, b.route)
+                  for id_ in VALUE for label, a, b in REGISTRY[id_].pairs]
+        assert set(shared) <= {r for *_, a, b in played for r in (a, b)}
+        for id_, label, a, b in played:
+            assert a not in shared or shared[a] != shared.get(b), (id_, label)
 
     def test_unknown_id(self, config):
         with pytest.raises(DomainError):
@@ -166,15 +175,33 @@ class TestValueIdentities:
         monkeypatch.setattr(identities, "pfq", inflated)
         assert verify("I23", cfg).target == 0
 
+    def test_truncated_square_targets_are_pinned(self, config):
+        # the report JSON leaves the target out, so the pinned digest cannot
+        # see the promised-digits rule move; these can
+        cfg = replace(config, kdf_strategy="double_truncate")
+        reports = verify_all(replace(cfg, ids=THEOREMS + COROLLARIES))
+        assert [r.target for r in reports] == [0, 0, 2, 0, 0, 0, 2]
+        assert [r.status for r in reports] == ["pass"] * 7
+
+    def test_each_distinct_side_evaluated_once(self, config, monkeypatch):
+        # I25's three sides read three 5F4 sums between them, each summed
+        # once however many pairs the side stands in
+        calls = []
+        real = identities.pfq
+
+        def counting(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(identities, "pfq", counting)
+        assert verify("I25", config).status == "pass"
+        assert len(calls) == 3
+
     def test_iterated_strategy(self, config):
         r = verify("I17", replace(config, kdf_strategy="iterated"))
         assert r.status == "pass"
         assert r.target == 5
         assert r.digits_agreed >= 5
-
-
-THEOREMS = ("I17", "I18", "I19", "I20")
-COROLLARIES = ("I21", "I22", "I23")
 
 
 class TestSharedDoubleSeries:
