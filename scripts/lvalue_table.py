@@ -5,8 +5,9 @@ For each (form, s) pair the script runs all applicable routes at the
 requested precision, prints value / reported error / effort / wall time,
 and closes the block with the mutual agreement of the routes, which is the
 number every other table in this package is ultimately judged against.
-Each route runs alone (``shared=False``, as ``thetal lvalue`` does), so a
-half-period route's time is its own member's, not the whole shared pass.
+Each route runs alone (``shared=False``, as ``thetal lvalue`` does), so the
+time of a half-period route or of ``alpha_integral`` is its own, not that
+of the whole shared pass.
 
     python3 scripts/lvalue_table.py --digits 25
     python3 scripts/lvalue_table.py --forms g --s 4 --digits 40

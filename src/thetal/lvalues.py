@@ -25,12 +25,13 @@ which of them reaches which L(form, s).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, count
+from itertools import compress, count, repeat
+from operator import floordiv, mul
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import to_fixed
 
 from .context import DomainError, Estimate, GUARD_BITS, NumericsError, PrecisionContext
@@ -38,7 +39,7 @@ from .context import as_real, ensure_finite
 from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
 from .quadrature import integrate01, isolated, settled
-from .special import alternating_sum, eta, gamma, zeta
+from .special import alternating_sum, eta, gamma
 from .theta import coeffs_lambert, lambert_series, theta_involution
 
 __all__ = [
@@ -167,11 +168,12 @@ def _kdf_family(ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=32)  # a registry pass at one precision fills four
-def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
+def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext, shared=True):
     """The sum of w F(1, 1) over one reduction's weighted specs, its error
     the sum of w error and its effort the integrand calls (0 for the float64
     strategies): its theorem's side before the pi-power prefactor, and its
-    corollary's before that one's scale, so the two share one evaluation."""
+    corollary's before that one's scale, so the two share one evaluation.
+    Unless ``shared``, the integral reduction runs its own specs alone."""
     try:
         pieces = _KDF_RHS[rhs_id][2]
     except KeyError:
@@ -181,7 +183,7 @@ def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
         err = mp.mpf(0)
         calls = 0
         for weight, name in pieces:
-            if strategy == "integral_reduction":
+            if strategy == "integral_reduction" and shared:
                 res = settled(_kdf_family(ctx)[name])
             else:
                 res = kdf_full(KDF_SPECS[name], 1, 1, strategy, ctx)
@@ -191,29 +193,33 @@ def kdf_weighted_sum(rhs_id: str, strategy: str, ctx: PrecisionContext):
         return Estimate(acc, err, calls)
 
 
-def kdf_theorem_rhs(rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction"):
+def kdf_theorem_rhs(
+    rhs_id: str, ctx: PrecisionContext, strategy="integral_reduction", shared=True
+):
     """The double-series side of one L-value reduction, with the integrand
     calls of its weighted sum.
 
     The s = 4 sides are weighted pairs of boundary values; the weights and
     the pi-power prefactor are kept exact and applied once at the end.
     """
-    acc, err, calls = kdf_weighted_sum(rhs_id, strategy, ctx)
+    # shared, one memo entry with the registry's three-argument calls
+    key = (rhs_id, strategy, ctx) + (() if shared else (False,))
+    acc, err, calls = kdf_weighted_sum(*key)
     power, pref, _ = _KDF_RHS[rhs_id]
     with ctx.working():
         factor = _pi_factor(power, pref)
         return Estimate(ensure_finite(acc * factor, "kdf rhs"), err * factor, calls)
 
 
-def alpha_integral(rhs_id: str, ctx: PrecisionContext):
+def alpha_integral(rhs_id: str, ctx: PrecisionContext, shared=True):
     """L-value as an integral of hypergeometric kernels over alpha in (0, 1).
 
     The paper integrates this alpha-space form termwise through the Beta
     integral to reach the double series at (1, 1); the integral reduction
     of :func:`kdf_full` undoes exactly that step.  So this is the same
-    evaluation as :func:`kdf_theorem_rhs`, and one call of it.
+    evaluation as :func:`kdf_theorem_rhs`: one call of it, ``shared`` or not.
     """
-    return kdf_theorem_rhs(rhs_id, ctx)
+    return kdf_theorem_rhs(rhs_id, ctx, shared=shared)
 
 
 # ---------------------------------------------------------------------------
@@ -445,41 +451,36 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None, shared=True):
 # raw Dirichlet series
 
 
-@lru_cache(maxsize=4)
-def _g_coeffs(n_terms: int):
-    return coeffs_lambert("g", n_terms)
+@lru_cache(maxsize=4)  # g's nonzero m to N, their a_m, and sum |a_m|
+def _g_terms(n_terms: int):
+    coeffs = coeffs_lambert("g", n_terms).coeffs
+    ams = tuple(filter(None, coeffs))
+    return tuple(compress(count(1), coeffs)), ams, sum(map(abs, ams))
 
 
-@lru_cache(maxsize=4)
-def _divisor_counts(n_terms: int):
-    """d(m) for m = 0..n_terms as a read-only float64 array.
-
-    Divisors pair up as a * b = m with a <= sqrt(m): each a <= sqrt(N)
-    counts once at a^2 and twice at every a * b with b > a.
-    """
-    d = np.zeros(n_terms + 1)
-    for a in range(1, math.isqrt(n_terms) + 1):
-        d[a * a] += 1.0
-        d[a * (a + 1) :: a] += 2.0
-    d.flags.writeable = False
-    return d
+def _hurwitz_above(s: float, x: int) -> float:
+    """zeta(s, x) from above for real s > 1: the terms below 16 summed, then
+    Euler-Maclaurin through B_4 and the size of the B_6 term, a bound on the
+    rest as t^-s's derivatives alternate in sign.  From 16 on, the excess is
+    below 1e-10 relative for s <= 3."""
+    y = float(max(x, 16))
+    w, p = y**-s, s * (s + 1) * (s + 2)
+    return math.fsum([*(float(j) ** -s for j in range(x, 16)),
+                      y * w / (s - 1), w / 2, s * w / (12 * y),
+                      -p * w / (720 * y**3), p * (s + 3) * (s + 4) * w / (30240 * y**5)])
 
 
-def _divisor_tail(n_terms: int, s1: float, ctx: PrecisionContext) -> float:
-    """sum_{m > N} d(m) m^(-s1), essentially exactly, for s1 > 3/2.
-
-    zeta(s1)^2 is the full sum; a sieve supplies the partial one.  Everything
-    runs in float64: the bound it feeds is generous in the aggregate anyway,
-    and the pairwise-summed dot product is good to ~1e-13 absolute, which the
-    returned padding covers.
-    """
-    d = _divisor_counts(n_terms)
-    powers = np.arange(0, n_terms + 1, dtype=np.float64)
-    powers[0] = 1.0
-    partial = float(np.dot(d[1:], powers[1:] ** (-s1)))
-    zv = zeta(mp.mpf(s1), ctx).value
-    tail = float(zv * zv) - partial
-    return max(tail, 0.0) + 1e-13
+def _divisor_tail(n_terms: int, s1: float) -> float:
+    """sum_{m > N} d(m) m^(-s1) from above, for real s1 > 1.  By Dirichlet's
+    hyperbola method, with S = isqrt(N), the pairs a b > N are those with
+    a <= S <= N // a < b, their mirrors, and all with a, b > S, so it is
+    2 sum_{a <= S} a^-s1 zeta(s1, N // a + 1) + zeta(s1, S + 1)^2: positive
+    float64 terms, each a few roundings above, which the pads cover."""
+    cut = math.isqrt(n_terms)
+    head = math.fsum([a**-s1 * _hurwitz_above(s1, n_terms // a + 1)
+                      for a in range(1, cut + 1)])
+    rest = _hurwitz_above(s1, cut + 1)
+    return (2 * head + rest * rest) * (1 + 1e-12) + 1e-13
 
 
 def _iroot(x: int, k: int) -> int:
@@ -503,9 +504,9 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
     with x even; each term has |x^2 - y^2| <= x^2 + y^2 = m; and Jacobi's
     r_2(m) = 4 sum_{d|m} chi_{-4}(d) is at most 4 d(m).  So |a_m| <=
     1/2 (2 d(m)) m.  The suite also checks the bound well past the first
-    thousand coefficients.  f is not served here; its factorized route
-    is strictly better and keeps this one an independent g check.  The
-    effort is the terms summed.
+    thousand coefficients, and :func:`_divisor_tail` bounds the rest.  f is
+    not served here; its factorized route is strictly better and keeps this
+    one an independent g check.  The effort is the terms summed.
 
     The sum is one Python-integer accumulation at wp bits.  Each weight
     m^-s goes to fixed point once: exactly floored, (2^wp) // m^s, for
@@ -521,21 +522,19 @@ def dirichlet_sum(form: str, s, ctx: PrecisionContext, n_terms: int = 100000):
         sv = ensure_finite(as_real(s), "exponent")
         if not 2 * sv > 5:
             raise DomainError("divisor tail closes only for s > 5/2")
-        coeffs = _g_coeffs(int(n_terms)).coeffs
-        mass = sum(map(abs, coeffs))
+        ms, ams, mass = _g_terms(int(n_terms))
         wp = mp.mp.prec + mass.bit_length()
         one, k = 1 << wp, int(sv)
-        # for integer s, one // m**k is 0 past the k-th root of one
-        kept = coeffs[: _iroot(one, k)] if k == sv else coeffs
-        terms = zip(compress(count(1), kept), filter(None, kept))  # a_m != 0
-        if k == sv:
-            acc = sum([am * (one // m**k) for m, am in terms])
+        if k == sv:  # one // m**k is 0 past the k-th root of one
+            kept = bisect_right(ms, _iroot(one, k))
+            weights = map(floordiv, repeat(one), map(pow, ms[:kept], repeat(k)))
+            acc = sum(map(mul, ams, weights))
         else:
             with mp.workprec(wp):
                 acc = sum([am * to_fixed((mp.mpf(m) ** -sv)._mpf_, wp)
-                           for m, am in terms])
+                           for m, am in zip(ms, ams)])
         value = mp.mpf((acc, -wp))
-        tail = _divisor_tail(int(n_terms), float(sv) - 1.0, ctx)
+        tail = _divisor_tail(int(n_terms), float(sv) - 1.0)
         est = mp.mpf(tail) + noise_floor(value, ctx) + mp.mpf((2 * mass, -wp))
         return Estimate(ensure_finite(value, "dirichlet sum"), est, int(n_terms))
 
@@ -616,7 +615,7 @@ def _l_value_cached(form: str, n: int, method: str, ctx: PrecisionContext, share
         return mellin(form, n, ctx, shared=shared)
     kdf_id, q_id, closed_id = ROUTE_IDS[form, n]
     if method == "alpha_integral":
-        return alpha_integral(kdf_id, ctx)
+        return alpha_integral(kdf_id, ctx, shared=shared)
     if method == "q_integral":
         return q_integral(q_id, ctx, shared=shared)
     # closed_form
@@ -640,9 +639,10 @@ def l_value(
     sums and the closed forms' hypergeometric sums (0 for the elementary
     lf3), and integrand evaluations for the quadrature routes.  ``shared``
     (the default) runs ``mellin`` and ``q_integral`` in the one half-period
-    pass of all eight, which a registry pass reads whole; a caller that
-    reads one value sets it false and pays for that member alone, for the
-    same value bit for bit.
+    pass of all eight and ``alpha_integral`` in the one pass of all six
+    double-series reductions, which a registry pass reads whole; a caller
+    that reads one value sets it false and pays for that route alone, for
+    the same value bit for bit.
     """
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}")

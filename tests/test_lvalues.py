@@ -1,9 +1,12 @@
 """L-value routes: each against an independent oracle, then against each other."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,25 +320,23 @@ def _divisor_counts(n):
     return d
 
 
-def _divisor_tail_loop(n_terms, s1, ctx):
-    # the one-slice-per-divisor sieve the pair sieve replaced, kept as the
-    # reference: same float64 partial sum, same zeta^2 complement
-    d = np.zeros(n_terms + 1)
-    for a in range(1, n_terms + 1):
-        d[a::a] += 1.0
-    powers = np.arange(0, n_terms + 1, dtype=np.float64)
-    powers[0] = 1.0
-    partial = float(np.dot(d[1:], powers[1:] ** (-s1)))
-    zv = lvalues.zeta(mp.mpf(s1), ctx).value
-    return max(float(zv * zv) - partial, 0.0) + 1e-13
-
-
 class TestDirichletSum:
-    @pytest.mark.parametrize("n", [10, 11, 99, 100, 101, 2024, 5000])
-    def test_divisor_pair_sieve_matches_loop(self, ctx, n):
-        assert lvalues._divisor_counts(n).tolist() == _divisor_counts(n)
-        for s1 in (1.75, 2.0, 2.5, 3.0):
-            assert lvalues._divisor_tail(n, s1, ctx) == _divisor_tail_loop(n, s1, ctx)
+    @pytest.mark.parametrize("n, exponents", [
+        *(pytest.param(n, (1.75, 2.0, 2.5, 3.0), id=str(n))
+          for n in (10, 11, 99, 100, 101, 2024, 5000)),
+        pytest.param(100000, (3.0,), id="100000"),
+    ])
+    def test_divisor_tail_brackets_exact_tail(self, n, exponents):
+        # the hyperbola-method tail lies above the exact one, zeta(s1)^2 less
+        # the partial sum at 40 digits, and within its pads of it
+        d = _divisor_counts(n)
+        for s1 in exponents:
+            with mp.workdps(40):
+                s = mp.mpf(s1)
+                exact = mp.zeta(s) ** 2 - mp.fsum(d[m] * mp.mpf(m) ** -s
+                                                  for m in range(1, n + 1))
+                tail = lvalues._divisor_tail(n, s1)
+                assert exact <= tail <= exact * (1 + mp.mpf("1e-9")) + 2e-13, s1
 
     def test_coefficient_bound_holds_empirically(self):
         # |a_m| <= d(m) m justifies the tail bound; check it well past the
@@ -387,17 +388,38 @@ class TestDirichletSum:
 
     @pytest.mark.parametrize("s, value, estimate", [
         (3, (0, 1281633860205133880827830298262380625, -120, 120),
-         (0, 372057009570507401778167028063410351, -131, 119)),
+         (0, 372057009557268911426228631250671791, -131, 119)),
         (4, (0, 1318355667180269441212310261283681289, -120, 120),
-         (0, 939776372595093458390197367726602495, -150, 120)),
+         (0, 939776607695486123770060602371406079, -150, 120)),
         ("7/2", (0, 653127089613607080432880754071957599, -119, 119),
-         (0, 97949593045912417031188125599060675, -138, 117)),
+         (0, 97949592466603266081854998314930883, -138, 117)),
     ])
     def test_estimates_are_pinned(self, ctx, s, value, estimate):
-        # recorded from a per-term accumulation: the sum is exact in
-        # integers, so how its terms are gathered may not move a bit
+        # values recorded from a per-term accumulation: the sum is exact in
+        # integers, so how its terms are gathered may not move a bit; the
+        # estimates from the hyperbola-method tail
         v, e, used = dirichlet_sum("g", s, ctx)
         assert (v._mpf_, e._mpf_, used) == (value, estimate, 100000)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # value and estimate come from Python integers and libm floats alone,
+        # so the thread count of numpy's BLAS cannot reach them
+        script = (
+            "from thetal.context import PrecisionContext\n"
+            "from thetal.lvalues import dirichlet_sum\n"
+            "ctx = PrecisionContext(digits=20)\n"
+            "for s in (3, 4, '7/2'):\n"
+            "    v, e, _ = dirichlet_sum('g', s, ctx)\n"
+            "    print(v._mpf_, e._mpf_)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1 and len(outputs.pop().splitlines()) == 3
 
     def test_large_integer_exponent(self, ctx):
         # past m = 1 every weight floors to 0 at wp bits, so only a_1 = 1
@@ -643,6 +665,18 @@ class TestSharedPasses:
         for name, spec in KDF_SPECS.items():
             alone = kdf_full(spec, 1, 1, "integral_reduction", ctx)
             assert _mpfs(family[name]) == _mpfs(alone), name
+
+    def test_lone_alpha_integral_matches_shared(self):
+        # shared=False runs the theorem's own specs, not the six-spec pass
+        ctx = PrecisionContext(digits=20)
+        for memo in (lvalues._kdf_family, lvalues.kdf_weighted_sum,
+                     lvalues._l_value_cached):
+            memo.cache_clear()
+        lone = {pair: _mpfs(l_value(*pair, "alpha_integral", ctx, shared=False))
+                for pair in ROUTE_IDS}
+        assert lvalues._kdf_family.cache_info().currsize == 0
+        for pair, bits in lone.items():
+            assert _mpfs(l_value(*pair, "alpha_integral", ctx)) == bits, pair
 
     @pytest.mark.parametrize("first", ["prop31_2", "prop21_1"])
     def test_a_failing_nome_integral_fails_alone(self, first):
