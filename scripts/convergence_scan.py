@@ -15,7 +15,7 @@ import argparse
 
 import mpmath as mp
 
-from thetal.context import PrecisionContext
+from thetal.context import MIN_DIGITS, PrecisionContext
 from thetal.hyper import kdf_full
 from thetal.lvalues import KDF_SPECS
 
@@ -67,6 +67,8 @@ def main(argv=None):
     ap.add_argument("--spec", default="thm11_1", choices=sorted(KDF_SPECS))
     ap.add_argument("--digits", type=int, default=20)
     args = ap.parse_args(argv)
+    if args.digits < MIN_DIGITS:
+        ap.error(f"digits must be at least {MIN_DIGITS}")
     return scan(args.spec, args.digits)
 
 

@@ -18,7 +18,7 @@ import time
 
 import mpmath as mp
 
-from thetal.context import DomainError, PrecisionContext
+from thetal.context import MIN_DIGITS, DomainError, PrecisionContext
 from thetal.lvalues import FORMS, L_VALUE_METHODS, l_value
 
 
@@ -60,6 +60,8 @@ def main(argv=None):
     ap.add_argument("--s", default="3,4",
                     help="comma list from {3,4} (default both)")
     args = ap.parse_args(argv)
+    if args.digits < MIN_DIGITS:
+        ap.error(f"digits must be at least {MIN_DIGITS}")
 
     forms = tuple(w.strip() for w in args.forms.split(","))
     svals = tuple(w.strip() for w in args.s.split(","))

@@ -29,16 +29,14 @@ from .context import MIN_DIGITS, DomainError, Estimate, PrecisionContext, as_rea
 from .hyper import KDF_STRATEGIES, euler_2f1, kdf_converges, pfq
 from .hyper import PFQSpec, series_kernel
 from .lvalues import (
+    COROLLARIES,
     KDF_SPECS,
     L_VALUE_METHODS,
-    LF4_ALT,
-    LF4_POS1,
-    LF4_POS3,
     ROUTE_IDS,
-    SAMART_5F4,
+    _pi_factor,
+    closed_side,
     kdf_theorem_rhs,
     kdf_weighted_sum,
-    l_chi4,
     l_value,
     lambert_closed,
 )
@@ -251,30 +249,14 @@ def _euler(zv, ctx):
 
 class Side(NamedTuple):
     """One side of a value pair: route is an ``l_value`` method,
-    "double_series" or a ``_CLOSED_FORMS`` name."""
+    "double_series" or a closed side named in :data:`lvalues.CLOSED_SIDES`."""
 
     route: str
     form: Optional[str] = None
     s: Optional[int] = None
-    # a double series's corollary scale, (pi power, Fraction); None for its
-    # theorem's own prefactor
+    # a double series's corollary scale from :data:`lvalues.COROLLARIES`;
+    # None for its theorem's own prefactor
     scale: Optional[tuple] = None
-
-
-# name: the (pFq spec, z) sums it reads, and its Estimate from ctx and theirs
-_CLOSED_FORMS = {
-    "3 pi log 2": ((), lambda ctx: Estimate(3 * mp.pi * mp.log(2), 0)),
-    "48 log 2 - 5F4(1)": (((SAMART_5F4, 1),),
-                          lambda ctx, f: f._replace(value=48 * mp.log(2) - f.value)),
-    "5F4(-1)": (((LF4_ALT, -1),), lambda ctx, f: f),
-    "split 5F4(1)": (  # the even/odd split of L(chi_-4, 4)
-        ((LF4_POS1, 1), (LF4_POS3, 1)),
-        lambda ctx, a, b: Estimate(a.value - b.value / 81,
-                                   a.error_estimate + b.error_estimate / 81,
-                                   a.effort + b.effort),
-    ),
-    "L(chi_-4,4)": ((), lambda ctx: l_chi4(4, ctx)),
-}
 
 
 def _side_value(side, config, ctx):
@@ -285,13 +267,10 @@ def _side_value(side, config, ctx):
         if side.scale is None:
             return kdf_theorem_rhs(rhs_id, ctx, strategy=config.kdf_strategy)
         acc, err, calls = kdf_weighted_sum(rhs_id, config.kdf_strategy, ctx)
-        power, frac = side.scale
         with ctx.working():
-            scale = mp.pi**power * mp.mpf(frac.numerator) / frac.denominator
+            scale = _pi_factor(*side.scale)
             return Estimate(scale * acc, scale * err, calls)
-    sums, closed = _CLOSED_FORMS[side.route]
-    with ctx.working():
-        return closed(ctx, *(pfq(spec, z, ctx) for spec, z in sums))
+    return closed_side(side.route, ctx)
 
 
 def _evaluate_pairs(pairs, config, ctx):
@@ -419,6 +398,12 @@ def _value(id_, name, desc, lhs, rhs, *pairs):
     return Identity(id_, name, "value", desc, lhs, rhs, pairs=pairs)
 
 
+def _corollary(label, form, s):
+    # L(form, s)'s double series under its corollary's scale, and its closed side
+    scale, (closed, *_) = COROLLARIES[form, s]
+    return label, Side("double_series", form, s, scale), Side(closed)
+
+
 def _nome(id_, name, desc, form, s, rhs, method):
     # L(form, s)'s nome integral, named by its route id, against method
     q_id = ROUTE_IDS[form, s][1]
@@ -426,6 +411,8 @@ def _nome(id_, name, desc, form, s, rhs, method):
     return _value(id_, name, desc, f"q_integral({q_id})", rhs, pair)
 
 
+# L(f, 4)'s three closed sides, each an expression of L(chi_-4, 4)
+_ALTERNATING, _SPLIT, _CHARACTER_SUM = map(Side, COROLLARIES["f", 4][1])
 _REGISTRY_ENTRIES = (
     _pw("I1", "trans-1", "theta3 squared equals the quadratic AGM kernel at alpha",
         "theta3(q)^2 series", "2F1(1/2,1/2;1;alpha) via AGM", _trans1),
@@ -475,23 +462,20 @@ _REGISTRY_ENTRIES = (
            "pi^4/768 * weighted KdF pair", "Mellin transform of g at s=4",
            ("L(g,4)", Side("double_series", "g", 4), Side("mellin", "g", 4))),
     _value("I21", "cor-1", "first reduction corollary: the double series collapses to 3 pi log 2",
-           "KdF at (1,1)", "3 pi log 2",
-           ("F(1,1)", Side("double_series", "f", 3, (0, Fraction(1))), Side("3 pi log 2"))),
+           "KdF at (1,1)", "3 pi log 2", _corollary("F(1,1)", "f", 3)),
     _value("I22", "cor-2", "second reduction corollary against the quadruple-2 5F4",
-           "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)",
-           ("8 F(1,1)", Side("double_series", "g", 3, (0, Fraction(8))), Side("48 log 2 - 5F4(1)"))),
+           "8 * KdF at (1,1)", "48 log 2 - 5F4(3/2,3/2,3/2,1,1;2,2,2,2;1)", _corollary("8 F(1,1)", "g", 3)),
     _value("I23", "cor-3", "third reduction corollary against the alternating 5F4",
-           "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)",
-           ("pi/24 weighted", Side("double_series", "f", 4, (1, Fraction(1, 24))), Side("5F4(-1)"))),
+           "pi/24 (3 F_a + F_b)", "5F4(1/2 x4,1;3/2 x4;-1)", _corollary("pi/24 weighted", "f", 4)),
     _value("I24", "factorization", "Dirichlet factorization of L(f,s) against the Mellin route, s in {3,4}",
            "l_psi(s-2) * l_chi4(s)", "Mellin transform of f",
            ("s=3", Side("factorized", "f", 3), Side("mellin", "f", 3)),
            ("s=4", Side("factorized", "f", 4), Side("mellin", "f", 4))),
     _value("I25", "lf4-triple", "three series expressions for the weight-4 character sum agree pairwise",
            "alternating 5F4", "positive split 5F4 / character sum",
-           ("alternating|split", Side("5F4(-1)"), Side("split 5F4(1)")),
-           ("alternating|character-sum", Side("5F4(-1)"), Side("L(chi_-4,4)")),
-           ("split|character-sum", Side("split 5F4(1)"), Side("L(chi_-4,4)"))),
+           ("alternating|split", _ALTERNATING, _SPLIT),
+           ("alternating|character-sum", _ALTERNATING, _CHARACTER_SUM),
+           ("split|character-sum", _SPLIT, _CHARACTER_SUM)),
     _nome("I26a", "prop21-1", "weight-3 nome-space integral for L(f,3)",
           "f", 3, "l_psi(1) * l_chi4(3)", "factorized"),
     _nome("I26b", "prop21-2", "weight-3 nome-space integral for L(g,3)",

@@ -28,7 +28,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, count, repeat
+from itertools import combinations, compress, count, repeat
 from operator import floordiv, mul
 
 import mpmath as mp
@@ -52,9 +52,10 @@ __all__ = [
     "LF4_ALT",
     "LF4_POS1",
     "LF4_POS3",
+    "CLOSED_SIDES",
+    "COROLLARIES",
     "l_chi4",
     "l_psi",
-    "lf4_triple",
     "kdf_weighted_sum",
     "kdf_theorem_rhs",
     "alpha_integral",
@@ -62,6 +63,7 @@ __all__ = [
     "q_integral",
     "mellin",
     "dirichlet_sum",
+    "closed_side",
     "closed_form",
     "l_value",
 ]
@@ -462,7 +464,9 @@ def _hurwitz_above(s: float, x: int) -> float:
     """zeta(s, x) from above for real s > 1: the terms below 16 summed, then
     Euler-Maclaurin through B_4 and the size of the B_6 term, a bound on the
     rest as t^-s's derivatives alternate in sign.  From 16 on, the excess is
-    below 1e-10 relative for s <= 3."""
+    below 1e-10 relative for s <= 3.  It falls as s grows, so s is capped at
+    64, which keeps every product finite and the bound above."""
+    s = min(s, 64.0)
     y = float(max(x, 16))
     w, p = y**-s, s * (s + 1) * (s + 2)
     return math.fsum([*(float(j) ** -s for j in range(x, 16)),
@@ -548,51 +552,57 @@ LF4_POS1 = PFQSpec(("1/4", "1/4", "1/4", "1/4", 1), ("5/4", "5/4", "5/4", "5/4")
 LF4_POS3 = PFQSpec(("3/4", "3/4", "3/4", "3/4", 1), ("7/4", "7/4", "7/4", "7/4"))
 
 
-def lf4_triple(ctx: PrecisionContext):
-    """Three evaluations of L(chi_-4, 4), the sum behind L(f, 4)'s closed form.
+# name: the (pFq spec, z) sums a closed side reads, and its Estimate from
+# ctx and theirs
+CLOSED_SIDES = {
+    "3 pi log 2": ((), lambda ctx: Estimate(3 * mp.pi * mp.log(2), 0)),
+    "48 log 2 - 5F4(1)": (((SAMART_5F4, 1),),
+                          lambda ctx, f: f._replace(value=48 * mp.log(2) - f.value)),
+    "5F4(-1)": (((LF4_ALT, -1),), lambda ctx, f: f),
+    "split 5F4(1)": (  # the even/odd split of L(chi_-4, 4)
+        ((LF4_POS1, 1), (LF4_POS3, 1)),
+        lambda ctx, a, b: Estimate(a.value - b.value / 81,
+                                   a.error_estimate + b.error_estimate / 81,
+                                   a.effort + b.effort),
+    ),
+    "L(chi_-4,4)": ((), lambda ctx: l_chi4(4, ctx)),
+}
 
-    The central alternating 5F4 at z = -1, its even/odd split into two
-    unit-argument 5F4s, and the plain (2j+1)^-4 character sum, in that
-    order, each an :class:`Estimate`.
-    """
+# (form, s): its corollary's scale c, a pi power and a Fraction, and the
+# closed sides equal to c F(1, 1), F the weighted sum of kdf_weighted_sum;
+# the corollary's own first, then L(f, 4)'s other two of L(chi_-4, 4)
+COROLLARIES = {
+    ("f", 3): ((0, Fraction(1)), ("3 pi log 2",)),
+    ("g", 3): ((0, Fraction(8)), ("48 log 2 - 5F4(1)",)),
+    ("f", 4): ((1, Fraction(1, 24)), ("5F4(-1)", "split 5F4(1)", "L(chi_-4,4)")),
+}
+
+
+def closed_side(name: str, ctx: PrecisionContext) -> Estimate:
+    """One closed side of :data:`CLOSED_SIDES` from the pFq sums it reads."""
+    sums, combine = CLOSED_SIDES[name]
     with ctx.working():
-        pos1, pos3 = pfq(LF4_POS1, 1, ctx), pfq(LF4_POS3, 1, ctx)
-        split = Estimate(
-            pos1.value - pos3.value / 81,
-            pos1.error_estimate + pos3.error_estimate / 81,
-            pos1.effort + pos3.effort,
-        )
-        return pfq(LF4_ALT, -1, ctx), split, l_chi4(4, ctx)
+        return combine(ctx, *(pfq(spec, z, ctx) for spec, z in sums))
 
 
 def closed_form(which: str, ctx: PrecisionContext):
-    """One of the single-series closed forms, with the terms its sums took.
-
-    lf3 is elementary.  lf4 scales the central value of :func:`lf4_triple`
-    and reports its estimate plus the spread of the three: the closed form
-    is only as good as its internal agreement.  lg3 combines log 2 with a
-    unit-argument 5F4 and reports that sum's estimate.
-    """
+    """One of the single-series closed forms, with the terms its sums took:
+    its theorem's prefactor over its corollary's scale times the closed
+    side of :data:`COROLLARIES`, whose estimate it takes plus the spread of
+    the sides listed, so lf4 is only as good as its three agree."""
+    pair = next((k for k in COROLLARIES if ROUTE_IDS[k][2] == which), None)
+    if pair is None:
+        raise DomainError(f"unknown closed form id {which!r}")
+    power, pref, _ = _KDF_RHS[ROUTE_IDS[pair][0]]
+    (c_power, c_pref), names = COROLLARIES[pair]
     with ctx.working():
-        if which == "lf3":
-            v, est, terms = mp.pi**3 * mp.log(2) / 32, mp.mpf(0), 0
-        elif which == "lg3":
-            f54, est, terms = pfq(SAMART_5F4, 1, ctx)
-            v = mp.pi**3 / 1024 * (48 * mp.log(2) - f54)
-            est *= mp.pi**3 / 1024
-        elif which == "lf4":
-            triple = lf4_triple(ctx)
-            central, split, plain = (t.value for t in triple)
-            spread = max(
-                abs(central - split), abs(central - plain), abs(split - plain)
-            )
-            scale = mp.pi**2 / 12
-            v = scale * central
-            est = scale * (triple[0].error_estimate + spread)
-            terms = sum(t.effort for t in triple)
-        else:
-            raise DomainError(f"unknown closed form id {which!r}")
-        return floored(v, est, terms, ctx, "closed form")
+        sides = [closed_side(name, ctx) for name in names]
+        spread = max((abs(a.value - b.value) for a, b in combinations(sides, 2)),
+                     default=0)
+        factor = _pi_factor(power - c_power, pref / c_pref)
+        est = factor * (sides[0].error_estimate + spread)
+        terms = sum(side.effort for side in sides)
+        return floored(factor * sides[0].value, est, terms, ctx, "closed form")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,15 @@ class TestLvalueCommand:
         assert code == 0
         assert payload["terms_or_levels_used"] == 20000
 
+    @pytest.mark.parametrize("s", ["1e62", "1e400"])
+    def test_dirichlet_huge_exponent_prints_a_finite_estimate(self, capsys, s):
+        code, out, _ = run(capsys, "lvalue", "--form", "g", "--s", s,
+                           "--method", "dirichlet_sum", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert mp.isfinite(mp.mpf(payload["error_estimate"]))
+        assert mp.mpf(payload["value"]) == 1
+
     def test_rational_s_needs_dirichlet(self, capsys):
         code, _, err = run(capsys, "lvalue", "--form", "f", "--s", "7/2",
                            "--method", "mellin")

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 import thetal
 from thetal import hyper, identities, lvalues, quadrature, theta
@@ -133,16 +134,22 @@ def test_scripts_start(tmp_path):
     assert "routes agree" in done.stdout, done.stdout
 
 
-def test_lvalue_table_rejects_s_outside_3_4(tmp_path):
-    # values exist at s = 3 and 4 only, so any other s is a usage error
+@pytest.mark.parametrize("script,argv,message", [
+    ("lvalue_table.py", ("--s", "3,5"), "s must be 3 or 4"),
+    ("lvalue_table.py", ("--digits", "5"), "digits must be at least 10"),
+    ("convergence_scan.py", ("--digits", "5"), "digits must be at least 10"),
+], ids=["lvalue_table-s", "lvalue_table-digits", "convergence_scan-digits"])
+def test_lvalue_table_rejects_s_outside_3_4(tmp_path, script, argv, message):
+    # values exist at s = 3 and 4 only, and no precision below MIN_DIGITS,
+    # so either is a usage error, before any value is computed
     repo = PERFBENCH.parent
     done = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "lvalue_table.py"), "--s", "3,5"],
+        [sys.executable, str(repo / "scripts" / script), *argv],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(repo / "src")},
         capture_output=True,
         text=True,
     )
     assert done.returncode == 2, done.stdout
-    assert "s must be 3 or 4" in done.stderr
+    assert message in done.stderr
     assert not done.stdout

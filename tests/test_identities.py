@@ -166,13 +166,13 @@ class TestValueIdentities:
         # vouch for, and the closed side's 5F4 bound counts as well
         cfg = replace(config, kdf_strategy="double_truncate")
         assert verify("I23", cfg).target >= 1
-        real = identities.pfq
+        real = lvalues.pfq
 
         def inflated(*args):
             res = real(*args)
             return res._replace(error_estimate=abs(res.value) / 10)
 
-        monkeypatch.setattr(identities, "pfq", inflated)
+        monkeypatch.setattr(lvalues, "pfq", inflated)
         assert verify("I23", cfg).target == 0
 
     def test_truncated_square_targets_are_pinned(self, config):
@@ -187,13 +187,13 @@ class TestValueIdentities:
         # I25's three sides read three 5F4 sums between them, each summed
         # once however many pairs the side stands in
         calls = []
-        real = identities.pfq
+        real = lvalues.pfq
 
         def counting(*args):
             calls.append(args[:2])
             return real(*args)
 
-        monkeypatch.setattr(identities, "pfq", counting)
+        monkeypatch.setattr(lvalues, "pfq", counting)
         assert verify("I25", config).status == "pass"
         assert len(calls) == 3
 

@@ -432,6 +432,14 @@ class TestDirichletSum:
             r = lvalues._iroot(x, k)
             assert r**k <= x < (r + 1) ** k
 
+    @pytest.mark.parametrize("s", ["1e62", "1e400"])
+    def test_huge_exponent_estimate_is_finite(self, ctx, s):
+        # the tail underflows; its Euler-Maclaurin products must not
+        # overflow, or inf times a zero weight makes the estimate nan
+        v, e, _ = dirichlet_sum("g", s, ctx)
+        assert v == 1
+        assert mp.isfinite(e) and 0 < e < mp.mpf("1e-12")
+
     def test_domain(self, ctx):
         with pytest.raises(DomainError):
             dirichlet_sum("f", 4, ctx)
