@@ -378,16 +378,17 @@ def _require_inside(cz):
 
 
 def _kernel_log(z, cz):
-    # 2F1(1,1;2;z) = -log(1-z)/z
+    # 2F1(1,1;2;z) = -log(1-z)/z: below z = 1/2 (z < cz) the rounded cz has
+    # lost z's low bits, so 1 - z is formed exactly from z; above, cz serves
     _require_inside(cz)
     if z == 0:
         return mp.mpf(1)
-    return -mp.log(cz) / z
+    return -mp.log(mp.fsub(1, z, exact=True) if z < cz else cz) / z
 
 
 def _kernel_atanh(z, cz):
-    # 2F1(1/2,1;3/2;z) = atanh(sqrt z)/sqrt z, with the log written on the
-    # exact complement so nothing cancels as z -> 1
+    # 2F1(1/2,1;3/2;z) = atanh(sqrt z)/sqrt z: atanh below z = 1/2, above
+    # it the log written on the exact complement, so nothing cancels
     _require_inside(cz)
     if z == 0:
         return mp.mpf(1)
@@ -395,6 +396,8 @@ def _kernel_atanh(z, cz):
         rz = mp.sqrt(-z)
         return mp.atan(rz) / rz
     rz = mp.sqrt(z)
+    if z < cz:
+        return mp.atanh(rz) / rz
     return mp.log((1 + rz) ** 2 / cz) / (2 * rz)
 
 

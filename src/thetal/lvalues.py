@@ -455,9 +455,10 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None, shared=True):
 
 @lru_cache(maxsize=4)  # g's nonzero m to N, their a_m, and sum |a_m|
 def _g_terms(n_terms: int):
-    coeffs = coeffs_lambert("g", n_terms).coeffs
+    """Read at m = 1 mod 4 only: g = q prod (1 - q^(4n))^6 vanishes elsewhere."""
+    coeffs = coeffs_lambert("g", n_terms).coeffs[::4]
     ams = tuple(filter(None, coeffs))
-    return tuple(compress(count(1), coeffs)), ams, sum(map(abs, ams))
+    return tuple(compress(count(1, 4), coeffs)), ams, sum(map(abs, ams))
 
 
 def _hurwitz_above(s: float, x: int) -> float:

@@ -6,13 +6,14 @@ public evaluator reroutes through the half-period involution u -> 1/u so the
 truncation depth stays O(sqrt(digits)) uniformly on (0, 1).  The module also
 carries the weight-3 products f and g, the modular parameter alpha, the
 Eisenstein sum M, the Lambert-type reorganized double sums, and exact integer
-q-expansion coefficients for f and g by two routes in int64 arithmetic: the
-product of the lacunary theta series, seeded with A^2 by one bincount and then
-multiplied one sparse factor at a time, and each form's arithmetic route:
-for f the divisor sum, split at sqrt N into about 2 sqrt N strided vector
-adds, and for g, the CM newform eta(4 tau)^6 of a Hecke character of Q(i)
-(Koehler, Eta Products and Theta Series Identities, 2011), its binary theta
-series, one O(N) pass over the lattice points x odd, y even.
+q-expansion coefficients for f and g by two routes: the product of the
+lacunary theta series, seeded with A^2 by one bincount and then multiplied
+one sparse factor at a time, each in the narrowest of int16, int32 and int64
+that its bound allows, and each form's arithmetic route in int64: for f the
+divisor sum, split at sqrt N into about 2 sqrt N strided vector adds, and for
+g, the CM newform eta(4 tau)^6 of a Hecke character of Q(i) (Koehler, Eta
+Products and Theta Series Identities, 2011), its binary theta series, one
+O(N) pass over the lattice points x odd, y even.
 
 Every q-series -- the thetas, the seven Lambert sums, M and the theta
 derivatives behind alpha_qderiv -- goes through one fixed-point kernel,
@@ -494,13 +495,17 @@ def _times_sparse(dense, terms):
 
     The terms with |c| = 2 are added first and their sum doubled in place,
     then the unit terms are added, so no scaled copy of dense is made.
-    Every partial sum is bounded by _int64_bound, which is checked before
-    any add, so the int64 arithmetic cannot wrap.
+    Every partial sum is bounded by _int64_bound, computed before any add:
+    the sums run in the first of int16, int32 and int64 that holds it, so
+    they cannot wrap, and a bound of 2^63 or more is refused.
     """
-    if _int64_bound(dense, terms) >= 1 << 63:
+    bound = _int64_bound(dense, terms)
+    if bound >= 1 << 63:
         raise NumericsError("int64 headroom exceeded in theta product")
+    width = next(w for w in (np.int16, np.int32, np.int64) if bound <= np.iinfo(w).max)
+    dense = dense.astype(width, copy=False)  # |dense| <= bound, as |c| >= 1
     n = len(dense)
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=width)
     for magnitude in (2, 1):
         for e, c in terms:
             if c == magnitude:
@@ -528,10 +533,10 @@ def coeffs_convolution(form: str, N: int) -> CoeffStream:
     With A = sum q^{n(n+1)}, theta2^4/16 = q A^4, so f = q A^4 theta4(q)^2
     and g = q A^4 theta4(q^2)^2.  A^2 is seeded by one bincount over the
     pair sums of A's O(sqrt N) exponents; each count is at most their
-    number, as an exponent has one partner per sum.  The dense int64 series
-    is then multiplied by one sparse factor at a time, A twice and theta4
+    number, as an exponent has one partner per sum.  The dense series is
+    then multiplied by one sparse factor at a time, A twice and theta4
     twice: O(N sqrt N) adds in all, with the signs of theta4 carried
-    directly.
+    directly, each stage as narrow as its bound allows (int16 to int64).
     """
     if N < 1:
         raise DomainError("need N >= 1")

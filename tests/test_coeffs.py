@@ -120,6 +120,58 @@ def test_int64_overflow_refused():
         theta._times_sparse(dense, [(0, 1), (1, -2), (2, 2)])
 
 
+def _python_times(dense, terms):
+    """dense * sum c q^e truncated to len(dense), in Python ints."""
+    dense = [int(d) for d in dense]
+    return [sum(c * dense[i - e] for e, c in terms if e <= i) for i in range(len(dense))]
+
+
+@pytest.mark.parametrize("peak, terms, width", (
+    (4681, [(0, 2), (1, 2), (2, 2), (3, 1)], np.int16),  # bound 2^15 - 1
+    (2**13, [(0, 2), (1, 1), (2, 1)], np.int32),  # bound 2^15
+    (2**31 - 1, [(0, 1)], np.int32),  # bound 2^31 - 1, prime: one unit term
+    (2**29, [(0, 2), (1, 1), (2, 1)], np.int64),  # bound 2^31
+))
+def test_times_sparse_width_edges(peak, terms, width):
+    # the last coefficient of each product reaches the bound, so a width
+    # one step too narrow wraps there; a negated input reaches -bound
+    for sign in (1, -1):
+        dense = np.full(5, sign * peak, dtype=np.int64)
+        out = theta._times_sparse(dense, terms)
+        assert out.dtype == width
+        assert out.tolist() == _python_times(dense, terms)
+        assert max(map(abs, out.tolist())) == peak * sum(abs(c) for _, c in terms)
+
+
+# the least N whose third theta-product stage for f, dense A^4 times
+# theta4(q), has an _int64_bound of 2^31 or more, found by bisection (the
+# bound never falls as N grows)
+F_THIRD_STAGE_INT64 = 592901
+
+
+def test_f_third_stage_crosses_into_int64(monkeypatch):
+    bounds = []
+    real = theta._int64_bound
+
+    def spy(dense, terms):
+        bounds.append(real(dense, terms))
+        return bounds[-1]
+
+    monkeypatch.setattr(theta, "_int64_bound", spy)
+    for N in (F_THIRD_STAGE_INT64 - 1, F_THIRD_STAGE_INT64):
+        del bounds[:]
+        assert coeffs_convolution("f", N).coeffs == coeffs_lambert("f", N).coeffs
+        assert (bounds[2] >= 2**31) == (N == F_THIRD_STAGE_INT64)
+
+
+def test_g_vanishes_off_1_mod_4():
+    # g = q prod (1 - q^{4n})^6, the stride lvalues._g_terms reads
+    N = 10**5
+    for route in (coeffs_convolution, coeffs_lambert):
+        cs = route("g", N).coeffs
+        assert not any(a for m, a in enumerate(cs, 1) if m % 4 != 1), route.__name__
+
+
 def test_g_cm_vanishing():
     cs = coeffs_convolution("g", 2000)
     for p in range(3, 2001, 4):

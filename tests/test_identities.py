@@ -125,6 +125,15 @@ class TestPointwise:
         assert r.sample_points == DEFAULT_GRID
         assert r.precision_digits == 20
 
+    @pytest.mark.parametrize("q", ("1e-20", "1e-22", "1e-30", "1e-50", "1e-100"))
+    @pytest.mark.parametrize("id_", ("I7", "I8"))
+    def test_log_kernels_hold_at_small_nomes(self, id_, q, config):
+        # alpha ~ 16 q there, and the kernels' closed sides read their
+        # argument, not its rounded complement 1 - alpha
+        r = verify(id_, replace(config, grid=(q,)))
+        assert r.status == "pass"
+        assert r.digits_agreed >= config.digits - 2
+
     def test_custom_grid_is_echoed(self, config):
         r = verify("I1", replace(config, grid=("0.15", "0.4")))
         assert r.status == "pass"
