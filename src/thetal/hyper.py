@@ -335,15 +335,14 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
         zv = as_real(z)
         if zv > 1:
             raise DomainError("euler_2f1 defined for z <= 1")
-        av, bv, cv = as_real(af), as_real(bf), as_real(cf)
+        right = cf - bf - af if zv == 1 else cf - bf
+        if not right > 0:
+            raise DomainError("z = 1 needs c - a - b > 0")
+        el, er, na = as_real(bf - 1), as_real(right - 1), -as_real(af)  # once, not per node
         if zv == 1:
-            if not cf - af - bf > 0:
-                raise DomainError("z = 1 needs c - a - b > 0")
-            right = cf - bf - af
-            f = lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - av - 1)
+            f = lambda t, ct: t**el * ct**er
         else:
-            right = cf - bf
-            f = lambda t, ct: t ** (bv - 1) * ct ** (cv - bv - 1) * (1 - zv * t) ** (-av)
+            f = lambda t, ct: t**el * ct**er * (1 - zv * t) ** na
         val, est, calls = integrate01(f, ctx, float(bf), float(right))
         norm = beta_fn(bf, cf - bf, ctx)
         return floored(val / norm, est / norm, calls, ctx, "euler 2F1")
@@ -603,20 +602,21 @@ def kdf_reductions(specs, x, y, ctx: PrecisionContext):
         if not (c1 > a1 > 0):
             raise DomainError("integral reduction needs c > a > 0")
         kernels = series_kernel(spec.b, spec.d), series_kernel(spec.bp, spec.dp)
-        return (a1, c1, as_real(a1), as_real(c1)) + kernels
+        return (a1, c1, as_real(a1 - 1), as_real(c1 - a1 - 1)) + kernels
 
     with ctx.working():
         preps = [prepare(spec) for spec in specs]
         xv, yv = (as_real(v) for v in _coerce_params((x, y)))
         x_unit, y_unit = xv == 1, yv == 1
 
-        def f(t, ct):
+        def f(t, ct):  # each distinct kernel value and power once per node
             kx = cache(lambda kernel: kernel(xv * t, ct if x_unit else 1 - xv * t))
             ky = cache(lambda kernel: kernel(yv * t, ct if y_unit else 1 - yv * t))
+            tp, cp = cache(t.__pow__), cache(ct.__pow__)
 
-            def piece(a1, c1, av, cv, kernel_x, kernel_y):
+            def piece(a1, c1, left, right, kernel_x, kernel_y):
                 vx, vy = kx(kernel_x), ky(kernel_y)
-                return t ** (av - 1) * ct ** (cv - av - 1) * vx * vy
+                return tp(left) * cp(right) * vx * vy
 
             return isolated(partial(piece, *prep) for prep in preps)
 

@@ -21,6 +21,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
@@ -208,9 +209,8 @@ def _cube_m(qv, ctx):
 
 
 def _m_theta28(qv, ctx):
-    lhs = theta2(mp.sqrt(qv), ctx) ** 8
-    rhs = (eisenstein_M(qv, ctx) - eisenstein_M(qv * qv, ctx)) * 16 / 15
-    return lhs, rhs
+    # M(q) - M(q^2) as its own series: the two M share a 1 that would cancel
+    return theta2(mp.sqrt(qv), ctx) ** 8, eisenstein_M(qv, ctx, _minus_q2=True) * 16 / 15
 
 
 def _comb_8a(qv, ctx):
@@ -319,18 +319,21 @@ def _exact_outcome(headline, checks, size=lambda v: v, flags=()):
 
 
 def _ev_pochhammer(config, ctx):
-    # closed forms for three Pochhammer quotients, exact over n <= 400
+    # closed forms for three Pochhammer quotients, exact over n <= 400, each
+    # a reduced pair num/den stepping by (a + n d)/(b + n d), not a Fraction
     families = (
-        ("(3/2)_n/(1/2)_n", Fraction(3, 2), Fraction(1, 2), 1, lambda n: 2 * n + 1),
-        ("(5/4)_n/(1/4)_n", Fraction(5, 4), Fraction(1, 4), 1, lambda n: 4 * n + 1),
-        ("3(7/4)_n/(3/4)_n", Fraction(7, 4), Fraction(3, 4), 3, lambda n: 4 * n + 3),
+        ("(3/2)_n/(1/2)_n", 3, 1, 2, 1, lambda n: 2 * n + 1),
+        ("(5/4)_n/(1/4)_n", 5, 1, 4, 1, lambda n: 4 * n + 1),
+        ("3(7/4)_n/(3/4)_n", 7, 3, 4, 3, lambda n: 4 * n + 3),
     )
     checks = []
-    for name, top, bot, scale, closed in families:
-        ratio = Fraction(scale)
+    for name, a, b, d, num, closed in families:
+        den = 1
         for n in range(401):
-            checks.append((f"{name} at n={n}", ratio, Fraction(closed(n))))
-            ratio = ratio * (top + n) / (bot + n)
+            checks.append((f"{name} at n={n}", Fraction(num, den) if den > 1 else num, closed(n)))
+            num, den = num * (a + n * d), den * (b + n * d)
+            g = gcd(num, den)
+            num, den = num // g, den // g
     return _exact_outcome("sum over n<=400, three families", checks)
 
 

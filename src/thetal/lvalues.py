@@ -239,8 +239,8 @@ def lambert_closed(name: str, a, ca):
 
     Lemma 2.2's log and atanh kernels and Ramanujan's 3F2/2F1 quotient: the
     identity registry checks each against the raw series on its grid, and
-    the nome integrals use them above the series cut, so the value is bare,
-    its error measured by those comparisons and estimates.
+    the nome integrals read the last for ram_lhs above the series cut, so
+    the value is bare, its error measured by those comparisons and estimates.
     """
     if name == "lemma22_1":
         return a / 16 * _KLOG(a, ca)
@@ -251,7 +251,19 @@ def lambert_closed(name: str, a, ca):
     raise DomainError(f"no closed form for Lambert series {name!r}")
 
 
-_Q_SERIES_CUT = 0.3  # direct Lambert summation below, theta closed forms above
+def _lemma22(u, t2, t3, t4):
+    """Lemma 2.2's sums -log(1 - alpha)/16 and atanh(x)/4, x = (t2/t3)^2 =
+    sqrt(alpha), from the thetas at u.  1 - alpha is formed exactly from alpha
+    for u >= 1 (alpha <= 1/2); below, it is (t4/t3)^4 and atanh(x) =
+    log((1 + x)^2/(1 - alpha))/2, so nothing cancels."""
+    x = (t2 / t3) ** 2
+    if u >= 1:
+        return -mp.log(mp.fsub(1, x * x, exact=True)) / 16, mp.atanh(x) / 4
+    ca = (t4 / t3) ** 4
+    return -mp.log(ca) / 16, mp.log((1 + x) ** 2 / ca) / 8
+
+
+_Q_SERIES_CUT = 0.3  # ram_lhs by direct Lambert summation below, closed form above
 
 # id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/2
 _Q_INTEGRALS = {
@@ -319,15 +331,16 @@ def _plan(members):
     return tuple(members), tags, tuple(dict.fromkeys(name for _, name in nome))
 
 
-def _node(u, jac, plan, ctx: PrecisionContext):
+def _node(u, jac, plan, ctx: PrecisionContext, q=None):
     """Each member's integrand at half-period u times jac, or the error it
     met, for members, tags and Lambert ids as :func:`_plan` gives them.
 
     One :func:`theta_involution` call gives the thetas at u, one
-    :func:`_theta_weight` call every weight with jac folded in and, below
-    the series cut, one :func:`lambert_series` call every sum; each power of
-    u is built once.  Each Lambert sum fails apart, and a member reads only
-    its own, so it fails as it would alone."""
+    :func:`_theta_weight` call every weight with jac folded in, and
+    :func:`_lemma22` Lemma 2.2's sums; each power of u is built once.  Only
+    ram_lhs reads the nome q = e^(-pi u), the caller's if it passes one,
+    and a :func:`lambert_series` below the series cut.  It fails apart, and
+    a member reads only its own sum, so it fails as it would alone."""
     members, tags, names = plan
     try:
         t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
@@ -335,14 +348,15 @@ def _node(u, jac, plan, ctx: PrecisionContext):
         return (exc,) * len(members)
     weights = dict(zip(tags, _theta_weight(tags, t2, t3, t4, jac)))
     sums, powers, out = {}, {}, []
-    if names:
-        q = mp.exp(-mp.pi * u)
+    if set(names) - {"ram_lhs"}:
+        sums = dict(zip(("lemma22_1", "lemma22_2"), _lemma22(u, t2, t3, t4)))
+    if "ram_lhs" in names:
+        q = mp.exp(-mp.pi * u) if q is None else q
         if q < _Q_SERIES_CUT:
-            sums = dict(zip(names, lambert_series(names, q, ctx)))
+            call = partial(lambert_series, "ram_lhs", q, ctx)
         else:
-            a = (t2 / t3) ** 4, (t4 / t3) ** 4
-            closed = isolated(partial(lambert_closed, n, *a) for n in names)
-            sums = dict(zip(names, closed))
+            call = partial(lambert_closed, "ram_lhs", (t2 / t3) ** 4, (t4 / t3) ** 4)
+        (sums["ram_lhs"],) = isolated([call])
     for m in members:
         if isinstance(m, str):  # a nome integral
             tag, name = _Q_INTEGRALS[m][2:]
@@ -370,21 +384,21 @@ def _u_pass(ctx: PrecisionContext, U, members):
     one lower pass each c; a member freezes at its own level in each
     (:func:`integrate01`), as in a pass of its own.
     """
-    held = {}  # by precision: pi, 2 pi and 1/U at the integrand's bits
+    held = {}  # by precision: pi, 2 pi, 1/U and e^(-pi U) at the integrand's bits
 
     def constants():
         if mp.mp.prec not in held:
-            held[mp.mp.prec] = +mp.pi, 2 * mp.pi, 1 / U
+            held[mp.mp.prec] = +mp.pi, 2 * mp.pi, 1 / U, mp.exp(-mp.pi * U)
         return held[mp.mp.prec]
 
     def lower(c, v, cv):
-        _, two_pi, inv_U = constants()
+        _, two_pi, inv_U, _ = constants()
         u = 1 / (inv_U - c * mp.log(v) / two_pi)
         return _node(u, c * u * u / (two_pi * v), plans[c], ctx)
 
-    def upper(v, cv):
-        pi = constants()[0]
-        return _node(U - mp.log(v) / pi, 1 / (pi * v), plans[0], ctx)
+    def upper(v, cv):  # the nome e^(-pi u) is e^(-pi U) v
+        pi, _, _, nome_U = constants()
+        return _node(U - mp.log(v) / pi, 1 / (pi * v), plans[0], ctx, nome_U * v)
 
     run = partial(integrate01, ctx=ctx, left_exponent=0.5)
     groups, low = {}, {}
@@ -456,7 +470,7 @@ def mellin(form: str, s, ctx: PrecisionContext, split=None, shared=True):
 @lru_cache(maxsize=4)  # g's nonzero m to N, their a_m, and sum |a_m|
 def _g_terms(n_terms: int):
     """Read at m = 1 mod 4 only: g = q prod (1 - q^(4n))^6 vanishes elsewhere."""
-    coeffs = coeffs_lambert("g", n_terms).coeffs[::4]
+    coeffs = coeffs_lambert("g", n_terms, _stride=4)
     ams = tuple(filter(None, coeffs))
     return tuple(compress(count(1, 4), coeffs)), ams, sum(map(abs, ams))
 

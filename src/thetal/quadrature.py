@@ -45,12 +45,12 @@ def _t_max(prec_bits: int):
 
 
 def _nodes(level: int, prec_bits: int):
-    """Positive-abscissa nodes (x, cx, w) for one refinement level.
+    """The nodes (x, cx) of one refinement level and their weights w.
 
     Level _FIRST_LEVEL holds all multiples of its step (including t = 0);
     deeper levels hold the odd multiples of their step only.  w is the
     weight density pi cosh(t) x cx; the caller multiplies by the step.
-    The mirror node at -t is (cx, x) with the same weight.
+    Each node at t > 0 is followed by its mirror at -t, (cx, x), same w.
     """
     key = (prec_bits, level)
     cached = _NODE_CACHE.get(key)
@@ -61,20 +61,21 @@ def _nodes(level: int, prec_bits: int):
         h = mp.mpf(2) ** (-level)
         ks = range(0, int(mp.floor(tmax / h)) + 1) if level == _FIRST_LEVEL \
             else range(1, int(mp.floor(tmax / h)) + 1, 2)
-        out = []
+        nodes, weights = [], []
         for k in ks:
             t = k * h
             E = mp.exp(-mp.pi * mp.sinh(t))
             x = 1 / (1 + E)
             cx = E / (1 + E)
             w = mp.pi * mp.cosh(t) * x * cx
-            out.append((x, cx, w))
+            nodes += [(x, cx), (cx, x)] if k else [(x, cx)]
+            weights += [w, w] if k else [w]
     held = {bits for bits, _ in _NODE_CACHE}
     if prec_bits not in held and len(held) >= _NODE_PRECISIONS:
         oldest = next(iter(_NODE_CACHE))[0]
         for stale in [k for k in _NODE_CACHE if k[0] == oldest]:
             del _NODE_CACHE[stale]
-    _NODE_CACHE[key] = out
+    _NODE_CACHE[key] = out = nodes, weights
     return out
 
 
@@ -131,43 +132,31 @@ def integrate01(
         level, h, calls = _FIRST_LEVEL, mp.mpf(2) ** (-_FIRST_LEVEL), 0
         out = None  # per component: None while it refines, then its result
         while out is None or None in out:
-            rows = []  # weight, f at the node, f at its mirror (None at t = 0)
-            for x, cx, w in _nodes(level, prec_bits):
-                mirrored = x != cx
-                rows.append((w, f(x, cx), f(cx, x) if mirrored else None))
-                calls += 1 + mirrored
+            nodes, weights = _nodes(level, prec_bits)
+            rows = [f(x, cx) for x, cx in nodes]
+            calls += len(rows)
             if out is None:
-                single = not isinstance(rows[0][1], tuple)
-                n = 1 if single else len(rows[0][1])
+                single = not isinstance(rows[0], tuple)
+                n = 1 if single else len(rows[0])
                 out, estimate, prev_delta = [None] * n, [None] * n, [None] * n
                 value = [mp.mpf(0)] * n
-            if single:
-                rows = [(w, (a,), b if b is None else (b,)) for w, a, b in rows]
             for i in (i for i in range(n) if out[i] is None):
-                add = mp.mpf(0)
-                for w, a, b in rows:
-                    ya, yb = a[i], b and b[i]
-                    if isinstance(ya, Exception) or isinstance(yb, Exception):
-                        out[i] = ya if isinstance(ya, Exception) else yb
-                        break
-                    if yb is None:
-                        add += w * ya
-                    elif level == _FIRST_LEVEL:
-                        add += w * ya + w * yb
-                    else:
-                        add += w * (ya + yb)
-                else:
-                    new_value = value[i] / 2 + h * add
-                    delta = abs(new_value - value[i])
-                    value[i], prev = new_value, prev_delta[i]
-                    scale = max(abs(new_value), mp.mpf(1) / 10**6)
-                    # doubling nodes should square the error; take the cautious mix
-                    estimate[i] = max(delta, min(prev, delta**2 / prev)) if prev else delta
-                    if level == _FIRST_LEVEL:
-                        continue
-                    if estimate[i] <= goal * scale or delta == prev == 0:
-                        out[i] = Estimate(ensure_finite(new_value, "integral"), estimate[i], calls)
-                    prev_delta[i] = delta
+                ys = rows if single else [y[i] for y in rows]
+                out[i] = next((y for y in ys if isinstance(y, Exception)), None)
+                if out[i] is not None:
+                    continue
+                # the level's sum of w f, its products exact, rounded once
+                new_value = value[i] / 2 + h * mp.fdot(weights, ys)
+                delta = abs(new_value - value[i])
+                value[i], prev = new_value, prev_delta[i]
+                scale = max(abs(new_value), mp.mpf(1) / 10**6)
+                # doubling nodes should square the error; take the cautious mix
+                estimate[i] = max(delta, min(prev, delta**2 / prev)) if prev else delta
+                if level == _FIRST_LEVEL:
+                    continue
+                if estimate[i] <= goal * scale or delta == prev == 0:
+                    out[i] = Estimate(ensure_finite(new_value, "integral"), estimate[i], calls)
+                prev_delta[i] = delta
             if None in out and level >= ctx.quad_level_cap:
                 cap = f"no convergence within level cap {ctx.quad_level_cap}"
                 for i in (i for i in range(n) if out[i] is None):

@@ -353,25 +353,28 @@ def form_g(q, ctx: PrecisionContext):
         return ensure_finite(t2**4 * t4**2 / 16, "form g")
 
 
-def eisenstein_M(q, ctx: PrecisionContext):
-    """M(q) = 1 + 240 sum_k k^3 q^k / (1 - q^k), the weight-4 Lambert sum."""
+def eisenstein_M(q, ctx: PrecisionContext, *, _minus_q2=False):
+    """M(q) = 1 + 240 sum_k k^3 q^k / (1 - q^k), the weight-4 Lambert sum,
+    or with the private ``_minus_q2`` M(q) - M(q^2) = 240 sum_k k^3 q^k /
+    (1 - q^(2k)): one series, no shared 1 to cancel, summed to its own size."""
     with ctx.working():
         qv = _nome_value(q)
         wp, Q = _fixed_nome(qv)
-        terms = _eisenstein_terms(Q, wp)
+        terms = _eisenstein_terms(Q, wp, _minus_q2)
         first = next(terms)
-        floor = _reciprocal(qv, wp, first * 10**mp.mp.dps)  # 1 over the lead q
+        floor = 0 if _minus_q2 else _reciprocal(qv, wp, first * 10**mp.mp.dps)  # 1 over q
         terms = chain((first,), terms)
         s = _fixed_sum(terms, "Eisenstein sum", ctx.max_terms, wp, qv, floor)
-        return ensure_finite(1 + 240 * qv * mp.mpf((sum(s), -wp)), "Eisenstein M")
+        head = 0 if _minus_q2 else 1
+        return ensure_finite(head + 240 * qv * mp.mpf((sum(s), -wp)), "Eisenstein M")
 
 
-def _eisenstein_terms(Q, wp: int):
-    """k^3 q^(k-1) / (1 - q^k) for k = 1, 2, ..., the M sum over its lead q."""
+def _eisenstein_terms(Q, wp: int, doubled: bool):
+    """k^3 q^(k-1) / (1 - q^(2k if doubled else k)) for k = 1, 2, ..."""
     one = power = 1 << wp  # q^(k-1)
     for k in count(1):
         nxt = power * Q >> wp
-        yield (k**3 * power << wp) // (one - nxt)
+        yield (k**3 * power << wp) // (one - (nxt * nxt >> wp if doubled else nxt))
         power = nxt
 
 
@@ -607,7 +610,7 @@ def _binary_theta(N: int):
     return a
 
 
-def coeffs_lambert(form: str, N: int) -> CoeffStream:
+def coeffs_lambert(form: str, N: int, *, _stride=1) -> CoeffStream:
     """a_1..a_N by each form's arithmetic route, in int64.
 
     f is the twisted Eisenstein series sum psi(n) n^2 chi_{-4}(k) q^{nk}
@@ -624,7 +627,8 @@ def coeffs_lambert(form: str, N: int) -> CoeffStream:
     of one a_m, whose absolute values sum to at most sigma_2(m) < 2 m^2 for
     f and d(m) m <= 2 m isqrt(m) for g (see :func:`.lvalues.dirichlet_sum`),
     so an N whose bound reaches 2^63 is refused before anything is
-    allocated: 2 N^2 for f, 2 N isqrt(N) for g.
+    allocated: 2 N^2 for f, 2 N isqrt(N) for g.  The private ``_stride`` k
+    gives the list a_1, a_(1+k), ... instead, strided before any int is made.
     """
     if form not in ("f", "g"):
         raise DomainError("form must be 'f' or 'g'")
@@ -633,6 +637,6 @@ def coeffs_lambert(form: str, N: int) -> CoeffStream:
     if 2 * N * (N if form == "f" else isqrt(N)) >= 1 << 63:
         raise NumericsError("int64 headroom exceeded in arithmetic coefficients")
     a = (_divisor_sum if form == "f" else _binary_theta)(N)
-    coeffs = a[1:].tolist()
+    coeffs = a[1::_stride].tolist()
     del a  # the int64 array goes before the tuple is built
-    return CoeffStream(form, tuple(coeffs))
+    return CoeffStream(form, tuple(coeffs)) if _stride == 1 else coeffs

@@ -210,6 +210,44 @@ class TestQIntegrals:
                 assert agrees(near, direct, 22)
 
 
+class TestLemma22:
+    """Lemma 2.2's sums at a half-period node, elementary in its thetas."""
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_against_lambert_series(self, digits):
+        # the raw series 40 digits hotter, at the nome of the rounded u
+        ctx, hot = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)
+        for qs in ("1e-60", "1e-30", "1e-5", "e-pi", "0.29", "0.6", "0.9"):
+            with ctx.working():
+                u = mp.mpf(1) if qs == "e-pi" else -mp.log(mp.mpf(qs)) / mp.pi
+                got = lvalues._lemma22(u, *theta_involution(u, (2, 3, 4), ctx))
+            with hot.working():
+                want = lambert_series(("lemma22_1", "lemma22_2"), mp.exp(-mp.pi * u), hot)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= abs(w) * mp.mpf(10) ** (3 - ctx.workdigits), qs
+
+    def test_weight3_passes_read_no_kernel_or_lambert_sum(self):
+        # lone prop21_* passes, profiled with nothing patched: their route
+        # shares no hypergeometric kernel with the alpha-space integral
+        ctx = PrecisionContext(digits=20)
+        lvalues._u_pass.cache_clear()
+        entered = set()
+
+        def hook(frame, event, arg):
+            if event == "call":
+                entered.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+        for q_id in ("prop21_1", "prop21_2"):
+            sys.setprofile(hook)
+            try:
+                lvalues._u_pass(ctx, 1, (q_id,))
+            finally:
+                sys.setprofile(None)
+        assert ("thetal.lvalues", "_lemma22") in entered
+        assert not [f for f in entered if f[0] == "thetal.hyper"]
+        assert ("thetal.theta", "lambert_series") not in entered
+
+
 class TestDoublingForms:
     # the nome weights and g's Mellin product built from the thetas at u
     # alone, against the same quantities from the thetas at 2u and 4u, on
@@ -688,20 +726,20 @@ class TestSharedPasses:
 
     @pytest.mark.parametrize("first", ["prop31_2", "prop21_1"])
     def test_a_failing_nome_integral_fails_alone(self, first):
-        # the other three Lambert sums run out of terms below the series cut
+        # ram_lhs runs out of terms below the series cut; Lemma 2.2's sums
+        # come from each node's thetas, so prop21_* read no Lambert sum
         ctx = PrecisionContext(digits=20, max_terms=30)
         lvalues._u_pass.cache_clear()
-        # prop21_1 in a pass of its own, where no sibling can fail
-        lone = self._lone("prop21_1", ctx)
         order = [first] + [q for q in QID_TO_PAIR if q != first]
         for q_id in order:
-            if q_id == "prop21_1":
-                q_integral(q_id, ctx)
-                assert _mpfs(lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)[q_id]) == lone
+            if lvalues._Q_INTEGRALS[q_id][3] == "ram_lhs":
+                with pytest.raises(BudgetError, match="Lambert series ram_lhs exhausted"):
+                    q_integral(q_id, ctx)
                 continue
-            lam = lvalues._Q_INTEGRALS[q_id][3]
-            with pytest.raises(BudgetError, match=f"Lambert series {lam} exhausted"):
-                q_integral(q_id, ctx)
+            q_integral(q_id, ctx)
+            # as in a pass of its own, where no sibling can fail
+            shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
+            assert _mpfs(shared[q_id]) == self._lone(q_id, ctx), q_id
         # the Mellin members of the same pass need no Lambert sum: they return,
         # as from passes of their own
         shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
