@@ -326,7 +326,7 @@ def euler_2f1(a, b, c, z, ctx: PrecisionContext):
     t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a), and at z = 1 the last factor merges
     into the right endpoint exponent (requiring c - a - b > 0).  The endpoint
     exponents feed the calibrated quadrature, so b and the effective c - b
-    must not drop below 1/2.  The estimate and effort are the quadrature's.
+    must not drop below 1/4.  The estimate and effort are the quadrature's.
     """
     af, bf, cf = _coerce_params((a, b, c))
     if not cf > bf > 0:

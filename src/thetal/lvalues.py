@@ -11,11 +11,11 @@ integration, so one evaluation serves both.  Every route reports an
 honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
 tanh-sinh passes that evaluate each node's costly factors once: the four
-nome integrals and Mellin at s = 3 and 4 for both forms, in two halves over
-u = -log(q)/pi, each node in fixed point from its thetas and Lambert sums to
-its theta weights, and the six double-series reductions.  The registry never
-plays two members of one pass against each other, so each still faces a
-route computed apart.
+nome integrals and Mellin at s = 3 and 4 for both forms, over u = -log(q)/pi
+in two halves that share each node's thetas, each node in fixed point from
+its thetas and Lambert sums to its theta weights, and the six double-series
+reductions.  The registry never plays two members of one pass against each
+other, so each still faces a route computed apart.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
 shared with the command line and the registry; :data:`ROUTE_IDS` alone says
@@ -34,7 +34,7 @@ from operator import floordiv, mul
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .context import DomainError, Estimate, GUARD_BITS, NumericsError, PrecisionContext
+from .context import DomainError, Estimate, GUARD_BITS, PrecisionContext
 from .context import as_real, ensure_finite
 from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
@@ -265,7 +265,7 @@ def _lemma22(u, t2, t3, t4):
 
 _Q_SERIES_CUT = 0.3  # ram_lhs by direct Lambert summation below, closed form above
 
-# id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/2
+# id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/4
 _Q_INTEGRALS = {
     "prop21_1": (2, Fraction(1, 8), "wt3", "lemma22_1"),
     "prop21_2": (2, Fraction(1, 16), "wt3", "lemma22_2"),
@@ -331,21 +331,21 @@ def _plan(members):
     return tuple(members), tags, tuple(dict.fromkeys(name for _, name in nome))
 
 
-def _node(u, jac, plan, ctx: PrecisionContext, q=None):
+def _node(u, jac, thetas, plan, ctx: PrecisionContext, q=None):
     """Each member's integrand at half-period u times jac, or the error it
     met, for members, tags and Lambert ids as :func:`_plan` gives them.
 
-    One :func:`theta_involution` call gives the thetas at u, one
-    :func:`_theta_weight` call every weight with jac folded in, and
-    :func:`_lemma22` Lemma 2.2's sums; each power of u is built once.  Only
-    ram_lhs reads the nome q = e^(-pi u), the caller's if it passes one,
-    and a :func:`lambert_series` below the series cut.  It fails apart, and
-    a member reads only its own sum, so it fails as it would alone."""
+    ``thetas`` are theta2, theta3, theta4 at u, or the NumericsError their
+    sum met, which every member then meets.  One :func:`_theta_weight` call
+    gives every weight with jac folded in, and :func:`_lemma22` Lemma 2.2's
+    sums; each power of u is built once.  Only ram_lhs reads the nome q =
+    e^(-pi u), the caller's if it passes one, and a :func:`lambert_series`
+    below the series cut.  It fails apart, and a member reads only its own
+    sum, so it fails as it would alone."""
     members, tags, names = plan
-    try:
-        t2, t3, t4 = theta_involution(u, (2, 3, 4), ctx)
-    except NumericsError as exc:
-        return (exc,) * len(members)
+    if isinstance(thetas, Exception):
+        return (thetas,) * len(members)
+    t2, t3, t4 = thetas
     weights = dict(zip(tags, _theta_weight(tags, t2, t3, t4, jac)))
     sums, powers, out = {}, {}, []
     if set(names) - {"ram_lhs"}:
@@ -375,45 +375,47 @@ def _u_pass(ctx: PrecisionContext, U, members):
     """{member: its integral over u = -log(q)/pi} for members as :func:`_node`
     takes them, each an :class:`Estimate` or the error either half met.
 
-    The integral runs in two halves cut at U.  The upper half takes u = U -
-    log(v)/pi, on which each integrand must go like v^(p-1), p >= 1/2.  A
+    The integral runs in two halves cut at U, over one tanh-sinh stream in
+    v.  The upper half takes u = U - log(v)/pi, on the nome e^(-pi U) v.  A
     member dies like exp(-pi/(c u)) as q -> 1 (c = 4 for g's theta product,
     2 for the rest), flat zero to tanh-sinh, so the lower half takes 1/u =
-    1/U - c log(v)/(2 pi), where that decay is sqrt(v) and the integrand
-    v^(-1/2) times powers of log v.  One upper pass serves every member and
-    one lower pass each c; a member freezes at its own level in each
-    (:func:`integrate01`), as in a pass of its own.
+    1/U - log(v)/pi, whose involuted nome e^(-pi/u) is e^(-pi/U) v: there
+    the integrand goes like v^(1/c - 1) times powers of log v.  Each node
+    sums the thetas once per distinct nome (one at U = 1), exactly and with
+    no exp where the direct side is the cheap one; the lower half reads
+    them with theta2 and theta4 swapped, all three times sqrt(1/u).  Each
+    half freezes at its own level (:func:`integrate01`), as if alone.
     """
-    held = {}  # by precision: pi, 2 pi, 1/U and e^(-pi U) at the integrand's bits
+    plan = _plan(members)
+    held = {}  # by precision: pi, 1/U, e^(-pi U), e^(-pi/U) at the integrand's bits
 
-    def constants():
+    def thetas(u, q):  # or the NumericsError their sum met
+        (out,) = isolated([partial(theta_involution, u, (2, 3, 4), ctx, qv=q)])
+        return out
+
+    def stream(v, cv):
         if mp.mp.prec not in held:
-            held[mp.mp.prec] = +mp.pi, 2 * mp.pi, 1 / U, mp.exp(-mp.pi * U)
-        return held[mp.mp.prec]
+            pi = +mp.pi
+            held[mp.mp.prec] = pi, 1 / U, mp.exp(-pi * U), mp.exp(-pi / U)
+        pi, inv_U, nome_U, nome_inv_U = held[mp.mp.prec]
+        lv = mp.log(v) / pi
+        u, w, q = U - lv, inv_U - lv, nome_U * v  # w = 1/u on the lower half
+        upper = thetas(u, q)
+        lower = upper if U == 1 else thetas(w, nome_inv_U * v)
+        if not isinstance(lower, Exception):  # the involution u -> 1/u
+            root = mp.sqrt(w)
+            lower = tuple(root * t for t in lower[::-1])
+        jac = 1 / (pi * v)
+        return (_node(u, jac, upper, plan, ctx, q)
+                + _node(1 / w, jac / (w * w), lower, plan, ctx))
 
-    def lower(c, v, cv):
-        _, two_pi, inv_U, _ = constants()
-        u = 1 / (inv_U - c * mp.log(v) / two_pi)
-        return _node(u, c * u * u / (two_pi * v), plans[c], ctx)
-
-    def upper(v, cv):  # the nome e^(-pi u) is e^(-pi U) v
-        pi, _, _, nome_U = constants()
-        return _node(U - mp.log(v) / pi, 1 / (pi * v), plans[0], ctx, nome_U * v)
-
-    run = partial(integrate01, ctx=ctx, left_exponent=0.5)
-    groups, low = {}, {}
-    for m in members:
-        groups.setdefault(4 if m[0] == "g" else 2, []).append(m)
-    plans = {c: _plan(group) for c, group in groups.items()}
-    plans[0] = _plan(members)
-    for c, group in groups.items():
-        low.update(zip(group, run(partial(lower, c))))
-    pairs = zip(map(low.get, members), run(upper))
+    # g's Mellin members go like v^(-3/4) on the lower half
+    runs = integrate01(stream, ctx, left_exponent=0.25)
     with ctx.working():  # each member's halves summed, or the error one met
         return {
             m: next((r for r in pair if isinstance(r, Exception)), None)
             or Estimate(*(a + b for a, b in zip(*pair)))
-            for m, pair in zip(members, pairs)
+            for m, pair in zip(members, zip(runs, runs[len(members):]))
         }
 
 
@@ -594,10 +596,11 @@ COROLLARIES = {
 
 
 def closed_side(name: str, ctx: PrecisionContext) -> Estimate:
-    """One closed side of :data:`CLOSED_SIDES` from the pFq sums it reads."""
+    """One closed side of :data:`CLOSED_SIDES` from the pFq sums it reads,
+    its estimate at least its value's noise floor."""
     sums, combine = CLOSED_SIDES[name]
     with ctx.working():
-        return combine(ctx, *(pfq(spec, z, ctx) for spec, z in sums))
+        return floored(*combine(ctx, *(pfq(spec, z, ctx) for spec, z in sums)), ctx)
 
 
 def closed_form(which: str, ctx: PrecisionContext):

@@ -24,14 +24,12 @@ back to mpf once.  Each series' leading power (2 q^{1/4}, q or sqrt q) is
 divided out first, so the fixed-point sum starts near 1 and keeps its
 relative accuracy however small q is.  The routed thetas stay integers
 through the involution's 1/sqrt(u) too, and only the small theta, theta2
-or theta4, takes its lead as an mpf factor; :func:`lambert_series` sums a
-tuple of ids at one nome on one shared fixed-point nome.
+or theta4, takes its lead as an mpf factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, count
 from math import isqrt
 
@@ -48,7 +46,6 @@ from .context import (
     as_real,
     ensure_finite,
 )
-from .quadrature import isolated
 
 __all__ = [
     "CoeffStream",
@@ -253,11 +250,13 @@ def _thetas_at_q(q, which, max_terms: int):
     return _thetas(-mp.log(qv) / mp.pi, which, max_terms, qv)
 
 
-def theta_involution(u, which, ctx: PrecisionContext):
+def theta_involution(u, which, ctx: PrecisionContext, *, qv=None):
     """theta_which(e^{-pi u}) computed on whichever side of u = 1 is cheap.
 
     ``which`` is one index in (2, 3, 4), or a sequence of them for the joint
-    values at one half-period, returned as a tuple in the order asked.
+    values at one half-period, returned as a tuple in the order asked.  A
+    caller that holds the nome e^{-pi u} exactly passes it as ``qv``: for
+    u >= 1 the series are summed on it, with no exp.
     """
     single = isinstance(which, int)
     ws = (which,) if single else tuple(which)
@@ -269,7 +268,7 @@ def theta_involution(u, which, ctx: PrecisionContext):
             raise DomainError("half-period u must be positive")
         vals = tuple(
             ensure_finite(v, "theta involution")
-            for v in _thetas(uv, ws, ctx.max_terms)
+            for v in _thetas(uv, ws, ctx.max_terms, qv)
         )
         return vals[0] if single else vals
 
@@ -413,64 +412,42 @@ def _odd_lambert_terms(Y2, c: int, e: int, plus: bool, wp: int):
 def lambert_series(name, q, ctx: PrecisionContext):
     """One of the reorganized Lambert sums, summed with geometric control.
 
-    ``name`` is one id in :data:`LAMBERT_IDS`, or a sequence of them for
-    the sums at one nome, returned as a tuple in the order asked.  The ids
-    of a tuple share the nome at its bits, sqrt(q) and q^2, and each value
-    is the one its lone call returns; an id that fails leaves its
-    NumericsError in its slot (:func:`.quadrature.isolated`) and the others
-    their values.
-
-    Each sum is one pass of the fixed-point kernel over the series divided
-    by its lead y = sqrt(q) or q; the 2 log2(1/(1-q)) extra bits of
-    :func:`_fixed_nome` cover the denominators 1 - q^m that vanish as
-    q -> 1.  The sum stops at the first term under 10^-(dps-2) max(|s|,
-    floor), with floor the larger of the first term and 10^-dps.  Cost
-    grows like digits / -log(q) as q -> 1; the identity grid and the nome
-    integrals, which switch to theta closed forms above q = 0.3, stay well
-    inside that.  A pass that cancels (eis384 as q -> 1) reruns with the
-    bits it lost added to precision and budget alike, up to twice the
-    working bits.
+    ``name`` is one id in :data:`LAMBERT_IDS`.  Each sum is one pass of
+    the fixed-point kernel over the series divided by its lead y = sqrt(q)
+    or q; the 2 log2(1/(1-q)) extra bits of :func:`_fixed_nome` cover the
+    denominators 1 - q^m that vanish as q -> 1.  The sum stops at the first
+    term under 10^-(dps-2) max(|s|, floor), with floor the larger of the
+    first term and 10^-dps.  Cost grows like digits / -log(q) as q -> 1;
+    the identity grid and the nome integrals, which switch to theta closed
+    forms above q = 0.3, stay well inside that.  A pass that cancels
+    (eis384 as q -> 1) reruns with the bits it lost added to precision and
+    budget alike, up to twice the working bits.
     """
-    single = isinstance(name, str)
-    names = (name,) if single else tuple(name)
-    for n in names:
-        if n not in _LAMBERT:
-            raise DomainError(f"unknown Lambert series id {n!r}")
+    if name not in _LAMBERT:
+        raise DomainError(f"unknown Lambert series id {name!r}")
+    c, e, plus, half, alternate = _LAMBERT[name]
+    what = f"Lambert series {name}"
     with ctx.working():
         qv, prec = _nome_value(q), mp.mp.prec
-        fixed, roots = {}, {}  # by extra bits: (wp, q 2^wp, q^2 2^wp), sqrt(q)
-
-        def one(name):
-            c, e, plus, half, alternate = _LAMBERT[name]
-            what = f"Lambert series {name}"
-            extra, even = 0, None
-            while even is None:
-                with mp.workprec(prec + extra):
-                    if extra not in fixed:
-                        wp, Q = _fixed_nome(qv)
-                        fixed[extra] = wp, Q, Q * Q >> wp
-                    if half and extra not in roots:
-                        roots[extra] = mp.sqrt(qv)
-                    wp, Q, Q2 = fixed[extra]
-                    lead, Y2 = (roots[extra], Q) if half else (qv, Q2)
-                    terms = _odd_lambert_terms(Y2, c, e, plus, wp)
-                    first = next(terms)
-                    ten = 10**mp.mp.dps
-                    floor = max(first, _reciprocal(lead, wp, first * ten * ten) // ten)
-                    budget = ctx.max_terms * (prec + extra) // prec
-                    sums = (chain((first,), terms), what, budget, wp, lead, floor)
-                    try:
-                        even, odd = _fixed_sum(*sums, alternate=alternate, spare=extra)
-                    except _Cancelled as exc:
-                        if exc.lost > 2 * prec:
-                            raise
-                        extra = exc.lost
-            s = even - odd if alternate else even + odd
-            return ensure_finite(lead * mp.mpf((s, -wp)), what)
-
-        if single:
-            return one(name)
-        return isolated(partial(one, n) for n in names)
+        extra, even = 0, None
+        while even is None:
+            with mp.workprec(prec + extra):
+                wp, Q = _fixed_nome(qv)
+                lead, Y2 = (mp.sqrt(qv), Q) if half else (qv, Q * Q >> wp)
+                terms = _odd_lambert_terms(Y2, c, e, plus, wp)
+                first = next(terms)
+                ten = 10**mp.mp.dps
+                floor = max(first, _reciprocal(lead, wp, first * ten * ten) // ten)
+                budget = ctx.max_terms * (prec + extra) // prec
+                sums = (chain((first,), terms), what, budget, wp, lead, floor)
+                try:
+                    even, odd = _fixed_sum(*sums, alternate=alternate, spare=extra)
+                except _Cancelled as exc:
+                    if exc.lost > 2 * prec:
+                        raise
+                    extra = exc.lost
+        s = even - odd if alternate else even + odd
+        return ensure_finite(lead * mp.mpf((s, -wp)), what)
 
 
 @dataclass(frozen=True)

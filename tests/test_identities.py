@@ -343,7 +343,7 @@ class TestDriver:
         # report bytes on purpose updates the hash and lists the moved fields
         text = reports_to_json(verify_all(RunConfig(digits=20)))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "ee764a356f38f5393ba77ba74be68e449a7e3accd5ea745fe353a9cd4262d58a"
+        assert digest == "082c7795299c0cb657a66d060f0289973a74f1d0736b49464f1d4e4226cf3888"
 
     def test_reports_are_plain_data(self, config):
         r = verify("I27", config)

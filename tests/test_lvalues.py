@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import agrees
 from thetal import lvalues
 from thetal.context import BudgetError, DomainError, Estimate, PrecisionContext, as_real
+from thetal.context import noise_floor
 from thetal.hyper import kdf_converges, kdf_full
 from thetal.lvalues import (
     FORMS,
@@ -222,7 +223,8 @@ class TestLemma22:
                 u = mp.mpf(1) if qs == "e-pi" else -mp.log(mp.mpf(qs)) / mp.pi
                 got = lvalues._lemma22(u, *theta_involution(u, (2, 3, 4), ctx))
             with hot.working():
-                want = lambert_series(("lemma22_1", "lemma22_2"), mp.exp(-mp.pi * u), hot)
+                q = mp.exp(-mp.pi * u)
+                want = [lambert_series(n, q, hot) for n in ("lemma22_1", "lemma22_2")]
                 for g, w in zip(got, want):
                     assert abs(g - w) <= abs(w) * mp.mpf(10) ** (3 - ctx.workdigits), qs
 
@@ -246,6 +248,40 @@ class TestLemma22:
         assert ("thetal.lvalues", "_lemma22") in entered
         assert not [f for f in entered if f[0] == "thetal.hyper"]
         assert ("thetal.theta", "lambert_series") not in entered
+
+
+class TestStream:
+    """One tanh-sinh stream serves both halves of the half-period pass."""
+
+    def test_one_theta_sum_per_node_and_no_exp_for_a_theta(self):
+        # a default pass profiled with nothing patched: at U = 1 the upper
+        # nome and the lower half's involuted nome are one, and both exact
+        ctx = PrecisionContext(digits=20)
+        lvalues._u_pass.cache_clear()
+        seen = {"nodes": 0, "sums": 0, "theta exps": 0}
+
+        def hook(frame, event, arg):
+            if event != "call":
+                return
+            module, name = frame.f_globals.get("__name__"), frame.f_code.co_name
+            if (module, name) == ("thetal.lvalues", "stream"):
+                seen["nodes"] += 1
+            elif (module, name) == ("thetal.theta", "_theta_sums"):
+                seen["sums"] += 1
+            elif name == "mpf_exp":
+                caller = frame.f_back
+                while not caller.f_globals.get("__name__", "").startswith("thetal"):
+                    caller = caller.f_back
+                seen["theta exps"] += caller.f_globals["__name__"] == "thetal.theta"
+
+        sys.setprofile(hook)
+        try:
+            shared = lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
+        finally:
+            sys.setprofile(None)
+        assert seen["theta exps"] == 0
+        assert seen["sums"] == seen["nodes"] > 0
+        assert {res.effort for res in shared.values()} == {2 * seen["nodes"]}
 
 
 class TestDoublingForms:
@@ -517,6 +553,14 @@ class TestClosedForms:
         v, e, _ = closed_form(which, PrecisionContext(digits=digits))
         assert abs(v - ref) <= e
 
+    @pytest.mark.parametrize("digits", (20, 50))
+    def test_every_closed_side_is_floored(self, digits):
+        # "3 pi log 2" is elementary, and its combine claims no error at all
+        ctx = PrecisionContext(digits=digits)
+        for name in lvalues.CLOSED_SIDES:
+            value, est, _ = lvalues.closed_side(name, ctx)
+            assert est >= noise_floor(value, ctx) > 0, name
+
 
 def _available_methods(form, n):
     out = ["mellin", "alpha_integral", "q_integral"]
@@ -647,10 +691,11 @@ class TestInvolutedHalves:
     """Mellin and the nome integrals run over u = -log(q)/pi, the flat
     q -> 1 end of each integrand from the involuted side."""
 
-    # integrand calls repeat exactly: these maps take 310 per member at 20
-    # digits and 686, or 1,030 for g's Mellin members, at 50, where mapping
-    # t or q straight onto (0, 1) takes 619 to 3,088
-    EFFORT = {20: (310, 310), 50: (686, 1030)}  # (each member, g's Mellin)
+    # integrand calls repeat exactly: one stream of 166 nodes at 20 digits
+    # and 365 at 50 serves both halves of every member, 332 and 730 calls
+    # counting both, where mapping t or q straight onto (0, 1) takes 619 to
+    # 3,088
+    EFFORT = {20: (332, 332), 50: (730, 730)}  # (each member, g's Mellin)
 
     @pytest.mark.parametrize("digits", [20, 50])
     def test_effort(self, digits):

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath as mp
 
 from thetal.context import BudgetError, DomainError, PrecisionContext, QuadratureError
+from thetal.context import as_real, floored
 from thetal.quadrature import integrate01, isolated, settled
 
 from conftest import agrees
@@ -70,7 +73,26 @@ def test_cx_argument_is_exact_complement(ctx20):
 
 def test_rejects_nonintegrable_exponent(ctx20):
     with pytest.raises(DomainError):
-        integrate01(lambda x, cx: 1 / x, ctx20, left_exponent=0.25)
+        integrate01(lambda x, cx: 1 / x, ctx20, left_exponent=0.2)
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+@pytest.mark.parametrize(
+    "p,r", [("1/4", 1), (1, "1/4"), ("1/3", "1/2"), ("1/4", "1/3")]
+)
+def test_exponents_down_to_a_quarter(digits, p, r):
+    # x^(p-1) (1-x)^(r-1) against B(p, r): an endpoint below 1/2 takes its
+    # nodes further out, and the estimate still bounds the error.  The raw
+    # level delta can reach 0 at the rounding floor (at 100 digits it does
+    # for (1/2, 3/4) too), so the bound is the floored estimate routes report
+    ctx = PrecisionContext(digits=digits)
+    with ctx.working():
+        pv, rv = as_real(Fraction(p)), as_real(Fraction(r))
+    res = integrate01(lambda x, cx: x ** (pv - 1) * cx ** (rv - 1), ctx, pv, rv)
+    val, est, _ = floored(*res, ctx)
+    with mp.workdps(digits + 20):
+        ref = mp.beta(pv, rv)
+        assert abs(val - ref) <= est <= abs(ref) * mp.mpf(10) ** -digits
 
 
 def test_quadrature_error_on_divergence():

@@ -105,6 +105,19 @@ def test_joint_thetas_against_mpf_involution(digits):
                 assert abs(v - ref) <= tol * ref, (us, w)
 
 
+@pytest.mark.parametrize("digits", [20, 50])
+def test_involution_on_a_held_nome(digits):
+    # a caller's exact nome e^(-pi u) in place of the exp of u/4
+    ctx = PrecisionContext(digits=digits)
+    for us in ("1", "1.5", "4", "40"):
+        with ctx.working():
+            u = mp.mpf(us)
+            held = theta_involution(u, (2, 3, 4), ctx, qv=mp.exp(-mp.pi * u))
+            tol = mp.ldexp(1, 2 - mp.mp.prec)
+            for w, v, ref in zip((2, 3, 4), held, theta_involution(u, (2, 3, 4), ctx)):
+                assert abs(v - ref) <= tol * ref, (us, w)
+
+
 def test_leading_behavior(ctx20):
     q = mp.mpf("1e-12")
     with ctx20.working():
@@ -487,22 +500,9 @@ def test_lambert_unknown_id(ctx20):
         lambert_series("nope", "0.1", ctx20)
 
 
-@pytest.mark.parametrize("q", ["0.02", "0.29"])
-def test_lambert_tuple_matches_lone_calls(ctx20, q):
-    # the ids of a tuple share the nome, and each value is its lone call's
-    joint = lambert_series(LAMBERT_IDS, q, ctx20)
-    assert len(joint) == len(LAMBERT_IDS)
-    for name, value in zip(LAMBERT_IDS, joint):
-        assert value._mpf_ == lambert_series(name, q, ctx20)._mpf_, name
-    reordered = ("ram_lhs", "lemma22_1", "ram_lhs")
-    assert [v._mpf_ for v in lambert_series(reordered, q, ctx20)] == [
-        lambert_series(n, q, ctx20)._mpf_ for n in reordered
-    ]
-
-
-def test_lambert_tuple_retries_cancellation(ctx20, monkeypatch):
+def test_lambert_retries_cancellation(ctx20, monkeypatch):
     # eis384 at q = 0.97 cancels to 2.4e-65 and sums again with the lost
-    # bits added, inside a tuple as alone
+    # bits added
     from thetal import theta
 
     lost = []
@@ -516,31 +516,12 @@ def test_lambert_tuple_retries_cancellation(ctx20, monkeypatch):
             raise
 
     monkeypatch.setattr(theta, "_fixed_sum", spy)
-    names = ("lemma22_1", "eis384", "cube")
-    joint = lambert_series(names, "0.97", ctx20)
+    got = lambert_series("eis384", "0.97", ctx20)
     assert lost and {what for what, _ in lost} == {"Lambert series eis384"}
-    for name, value in zip(names, joint):
-        assert value._mpf_ == lambert_series(name, "0.97", ctx20)._mpf_, name
     hot = PrecisionContext(digits=40)
     with hot.working():
         want = _lambert_closed_forms(mp.mpf("0.97"), hot)["eis384"]
-        assert abs(joint[1] - want) <= mp.mpf(10) ** -30 * want
-
-
-def test_lambert_tuple_ids_fail_apart():
-    # at q = 0.1 and 20 digits lam1 and lemma22_2 need more than 30 terms
-    # (BUDGET_PINS), the other five fewer
-    ctx = PrecisionContext(digits=20, max_terms=30)
-    joint = lambert_series(LAMBERT_IDS, "0.1", ctx)
-    for name, value in zip(LAMBERT_IDS, joint):
-        if name in ("lam1", "lemma22_2"):
-            assert isinstance(value, BudgetError), name
-            with pytest.raises(BudgetError):
-                lambert_series(name, "0.1", ctx)
-        else:
-            assert value._mpf_ == lambert_series(name, "0.1", ctx)._mpf_, name
-    with pytest.raises(DomainError):
-        lambert_series(("lam1", "nope"), "0.1", ctx)
+        assert abs(got - want) <= mp.mpf(10) ** -30 * want
 
 
 def test_doubling_identities(ctx30):
