@@ -51,6 +51,7 @@ __all__ = [
     "pfq",
     "euler_2f1",
     "series_kernel",
+    "treble_regular",
     "kdf_converges",
     "kdf_full",
     "kdf_reductions",
@@ -414,7 +415,7 @@ _IB_PRECISIONS = 8
 
 
 def _ib_coeffs():
-    """a_m 2^wp, wp = prec + GUARD_BITS, as integers for m < n, where
+    """a_m 2^wp, wp = prec + GUARD_BITS, as integers for m < prec + 8, where
     3F2(1,1,1;3/2,3/2;z) = A(e) + log(e) B(e), e = 1 - z, A = sum a_m e^m.
 
     B(e) = -pi/4 2F1(1/2,1/2;1;e)/sqrt(1-e) = sum b_m e^m and A
@@ -425,42 +426,57 @@ def _ib_coeffs():
         r_m = (m+2)(3m+4) b_{m+2} - (24m^2+64m+43)/4 b_{m+1} + 3(m+1)^2 b_m.
     Seeds: b_0 = -pi/4, b_1 = -3pi/16, a_0 = pi log 2 - 2G (from the integral
     of theta/sin(theta) over [0, pi/2], which is 2G), a_1 = 3a_0/4 + 1/4 - pi/8.
-    Both characteristic roots are 1, so forward recursion, run in mpf at wp
-    bits, loses only polynomially many bits; the guard bits absorb them.
+    The recurrence runs in Python integers cleared of its fractions, one
+    floor a step, 2 log2(n) bits above wp: both characteristic roots are 1,
+    so the floors grow only like n^1.5 units.  Every |a_m| < 1, so the table
+    is long enough for e <= 1/2.
     """
     key = mp.mp.prec
     cached = _IB_CACHE.get(key)
     if cached is not None:
         return cached
-    # log10(1/0.45) = 0.347 digits per term covers e <= 0.45 (z >= 0.55)
-    n = int(mp.mp.dps / 0.34) + 10
-    wp = key + GUARD_BITS
-    with mp.workprec(wp):
+    n, extra = key + 8, 2 * (key + 8).bit_length()
+    hp = key + GUARD_BITS + extra
+    with mp.workprec(hp):
         pi = mp.pi
         a0 = pi * mp.log(2) - 2 * mp.catalan
-        a = [a0, 3 * a0 / 4 + mp.mpf(1) / 4 - pi / 8]
-        b = [-pi / 4, -3 * pi / 16]
-        for m in range(n - 2):
-            p1 = mp.mpf(8 * m * m + 24 * m + 19) / 4
-            b.append((p1 * b[m + 1] - (m + 1) ** 2 * b[m]) / (m + 2) ** 2)
-            r = (
-                (m + 2) * (3 * m + 4) * b[m + 2]
-                - mp.mpf(24 * m * m + 64 * m + 43) / 4 * b[m + 1]
-                + 3 * (m + 1) ** 2 * b[m]
-            )
-            a.append((p1 * a[m + 1] - (m + 1) ** 2 * a[m] - r / (m + 1)) / (m + 2) ** 2)
+        seeds = (a0, 3 * a0 / 4 + mp.mpf(1) / 4 - pi / 8, -pi / 4, -3 * pi / 16)
+        a, a1, b, b1 = (to_fixed(x._mpf_, hp) for x in seeds)
+    hot = [a, a1]
+    for m in range(n - 2):
+        p, m1, m2 = 8 * m * m + 24 * m + 19, (m + 1) ** 2, 4 * (m + 2) ** 2
+        b2 = (p * b1 - 4 * m1 * b) // m2
+        r = (4 * (m + 2) * (3 * m + 4) * b2 - (24 * m * m + 64 * m + 43) * b1
+             + 12 * m1 * b)  # 4 r_m
+        a, a1 = a1, ((m + 1) * (p * a1 - 4 * m1 * a) - r) // ((m + 1) * m2)
+        b, b1 = b1, b2
+        hot.append(a1)
     if len(_IB_CACHE) >= _IB_PRECISIONS:
         del _IB_CACHE[next(iter(_IB_CACHE))]
-    _IB_CACHE[key] = fixed = [to_fixed(am._mpf_, wp) for am in a]
+    _IB_CACHE[key] = fixed = [am >> extra for am in hot]
     return fixed
+
+
+def treble_regular(cz):
+    """The regular part A(cz) of 3F2(1,1,1;3/2,3/2;z) about z = 1 (see
+    :func:`_ib_coeffs`), for 0 < cz = 1 - z <= 1/2: Horner's rule over the
+    table in integers scaled by 2^wp, wp = prec + GUARD_BITS.  Each step
+    truncates by one unit at most; the guard bits cover ~2000 steps."""
+    # keep every term above 2^-(prec+8): mag(cz) bounds log2(cz) from above
+    coeffs = _ib_coeffs()[: -((mp.mp.prec + 8) // min(-1, mp.mag(cz)))]
+    wp = mp.mp.prec + GUARD_BITS
+    czf = to_fixed(cz._mpf_, wp)
+    s = 0
+    for a in reversed(coeffs):
+        s = (s * czf >> wp) + a
+    return mp.mpf((s, -wp))
 
 
 def _kernel_treble(z, cz):
     """3F2(1,1,1;3/2,3/2;z), z in (-0.9, 1), in integers scaled by 2^wp, wp =
     prec + GUARD_BITS: the series t_(n+1) = t_n z (2n+2)^2/(2n+3)^2 up to
-    z = 0.55, then Horner's rule over :func:`_ib_coeffs` in cz, plus the
-    log-singular part 2F1(1/2,1/2;1;cz), one AGM.  Each step truncates by
-    one unit at most; the guard bits cover ~2000 steps."""
+    z = 0.55, then :func:`treble_regular` in cz plus the log-singular part
+    2F1(1/2,1/2;1;cz), one AGM."""
     if z == 0:
         return mp.mpf(1)
     wp = mp.mp.prec + GUARD_BITS
@@ -479,18 +495,9 @@ def _kernel_treble(z, cz):
             # |t| |z|/(1 - |z|) < 10^-(dps-2) |s|, cleared of fractions
             if abs(t) * az * ten < abs(s) * (one - az):
                 return mp.mpf((s, -wp))
-    # terms with cz^m below 2^-(prec+8) cannot move the sum; mag(cz) bounds
-    # log2(cz) from above, so the cut keeps every term that can
-    coeffs = _ib_coeffs()
-    mag = mp.mag(cz)
-    if mag < 0:
-        coeffs = coeffs[: -((mp.mp.prec + 8) // mag)]
-    czf = to_fixed(cz._mpf_, wp)
-    s = 0
-    for a in reversed(coeffs):
-        s = (s * czf >> wp) + a
     rz = mp.sqrt(z)
-    return mp.mpf((s, -wp)) - mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))
+    singular = mp.pi * mp.log(cz) / (4 * rz * _agm_ambient(mp.mpf(1), rz))
+    return treble_regular(cz) - singular
 
 
 _KERNELS = {

@@ -190,8 +190,7 @@ def _eis384(qv, ctx):
 
 
 def _lambert_closed_pair(name):
-    # the raw Lambert sum against its closed form in alpha, as the nome
-    # integrals use it above their series cut
+    # the raw Lambert sum against its closed form in alpha, lambert_closed
     def pair_at(qv, ctx):
         return lambert_series(name, qv, ctx), lambert_closed(name, *alpha_pair(qv, ctx))
 

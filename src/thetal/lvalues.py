@@ -12,10 +12,10 @@ honest error estimate, so any pair of distinct routes cross-certifies a
 digit count; the identity registry leans on that.  Sibling integrals share
 tanh-sinh passes that evaluate each node's costly factors once: the four
 nome integrals and Mellin at s = 3 and 4 for both forms, over u = -log(q)/pi
-in two halves that share each node's thetas, each node in fixed point from
-its thetas and Lambert sums to its theta weights, and the six double-series
-reductions.  The registry never plays two members of one pass against each
-other, so each still faces a route computed apart.
+in two halves that share each node's thetas, each node's weights and sums
+from its thetas (ram_lhs on the upper half by a Lambert series), and the
+six double-series reductions.  The registry never plays two members of
+one pass against each other, so each still faces a route computed apart.
 
 Route ids are stable opaque names (``thm11_1``, ``prop21_2``, ``lf4``, ...)
 shared with the command line and the registry; :data:`ROUTE_IDS` alone says
@@ -38,6 +38,7 @@ from .context import DomainError, Estimate, GUARD_BITS, PrecisionContext
 from .context import as_real, ensure_finite
 from .context import floored, noise_floor
 from .hyper import KdFSpec, PFQSpec, kdf_full, kdf_reductions, pfq, series_kernel
+from .hyper import treble_regular
 from .quadrature import integrate01, isolated, settled
 from .special import alternating_sum, eta, gamma
 from .theta import coeffs_lambert, lambert_series, theta_involution
@@ -237,10 +238,10 @@ def lambert_closed(name: str, a, ca):
     """A reorganized Lambert sum's modular closed form in alpha, given
     (a, ca) = (alpha, 1 - alpha) at its nome, at the precision in force.
 
-    Lemma 2.2's log and atanh kernels and Ramanujan's 3F2/2F1 quotient: the
-    identity registry checks each against the raw series on its grid, and
-    the nome integrals read the last for ram_lhs above the series cut, so
-    the value is bare, its error measured by those comparisons and estimates.
+    Lemma 2.2's log and atanh kernels and Ramanujan's 3F2/2F1 quotient, bare
+    values: the identity registry checks each against the raw series on its
+    grid (I7, I8, I12).  The nome integrals read none of them; each of their
+    nodes takes its sums from its own thetas (:func:`_node`).
     """
     if name == "lemma22_1":
         return a / 16 * _KLOG(a, ca)
@@ -262,8 +263,6 @@ def _lemma22(u, t2, t3, t4):
     ca = (t4 / t3) ** 4
     return -mp.log(ca) / 16, mp.log((1 + x) ** 2 / ca) / 8
 
-
-_Q_SERIES_CUT = 0.3  # ram_lhs by direct Lambert summation below, closed form above
 
 # id: pi power, exact factor, theta weight tag, Lambert id; each ~ q^(p-1), p >= 1/4
 _Q_INTEGRALS = {
@@ -338,25 +337,26 @@ def _node(u, jac, thetas, plan, ctx: PrecisionContext, q=None):
     ``thetas`` are theta2, theta3, theta4 at u, or the NumericsError their
     sum met, which every member then meets.  One :func:`_theta_weight` call
     gives every weight with jac folded in, and :func:`_lemma22` Lemma 2.2's
-    sums; each power of u is built once.  Only ram_lhs reads the nome q =
-    e^(-pi u), the caller's if it passes one, and a :func:`lambert_series`
-    below the series cut.  It fails apart, and a member reads only its own
-    sum, so it fails as it would alone."""
+    sums; each power of u is built once.  ram_lhs is a :func:`lambert_series`
+    on the nome q of the upper half, which fails apart, and a member reads
+    only its own sum, so it fails as it would alone.  The lower half passes
+    no q, and its u <= 1 gives c = (t4/t3)^4 = 1 - alpha <= 1/2: there, as
+    2F1(1/2,1/2;1;alpha) = t3^2 and 2F1(1/2,1/2;1;c) = u t3^2, Ramanujan's
+    quotient is t2^2 A(c)/(4 t3^4) + pi u lemma22_1, A the 3F2's regular
+    part about z = 1 (:func:`treble_regular`), with no exp and no AGM."""
     members, tags, names = plan
     if isinstance(thetas, Exception):
         return (thetas,) * len(members)
     t2, t3, t4 = thetas
     weights = dict(zip(tags, _theta_weight(tags, t2, t3, t4, jac)))
     sums, powers, out = {}, {}, []
-    if set(names) - {"ram_lhs"}:
+    if names and (q is None or set(names) - {"ram_lhs"}):
         sums = dict(zip(("lemma22_1", "lemma22_2"), _lemma22(u, t2, t3, t4)))
-    if "ram_lhs" in names:
-        q = mp.exp(-mp.pi * u) if q is None else q
-        if q < _Q_SERIES_CUT:
-            call = partial(lambert_series, "ram_lhs", q, ctx)
-        else:
-            call = partial(lambert_closed, "ram_lhs", (t2 / t3) ** 4, (t4 / t3) ** 4)
-        (sums["ram_lhs"],) = isolated([call])
+    if "ram_lhs" in names and q is None:
+        regular = treble_regular((t4 / t3) ** 4)
+        sums["ram_lhs"] = t2 * t2 * regular / (4 * t3**4) + mp.pi * u * sums["lemma22_1"]
+    elif "ram_lhs" in names:
+        (sums["ram_lhs"],) = isolated([partial(lambert_series, "ram_lhs", q, ctx)])
     for m in members:
         if isinstance(m, str):  # a nome integral
             tag, name = _Q_INTEGRALS[m][2:]
@@ -384,7 +384,8 @@ def _u_pass(ctx: PrecisionContext, U, members):
     sums the thetas once per distinct nome (one at U = 1), exactly and with
     no exp where the direct side is the cheap one; the lower half reads
     them with theta2 and theta4 swapped, all three times sqrt(1/u).  Each
-    half freezes at its own level (:func:`integrate01`), as if alone.
+    half freezes at its own level (:func:`integrate01`), as if alone.  Only
+    the upper half sums ram_lhs: a nome member wants U <= 1.
     """
     plan = _plan(members)
     held = {}  # by precision: pi, 1/U, e^(-pi U), e^(-pi/U) at the integrand's bits

@@ -170,8 +170,10 @@ def integrate01(
                 delta = abs(new_value - value[i])
                 value[i], prev = new_value, prev_delta[i]
                 scale = max(abs(new_value), mp.mpf(1) / 10**6)
-                # doubling nodes should square the error; take the cautious mix
-                estimate[i] = max(delta, min(prev, delta**2 / prev)) if prev else delta
+                # doubling nodes should square the error; take the cautious mix,
+                # but never less than the rounding the level sum holds
+                mix = max(delta, min(prev, delta**2 / prev)) if prev else delta
+                estimate[i] = max(mix, mp.ldexp(abs(new_value), 8 - prec_bits))
                 if level == _FIRST_LEVEL:
                     continue
                 if estimate[i] <= goal * scale or delta == prev == 0:

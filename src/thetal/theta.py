@@ -418,8 +418,8 @@ def lambert_series(name, q, ctx: PrecisionContext):
     denominators 1 - q^m that vanish as q -> 1.  The sum stops at the first
     term under 10^-(dps-2) max(|s|, floor), with floor the larger of the
     first term and 10^-dps.  Cost grows like digits / -log(q) as q -> 1;
-    the identity grid and the nome integrals, which switch to theta closed
-    forms above q = 0.3, stay well inside that.  A pass that cancels
+    the identity grid (q <= 0.3) and the nome integrals, which sum only at
+    q <= e^-pi, stay well inside that.  A pass that cancels
     (eis384 as q -> 1) reruns with the bits it lost added to precision and
     budget alike, up to twice the working bits.
     """

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees, pochhammer
+from thetal import hyper
 from thetal.context import (
+    GUARD_BITS,
     BudgetError,
     DomainError,
     PrecisionContext,
@@ -453,6 +455,22 @@ class TestKernels:
             # itself held to hyp3f2 below, stands in for it there
             z = mp.mpf("0.9999")
             assert agrees(x3(z, 1 - z), treble_by_connection(mp.mpf("1e-4")), 33)
+
+    @pytest.mark.parametrize("dps", (20, 100, 300))
+    def test_expansion_table_against_a_hotter_build(self, dps):
+        # the integer recurrence's floors, against the same table built 200
+        # bits hotter; and the table is long enough for cz <= 1/2: every
+        # term it drops is under 2^-(prec+8), |a_m| 2^-m < 2^-(prec+8)
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            got = hyper._ib_coeffs()
+        with mp.workprec(prec + 200):
+            hot = [(a + (1 << 199)) >> 200 for a in hyper._ib_coeffs()]
+        assert len(hot) > len(got)
+        assert max(abs(g - h) for g, h in zip(got, hot)) <= 2
+        wp = prec + GUARD_BITS
+        for m in range(len(got), len(hot)):
+            assert abs(hot[m]).bit_length() <= wp + m - prec - 8, m
 
     def test_treble_kernel_100_digits(self):
         # the expansion about z = 1 against mpmath taken 20 digits hotter

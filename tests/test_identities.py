@@ -343,7 +343,7 @@ class TestDriver:
         # report bytes on purpose updates the hash and lists the moved fields
         text = reports_to_json(verify_all(RunConfig(digits=20)))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "082c7795299c0cb657a66d060f0289973a74f1d0736b49464f1d4e4226cf3888"
+        assert digest == "82aa8cc9c57ae2d9d47c6c45406abb1b267c2a4c63357218a436ae91be4ff032"
 
     def test_reports_are_plain_data(self, config):
         r = verify("I27", config)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,7 +201,8 @@ class TestQIntegrals:
 
     @pytest.mark.parametrize("name", ["lemma22_1", "lemma22_2", "ram_lhs"])
     def test_lambert_switch_seam(self, name):
-        # the two evaluation branches must agree across the cut at q = 0.3
+        # lambert_closed against the raw series, on both sides of the identity
+        # grid's top at q = 0.3: I7, I8 and I12 compare the two
         ctx = PrecisionContext(digits=25)
         with ctx.working():
             for q in (mp.mpf("0.29"), mp.mpf("0.31"), mp.mpf("0.55")):
@@ -250,6 +252,28 @@ class TestLemma22:
         assert ("thetal.theta", "lambert_series") not in entered
 
 
+class TestRamanujanNode:
+    """ram_lhs at a lower-half node, from its thetas and the 3F2 table."""
+
+    @pytest.mark.parametrize("digits", [20, 50, 100])
+    def test_against_lambert_series(self, digits):
+        # the raw series 40 digits hotter, at the nome of the rounded u; the
+        # node passes no nome, as on the lower half, and its prop31_1 value
+        # is read over its weight
+        ctx, hot = PrecisionContext(digits=digits), PrecisionContext(digits=digits + 40)
+        plan = lvalues._plan(("prop31_1",))
+        for us in ("0.01", "0.05", "0.2", "0.383", "0.6", "0.8", "0.9", "0.99",
+                   "0.999999", "1"):
+            with ctx.working():
+                u = mp.mpf(us)
+                thetas = theta_involution(u, (2, 3, 4), ctx)
+                (got,) = lvalues._node(u, 1, thetas, plan, ctx)
+                got /= lvalues._theta_weight("wt4_f", *thetas)
+            with hot.working():
+                want = lambert_series("ram_lhs", mp.exp(-mp.pi * u), hot)
+                assert abs(got - want) <= abs(want) * mp.mpf(10) ** (3 - ctx.workdigits), us
+
+
 class TestStream:
     """One tanh-sinh stream serves both halves of the half-period pass."""
 
@@ -282,6 +306,36 @@ class TestStream:
         assert seen["theta exps"] == 0
         assert seen["sums"] == seen["nodes"] > 0
         assert {res.effort for res in shared.values()} == {2 * seen["nodes"]}
+
+    def test_ram_lhs_summed_on_the_upper_half_only(self):
+        # a warm default pass, profiled: one Lambert sum per stream node, on
+        # the upper half's nome; the lower half reads ram_lhs from its thetas
+        # and the 3F2 table, so the pass takes no AGM and only the two exps
+        # of its held nomes
+        ctx = PrecisionContext(digits=20)
+        lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)  # node and 3F2 tables
+        lvalues._u_pass.cache_clear()
+        seen = Counter()
+
+        def hook(frame, event, arg):
+            if event == "call":
+                name = frame.f_code.co_name
+                seen[name if name == "mpf_exp" else
+                     (frame.f_globals.get("__name__"), name)] += 1
+
+        sys.setprofile(hook)
+        try:
+            lvalues._u_pass(ctx, 1, lvalues._PASS_MEMBERS)
+        finally:
+            sys.setprofile(None)
+        nodes = seen["thetal.lvalues", "stream"]
+        assert seen["thetal.theta", "lambert_series"] == nodes > 0
+        assert seen["mpf_exp"] == 2
+        for module, name in (("thetal.lvalues", "lambert_closed"),
+                             ("thetal.hyper", "_kernel_agm"),
+                             ("thetal.hyper", "_kernel_treble"),
+                             ("thetal.hyper", "_agm_ambient")):
+            assert seen[module, name] == 0, name
 
 
 class TestDoublingForms:
@@ -368,8 +422,8 @@ class TestMellin:
         assert _mpfs(at_pi) == _mpfs(base)
 
     def test_split_invariance_g(self, ctx):
-        # g dies half as fast as f toward q -> 1, so its lower half maps
-        # with its own constant, scaled with the split
+        # g dies half as fast as f toward q -> 1: on the lower half's map,
+        # which every member shares, it goes like v^(-3/4) at any split
         base, be, _ = mellin("g", 4, ctx)
         with ctx.working():
             splits = (mp.pi / 2, 2 * mp.pi)
@@ -771,9 +825,10 @@ class TestSharedPasses:
 
     @pytest.mark.parametrize("first", ["prop31_2", "prop21_1"])
     def test_a_failing_nome_integral_fails_alone(self, first):
-        # ram_lhs runs out of terms below the series cut; Lemma 2.2's sums
-        # come from each node's thetas, so prop21_* read no Lambert sum
-        ctx = PrecisionContext(digits=20, max_terms=30)
+        # ram_lhs runs out of terms on the upper half, the only one that sums
+        # it; Lemma 2.2's sums and the lower half's ram_lhs come from each
+        # node's thetas, so prop21_* read no Lambert sum
+        ctx = PrecisionContext(digits=20, max_terms=20)
         lvalues._u_pass.cache_clear()
         order = [first] + [q for q in QID_TO_PAIR if q != first]
         for q_id in order:
